@@ -218,17 +218,16 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
         "decay": args.decay,
         "no_motion_threshold": args.no_motion_threshold,
     }
-    for name, value in overrides.items():
-        if value is None:
-            continue
-        if args.preset:
+    overrides = {name: value for name, value in overrides.items() if value is not None}
+    if args.preset:
+        for name, value in overrides.items():
             print(
                 f"overriding preset {args.preset} {name}: "
                 f"{getattr(config, name)} -> {value}",
                 file=sys.stderr,
             )
-        config = replace(config, **{name: value})
-    return config
+    # One replace, so the config is validated with every override in place.
+    return replace(config, **overrides)
 
 
 def _cmd_accumulate(args: argparse.Namespace) -> int:
@@ -470,18 +469,23 @@ def _cmd_eval_polarity_flip(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     if args.command == "accumulate":
-        return _cmd_accumulate(args)
-    if args.command == "synth":
-        return _cmd_synth(args)
-    if args.command == "eval":
-        handlers = {
+        handler = _cmd_accumulate
+    elif args.command == "synth":
+        handler = _cmd_synth
+    elif args.command == "eval":
+        handler = {
             "speed-invariance": _cmd_eval_speed_invariance,
             "window-sweep": _cmd_eval_window_sweep,
             "contribution-sweep": _cmd_eval_contribution_sweep,
             "polarity-flip": _cmd_eval_polarity_flip,
-        }
-        return handlers[args.report](args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+        }[args.report]
+    else:
+        raise AssertionError(f"unhandled command {args.command!r}")
+    try:
+        return handler(args)
+    except ValueError as exc:  # StreamError and the config checks derive from it
+        print(f"evframe: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

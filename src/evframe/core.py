@@ -348,7 +348,8 @@ class AccumulatorConfig:
         decay: per-pixel decay policy.
         no_motion_threshold: when > 0 and fewer events than this arrive
             in a publish interval, the previous frame is republished.
-            0 disables the check.
+            0 disables the check.  BY_NUMBER slices always carry
+            window_size events, so there it may not exceed window_size.
     """
 
     slice_method: SliceMethod = SliceMethod.BY_TIME_AND_NUMBER
@@ -369,6 +370,15 @@ class AccumulatorConfig:
         if self.no_motion_threshold < 0:
             raise ValueError(
                 f"no-motion threshold must be >= 0, got {self.no_motion_threshold}"
+            )
+        if (
+            self.slice_method is SliceMethod.BY_NUMBER
+            and self.no_motion_threshold > self.window_size
+        ):
+            # Every BY_NUMBER slice counts exactly window_size events.
+            raise ValueError(
+                f"no_motion_threshold {self.no_motion_threshold} exceeds window_size "
+                f"{self.window_size}: slicing by number would hold every frame"
             )
 
 

@@ -10,6 +10,7 @@ from evframe import (
     AccumulatorCarry,
     AccumulatorConfig,
     Decay,
+    DecayKind,
     Event,
     EventArray,
     EventFrame,
@@ -354,3 +355,81 @@ class TestHold:
         empty = EventArray.empty()
         frame = acc.process(Slice(empty, 0.5, interval_event_count=0, partial=False))
         assert frame.held is False
+
+
+CLAMPING_RUNS = (9, 2, 7, 11, 3, 6, 1, 8)
+# At c = 0.2 these keep a signed pixel inside [0.3, 0.7]: a chain that
+# never clamps never forgets, so every event's map reaches the frame.
+UNCLAMPED_RUNS = (1, 2, 2, 1)
+
+
+def hot_pixel_stream(runs=CLAMPING_RUNS, n: int = 2800) -> EventArray:
+    """A deterministic deep chain: 2,400 events on pixel (3, 2).
+
+    Four events share each timestamp.  Runs of one polarity alternate
+    with runs of the other; the default runs are long enough at c = 0.2
+    to hit both clamps and to cross 0.5 on most runs.  Every seventh
+    event lands on pixel (5, 1) instead, so the slice holds more than
+    one pixel run.
+    """
+    i = np.arange(n)
+    lengths = np.tile(runs, n // sum(runs) + 1)
+    signs = np.resize(np.array([1, -1], dtype=np.int8), len(lengths))
+    hot = i % 7 != 0
+    return EventArray.from_columns(
+        (i // 4) * 1e-3,
+        np.where(hot, 3, 5).astype(np.int32),
+        np.where(hot, 2, 1).astype(np.int32),
+        np.repeat(signs, lengths)[:n],
+    )
+
+
+class TestDeepChains:
+    """One pixel with thousands of events, far deeper than the strategies reach."""
+
+    def test_stream_is_a_deep_clamping_chain(self):
+        ev = hot_pixel_stream()
+        pixels = reset_frame(SMALL_GEOMETRY, PolarityMode.SIGNED)
+        trajectory = []
+        for event in ev:
+            integrate_event(pixels, event, PolarityMode.SIGNED, 0.2)
+            if (event.x, event.y) == (3, 2):
+                trajectory.append(pixels[2, 3])
+        trajectory = np.array(trajectory)
+        assert len(trajectory) >= 2000
+        assert np.sum(trajectory == 0.0) >= 50 and np.sum(trajectory == 1.0) >= 50
+        assert np.sum(np.diff(np.sign(trajectory - 0.5)) != 0) >= 100
+        assert np.sum(np.diff(ev.t) == 0.0) >= 2000
+
+    @pytest.mark.parametrize("runs", [CLAMPING_RUNS, UNCLAMPED_RUNS], ids=["clamping", "unclamped"])
+    @pytest.mark.parametrize("mode", [PolarityMode.RECTIFIED, PolarityMode.SIGNED])
+    @pytest.mark.parametrize(
+        "decay",
+        [Decay.step(), Decay.linear(0.8), Decay.exponential(0.3)],
+        ids=["step", "linear", "exp"],
+    )
+    def test_matches_reference_across_a_carry(self, runs, mode, decay):
+        ev = hot_pixel_stream(runs)
+        config = AccumulatorConfig(contribution=0.2, polarity_mode=mode, decay=decay)
+        # The cut falls inside a group of equal timestamps.
+        first, rest = ev[:1401], ev[1401:]
+        mid, end = float(rest.t[0]), float(ev.t[-1]) + 0.125
+        frame1, carry = accumulate_slice(make_slice(first, mid), config, SPEC)
+        frame2, _ = accumulate_slice(make_slice(rest, end), config, SPEC, carry)
+        if decay.kind is DecayKind.STEP:
+            expected1 = reference_step_pixels(first, config, SPEC)
+            expected2 = reference_step_pixels(rest, config, SPEC)
+        else:
+            expected1 = reference_decaying_pixels(first, mid, config, SPEC, AccumulatorCarry())
+            carried = AccumulatorCarry(buffer=expected1, buffer_time=mid)
+            expected2 = reference_decaying_pixels(rest, end, config, SPEC, carried)
+        assert np.allclose(frame1.pixels, expected1, atol=1e-12, rtol=0.0)
+        assert np.allclose(frame2.pixels, expected2, atol=1e-12, rtol=0.0)
+
+    @pytest.mark.parametrize("runs", [CLAMPING_RUNS, UNCLAMPED_RUNS], ids=["clamping", "unclamped"])
+    def test_signed_step_is_bit_exact_at_power_of_two_contribution(self, runs):
+        ev = hot_pixel_stream(runs)
+        config = AccumulatorConfig(contribution=0.25, polarity_mode=PolarityMode.SIGNED)
+        for part in (ev, ev[:1401], ev[1401:]):
+            frame, _ = accumulate_slice(make_slice(part), config, SPEC)
+            assert np.array_equal(frame.pixels, reference_step_pixels(part, config, SPEC))

@@ -121,6 +121,16 @@ class TestAccumulate:
         err = capsys.readouterr().err
         assert "overriding preset uav window_size: 20000 -> 500" in err
 
+    def test_preset_overrides_are_validated_together(self, stream_file, tmp_path):
+        # uav holds below 200 events; a window of 150 is only valid with
+        # the lower threshold that comes with it.
+        code = run(
+            "accumulate", "--input", str(stream_file), "--geometry", "80x60",
+            "--preset", "uav", "--slice", "number", "--window-size", "150",
+            "--no-motion-threshold", "100", "--out", str(tmp_path / "frames"),
+        )
+        assert code == 0
+
     def test_sixteen_bit_output(self, stream_file, tmp_path):
         out_dir = tmp_path / "frames"
         run(*accumulate_args(stream_file, out_dir, "--bit-depth", "16"))
@@ -138,6 +148,17 @@ class TestAccumulate:
                 "--decay", flag, "--out", str(out_dir),
             )
             assert code == 0
+
+    def test_decay_with_default_slicer_fails_with_one_line(self, stream_file, tmp_path, capsys):
+        # Time-number windows overlap, which a decaying buffer cannot take.
+        code = run(
+            "accumulate", "--input", str(stream_file), "--geometry", "80x60",
+            "--decay", "exp:0.05", "--out", str(tmp_path / "frames"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evframe: error: ")
+        assert len(err.splitlines()) == 1
 
     def test_rejects_bad_geometry(self, stream_file, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -219,6 +219,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             AccumulatorConfig(no_motion_threshold=-1)
 
+    def test_rejects_by_number_threshold_above_window(self):
+        # A BY_NUMBER slice always counts window_size events, so this
+        # threshold would hold every frame.
+        with pytest.raises(ValueError, match="no_motion_threshold.*window_size"):
+            AccumulatorConfig(
+                slice_method=SliceMethod.BY_NUMBER, window_size=100, no_motion_threshold=101
+            )
+        AccumulatorConfig(
+            slice_method=SliceMethod.BY_NUMBER, window_size=100, no_motion_threshold=100
+        )
+        AccumulatorConfig(window_size=100, no_motion_threshold=101)
+
     def test_decay_constructors(self):
         assert Decay.step().kind is DecayKind.STEP
         assert Decay.linear(2.0).rate == 2.0
