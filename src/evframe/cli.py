@@ -20,6 +20,7 @@ import argparse
 import sys
 from dataclasses import replace
 from pathlib import Path
+from time import perf_counter
 from typing import IO, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,8 +38,6 @@ from .core import (
 )
 from .eventio import read_event_batches, write_events, write_frame_index, write_pgm
 from .metrics import (
-    _reversal_runs,
-    _speed_runs,
     contribution_level_sweep,
     polarity_flip_report,
     speed_invariance_report,
@@ -49,7 +48,6 @@ from .presets import preset, preset_names
 from .synth import (
     MotionProfile,
     SensorModel,
-    SyntheticScene,
     add_noise,
     bars,
     checker,
@@ -231,6 +229,7 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
 
 
 def _cmd_accumulate(args: argparse.Namespace) -> int:
+    started = perf_counter()
     config = _config_from_args(args)
     geometry = args.geometry
     spec = FrameSpec(geometry.width, geometry.height, bit_depth=args.bit_depth)
@@ -252,6 +251,7 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
     batches = read_event_batches(source, geometry)
     stats = run_accumulation(batches, config, spec, t0=args.t0, on_frame=sink)
     write_frame_index(index_rows, out_dir / "index.csv")
+    wall = perf_counter() - started
 
     print(f"frames emitted: {stats.frames}")
     print(f"held frames: {stats.held_frames}")
@@ -259,7 +259,9 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
     print(f"mean events/slice: {stats.mean_events_per_frame:.1f}")
     if stats.frames:
         print(f"mean frame build time: {stats.build_seconds / stats.frames * 1e3:.3f} ms")
-    print(f"throughput: {stats.events_per_second:,.0f} events/s")
+    # Core covers slicing and accumulation only; wall adds parsing and writing.
+    print(f"core throughput: {stats.events_per_second:,.0f} events/s")
+    print(f"wall throughput: {stats.events_in / wall:,.0f} events/s")
     return 0
 
 
@@ -338,37 +340,10 @@ def _cmd_eval_speed_invariance(args: argparse.Namespace) -> int:
             f"min {report.min_score:.4f}, degenerate pairs {report.degenerate_pairs}"
         )
     if args.panels:
-        time_frames, btn_frames = _speed_runs(
-            scene,
-            args.speeds,
-            args.interval,
-            args.window_size,
-            sensor,
-            args.travel,
-            args.contribution,
-        )
-        slow, fast = float(min(args.speeds)), float(max(args.speeds))
-        k = min(len(btn_frames[slow]), len(btn_frames[fast])) - 1
-        while k >= 0 and (btn_frames[slow][k][1].partial or btn_frames[fast][k][1].partial):
-            k -= 1
-        if k >= 0:
-            write_pgm(
-                _panel([btn_frames[slow][k][0], btn_frames[fast][k][0]]),
-                out_dir / "panel_by_time_and_number.pgm",
-            )
-        ratio = fast / slow
-        aligned = None
-        for kb in range(len(time_frames[fast])):
-            ka_f = (kb + 1) * ratio - 1.0
-            ka = int(round(ka_f))
-            if abs(ka_f - ka) <= 1e-9 and 0 <= ka < len(time_frames[slow]):
-                aligned = (ka, kb)
-        if aligned is not None:
-            ka, kb = aligned
-            write_pgm(
-                _panel([time_frames[slow][ka][0], time_frames[fast][kb][0]]),
-                out_dir / "panel_by_time.pgm",
-            )
+        for report, name in ((by_both, "panel_by_time_and_number.pgm"),
+                             (by_time, "panel_by_time.pgm")):
+            if report.panel is not None:
+                write_pgm(_panel(report.panel), out_dir / name)
     return 0
 
 
@@ -443,26 +418,8 @@ def _cmd_eval_polarity_flip(args: argparse.Namespace) -> int:
     print(f"signed mean flips across 0.5: {report.sign_flips}")
     print(f"min rectified ncc: {report.min_rectified:.4f}")
     if args.panels:
-        frames = _reversal_runs(
-            scene,
-            args.speed,
-            args.interval,
-            args.window_size,
-            args.half_duration,
-            sensor,
-            args.contribution,
-        )
-        m = int(round(args.half_duration / args.interval))
-        bi, ai = m - 1, m
-        if 0 <= bi and ai < len(frames[PolarityMode.SIGNED]):
-            for mode, name in (
-                (PolarityMode.SIGNED, "panel_signed.pgm"),
-                (PolarityMode.RECTIFIED, "panel_rectified.pgm"),
-            ):
-                write_pgm(
-                    _panel([frames[mode][bi][0], frames[mode][ai][0]]),
-                    out_dir / name,
-                )
+        for mode, pair in report.panels.items():
+            write_pgm(_panel(pair), out_dir / f"panel_{mode.value}.pgm")
     return 0
 
 
@@ -481,9 +438,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         }[args.report]
     else:
         raise AssertionError(f"unhandled command {args.command!r}")
+    # StreamError and the config checks derive from ValueError; OSError
+    # covers an input or output path that cannot be opened.
     try:
         return handler(args)
-    except ValueError as exc:  # StreamError and the config checks derive from it
+    except (ValueError, OSError) as exc:
         print(f"evframe: error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,13 +6,19 @@ chunked so arbitrarily large files stream through constant memory, and
 every format or contract violation is reported with its 1-based line
 number.
 
+Each chunk is parsed by one call to numpy's C text reader.  A chunk it
+rejects is parsed again line by line with Python's ``float``, which also
+accepts ``1_000``, and replayed through :func:`parse_event_line` to name
+a bad line, so the accepted files and the error messages are exactly
+those of the per-line parser.
+
 Frames are written as binary PGM (P5), 8 bit or big-endian 16 bit, and
 a run's frames are listed in a CSV index of publish stamp, filename and
 hold flag.
 """
 from __future__ import annotations
 
-import io
+import warnings
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Sequence, Tuple, Union
 
@@ -115,28 +121,11 @@ def read_event_batches(
             lines = fh.readlines(batch_lines * 24)
             if not lines:
                 break
-            kept: List[str] = []
-            numbers: List[int] = []
-            for i, line in enumerate(lines):
-                if line.strip():
-                    kept.append(line)
-                    numbers.append(line_base + i + 1)
+            raw, numbers = _parse_chunk(lines, line_base)
             line_base += len(lines)
-            if not kept:
+            if not numbers:
                 continue
-            try:
-                raw = np.array([ln.split() for ln in kept], dtype=np.float64)
-                if raw.shape[1] != 4:
-                    raise ValueError
-            except ValueError:
-                # Some line is ragged or non-numeric; replay to name it.
-                for ln, n in zip(kept, numbers):
-                    parse_event_line(ln, n)
-                raise MalformedLine("unparseable batch")  # pragma: no cover
-            t = raw[:, 0]
-            x = raw[:, 1]
-            y = raw[:, 2]
-            p = raw[:, 3]
+            t, x, y, p = raw.T
             _validate_batch(t, x, y, p, numbers, geometry, prev_t)
             prev_t = float(t[-1])
             yield EventArray.from_columns(
@@ -148,6 +137,39 @@ def read_event_batches(
     finally:
         if owned:
             fh.close()
+
+
+def _parse_chunk(lines: List[str], line_base: int) -> Tuple[np.ndarray, Sequence[int]]:
+    """Parse lines into an (n, 4) float array and each row's 1-based line number.
+
+    A chunk numpy's reader rejects, or whose rows do not line up with
+    the non-blank lines, is parsed again by the exact per-line path.
+    """
+    first = line_base + 1
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines only
+            raw = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        raw = None
+    if raw is not None and raw.shape == (len(lines), 4):
+        return raw, range(first, first + len(lines))
+    numbers = [first + i for i, ln in enumerate(lines) if ln.strip()]
+    if raw is not None and raw.shape == (len(numbers), 4):
+        return raw, numbers
+    if not numbers:
+        return np.empty((0, 4)), numbers
+    kept = [lines[n - first] for n in numbers]
+    try:
+        raw = np.array([ln.split() for ln in kept], dtype=np.float64)
+        if raw.shape[1] != 4:
+            raise ValueError
+    except ValueError:
+        # Some line is ragged or non-numeric; replay to name it.
+        for ln, n in zip(kept, numbers):
+            parse_event_line(ln, n)
+        raise MalformedLine("unparseable batch")  # pragma: no cover
+    return raw, numbers
 
 
 def _validate_batch(

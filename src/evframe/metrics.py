@@ -16,8 +16,8 @@ contribution.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -128,13 +128,16 @@ class SimilarityReport:
 
     `events_per_slice` records the slice sizes the method produced at
     each speed (partial startup windows excluded), which is the
-    histogram behind the speed-invariance mechanism.
+    histogram behind the speed-invariance mechanism.  `panel` is the
+    latest aligned (slowest, fastest) frame pair, scored or degenerate,
+    or None when no frames align.
     """
 
     method: str
     pairs: Tuple[PairScore, ...]
     degenerate_pairs: int
     events_per_slice: Dict[float, Tuple[int, ...]]
+    panel: Optional[Tuple[EventFrame, EventFrame]] = field(compare=False, repr=False)
 
     @property
     def mean_score(self) -> float:
@@ -251,14 +254,18 @@ def speed_invariance_report(
     time_pairs: List[PairScore] = []
     btn_degen = 0
     time_degen = 0
+    btn_panel = time_panel = None
     ordered = sorted(float(s) for s in speeds)
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             sa, sb = ordered[i], ordered[j]
+            extreme = i == 0 and j == len(ordered) - 1  # the pair the panels show
             scores: List[float] = []
             for (fa, sl_a), (fb, sl_b) in zip(btn_frames[sa], btn_frames[sb]):
                 if sl_a.partial or sl_b.partial:
                     continue
+                if extreme:
+                    btn_panel = (fa, fb)
                 try:
                     scores.append(ncc(fa, fb))
                 except DegenerateFrame:
@@ -272,15 +279,20 @@ def speed_invariance_report(
                 ka = int(round(ka_f))
                 if abs(ka_f - ka) > 1e-9 or not 0 <= ka < len(time_frames[sa]):
                     continue
+                pair = (time_frames[sa][ka][0], time_frames[sb][kb][0])
+                if extreme:
+                    time_panel = pair
                 try:
-                    scores.append(ncc(time_frames[sa][ka][0], time_frames[sb][kb][0]))
+                    scores.append(ncc(*pair))
                 except DegenerateFrame:
                     time_degen += 1
             time_pairs.append(PairScore(sa, sb, tuple(scores)))
 
     return (
-        SimilarityReport("by-time", tuple(time_pairs), time_degen, time_counts),
-        SimilarityReport("by-time-and-number", tuple(btn_pairs), btn_degen, btn_counts),
+        SimilarityReport("by-time", tuple(time_pairs), time_degen, time_counts, time_panel),
+        SimilarityReport(
+            "by-time-and-number", tuple(btn_pairs), btn_degen, btn_counts, btn_panel
+        ),
     )
 
 
@@ -289,13 +301,18 @@ class PolarityFlipReport:
     """What a motion reversal does to frames in each polarity mode.
 
     Pairs are aligned so the before and after frames show the band of
-    pixels the edge swept most recently at the same place.
+    pixels the edge swept most recently at the same place.  `panels`
+    holds, per mode, the frames published just before and just after
+    the reversal (empty when the run is too short to have both).
     """
 
     signed_before_means: Tuple[float, ...]
     signed_after_means: Tuple[float, ...]
     rectified_scores: Tuple[float, ...]
     degenerate_pairs: int
+    panels: Dict[PolarityMode, Tuple[EventFrame, EventFrame]] = field(
+        compare=False, repr=False
+    )
 
     @property
     def sign_flips(self) -> bool:
@@ -398,8 +415,11 @@ def polarity_flip_report(
         except DegenerateFrame:
             degenerate += 1
         j += 1
+    panels = {}
+    if 1 <= m < total:
+        panels = {mode: (runs[m - 1][0], runs[m][0]) for mode, runs in frames.items()}
     return PolarityFlipReport(
-        tuple(before_means), tuple(after_means), tuple(rect_scores), degenerate
+        tuple(before_means), tuple(after_means), tuple(rect_scores), degenerate, panels
     )
 
 

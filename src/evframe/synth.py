@@ -191,13 +191,11 @@ def _sample(field: np.ndarray, ox: float, oy: float) -> np.ndarray:
     fy = v - y0
     x1 = np.minimum(x0 + 1, w - 1)
     y1 = np.minimum(y0 + 1, h - 1)
-    a = field[np.ix_(y0, x0)]
-    b = field[np.ix_(y0, x1)]
-    c = field[np.ix_(y1, x0)]
-    d = field[np.ix_(y1, x1)]
-    top = a + (b - a) * fx[None, :]
-    bot = c + (d - c) * fx[None, :]
-    return top + (bot - top) * fy[:, None]
+    # Interpolate along x once for every row, then between row pairs.
+    left = field[:, x0]
+    rows = left + (field[:, x1] - left) * fx
+    top = rows[y0]
+    return top + (rows[y1] - top) * fy[:, None]
 
 
 def expected_event_count(edge_height: float, contrast_threshold: float) -> int:

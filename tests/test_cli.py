@@ -6,8 +6,17 @@ import io
 import numpy as np
 import pytest
 
-from evframe import read_frame_index, read_pgm
-from evframe.cli import main
+from evframe import (
+    PolarityMode,
+    SensorGeometry,
+    SensorModel,
+    read_frame_index,
+    read_pgm,
+    write_pgm,
+)
+from evframe.cli import _panel, main
+from evframe.metrics import _reversal_runs, _speed_runs
+from evframe.synth import step_edge
 
 
 def run(*argv: str) -> int:
@@ -160,6 +169,23 @@ class TestAccumulate:
         assert err.startswith("evframe: error: ")
         assert len(err.splitlines()) == 1
 
+    def test_prints_core_and_wall_throughput(self, stream_file, tmp_path, capsys):
+        assert run(*accumulate_args(stream_file, tmp_path / "frames")) == 0
+        out = capsys.readouterr().out
+        assert "core throughput:" in out
+        assert "wall throughput:" in out
+
+    def test_missing_input_fails_with_one_line(self, tmp_path, capsys):
+        code = run(
+            "accumulate", "--input", str(tmp_path / "missing.txt"), "--geometry", "80x60",
+            "--out", str(tmp_path / "frames"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evframe: error: ")
+        assert "missing.txt" in err
+        assert len(err.splitlines()) == 1
+
     def test_rejects_bad_geometry(self, stream_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("accumulate", "--input", str(stream_file), "--geometry", "80by60",
@@ -236,3 +262,72 @@ class TestEval:
         assert len(lines) > 1
         assert (tmp_path / "panel_signed.pgm").exists()
         assert (tmp_path / "panel_rectified.pgm").exists()
+
+
+def old_speed_panels(speeds, out_dir):
+    """Panels selected from a second sweep, as the CLI once did: the oracle."""
+    scene = step_edge(SensorGeometry(80, 60), height=0.6)
+    time_frames, btn_frames = _speed_runs(
+        scene, speeds, 1.0 / 32.0, 360, SensorModel(contrast_threshold=0.2), 40.0, 0.2
+    )
+    slow, fast = float(min(speeds)), float(max(speeds))
+    k = min(len(btn_frames[slow]), len(btn_frames[fast])) - 1
+    while k >= 0 and (btn_frames[slow][k][1].partial or btn_frames[fast][k][1].partial):
+        k -= 1
+    if k >= 0:
+        write_pgm(
+            _panel([btn_frames[slow][k][0], btn_frames[fast][k][0]]),
+            out_dir / "panel_by_time_and_number.pgm",
+        )
+    ratio = fast / slow
+    aligned = None
+    for kb in range(len(time_frames[fast])):
+        ka_f = (kb + 1) * ratio - 1.0
+        ka = int(round(ka_f))
+        if abs(ka_f - ka) <= 1e-9 and 0 <= ka < len(time_frames[slow]):
+            aligned = (ka, kb)
+    if aligned is not None:
+        ka, kb = aligned
+        write_pgm(
+            _panel([time_frames[slow][ka][0], time_frames[fast][kb][0]]),
+            out_dir / "panel_by_time.pgm",
+        )
+
+
+def old_flip_panels(out_dir):
+    scene = step_edge(SensorGeometry(80, 60), height=0.6)
+    frames = _reversal_runs(
+        scene, 64.0, 1.0 / 32.0, 360, 0.3125, SensorModel(contrast_threshold=0.2), 0.2
+    )
+    m = int(round(0.3125 / (1.0 / 32.0)))
+    bi, ai = m - 1, m
+    if 0 <= bi and ai < len(frames[PolarityMode.SIGNED]):
+        for mode, name in (
+            (PolarityMode.SIGNED, "panel_signed.pgm"),
+            (PolarityMode.RECTIFIED, "panel_rectified.pgm"),
+        ):
+            write_pgm(_panel([frames[mode][bi][0], frames[mode][ai][0]]), out_dir / name)
+
+
+class TestPanelsFromReports:
+    @pytest.mark.parametrize("speeds", ["64,128", "64,128,256", "256,64,128"])
+    def test_speed_panels_match_a_second_sweep(self, tmp_path, speeds):
+        new, old = tmp_path / "new", tmp_path / "old"
+        old.mkdir()
+        assert run("eval", "speed-invariance", "--speeds", speeds, "--out", str(new),
+                   "--panels") == 0
+        old_speed_panels(tuple(float(s) for s in speeds.split(",")), old)
+        names = sorted(p.name for p in old.iterdir())
+        assert names == ["panel_by_time.pgm", "panel_by_time_and_number.pgm"]
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes()
+
+    def test_flip_panels_match_a_second_sweep(self, tmp_path):
+        new, old = tmp_path / "new", tmp_path / "old"
+        old.mkdir()
+        assert run("eval", "polarity-flip", "--out", str(new), "--panels") == 0
+        old_flip_panels(old)
+        names = sorted(p.name for p in old.iterdir())
+        assert names == ["panel_rectified.pgm", "panel_signed.pgm"]
+        for name in names:
+            assert (new / name).read_bytes() == (old / name).read_bytes()

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +130,108 @@ class TestReadEventBatches:
         assert np.array_equal(ev.x, back.x)
         assert np.array_equal(ev.y, back.y)
         assert np.array_equal(ev.p, back.p)
+
+
+def read_chunks(text: str, batch_lines: int) -> list:
+    """The line chunks read_event_batches parses, read the way it reads them."""
+    fh = io.StringIO(text)
+    return list(iter(lambda: fh.readlines(batch_lines * 24), []))
+
+
+def oracle(text: str) -> EventArray:
+    """Parse line by line with parse_event_line, skipping blank lines."""
+    events = [parse_event_line(ln) for ln in text.split("\n") if ln.strip()]
+    return EventArray.from_columns(
+        np.array([e.t for e in events], dtype=np.float64),
+        np.array([e.x for e in events], dtype=np.int32),
+        np.array([e.y for e in events], dtype=np.int32),
+        np.array([e.p for e in events], dtype=np.int8),
+    )
+
+
+def assert_bitwise_equal(a: EventArray, b: EventArray) -> None:
+    assert a.t.view(np.uint64).tolist() == b.t.view(np.uint64).tolist()
+    for name in ("x", "y", "p"):
+        got, want = getattr(a, name), getattr(b, name)
+        assert got.dtype == want.dtype
+        assert got.tolist() == want.tolist()
+
+
+class TestParserEquivalence:
+    """The chunk parser against the line-by-line parser it replaced."""
+
+    def read_all(self, text: str, **kwargs) -> EventArray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batches = list(read_event_batches(io.StringIO(text), GEOMETRY, **kwargs))
+        return EventArray.concatenate(batches)
+
+    def test_blank_lines_across_chunk_boundaries(self):
+        text = (
+            " " * 60 + "\n"  # a chunk of one blank line
+            + "0.1 1 2 1\n\n0.2 3 4 0\n   \t \n0.3 5 6 1\n\n\n0.4 7 8 0\n"
+            + "\t" * 50 + "\n"  # another
+            + "\n \n0.5 9 10 1\n"  # blank lines opening the last chunk
+        )
+        chunks = read_chunks(text, 2)
+        assert [bool("".join(chunk).strip()) for chunk in chunks] == [False, True, False, True]
+        assert not chunks[3][0].strip() and chunks[1][1] == "\n"
+        assert_bitwise_equal(self.read_all(text, batch_lines=2), oracle(text))
+        assert_bitwise_equal(self.read_all(text), oracle(text))
+
+    @pytest.mark.parametrize("batch_lines", [1, 65536])
+    def test_only_blank_lines_yield_nothing(self, batch_lines):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            text = io.StringIO("\n  \n\t\n")
+            assert list(read_event_batches(text, GEOMETRY, batch_lines=batch_lines)) == []
+
+    def test_underscore_numerals_are_accepted(self):
+        text = "1_000.5 1_0 2 1\n1_001 3 4 0\n"
+        ev = self.read_all(text)
+        assert ev.t.tolist() == [1000.5, 1001.0]
+        assert ev.x.tolist() == [10, 3]
+        assert_bitwise_equal(ev, oracle(text))
+
+    def test_crlf_line_endings(self, tmp_path):
+        text = "0.1 1 2 1\r\n\r\n0.2 3 4 0\r\n"
+        assert_bitwise_equal(self.read_all(text), oracle(text))
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(text.encode("ascii"))
+        back = EventArray.concatenate(list(read_event_batches(path, GEOMETRY)))
+        assert_bitwise_equal(back, oracle(text))
+
+    @pytest.mark.parametrize(
+        "bad_line,error,message",
+        [
+            ("0.3 1 2 2", InvalidPolarity, "polarity must be 0 or 1 at line 5"),
+            ("-0.3 1 2 1", MalformedLine, "timestamp must be finite and >= 0 at line 5"),
+            ("nan 1 2 1", MalformedLine, "timestamp must be finite and >= 0 at line 5"),
+            ("0.3 1.5 2 1", MalformedLine, "coordinates must be integers at line 5"),
+            ("0.3 240 2 1", OutOfBoundsEvent, "sensor at line 5"),
+            ("0.05 1 2 1", NonMonotonicTimestamps, r"followed by \S*0\.05\S* at line 5"),
+            ("0.3 1 2", MalformedLine, "4 fields 't x y p' at line 5"),
+        ],
+    )
+    def test_errors_name_the_line_after_blank_lines(self, bad_line, error, message):
+        text = "0.1 1 2 1\n\n  \n0.2 3 4 0\n" + bad_line + "\n0.4 1 2 1\n"
+        with pytest.raises(error, match=message):
+            self.read_all(text)
+
+    @given(
+        event_arrays(min_size=1),
+        st.lists(st.integers(0, 200), max_size=6),
+        st.sampled_from([1, 7, 65536]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_written_streams_read_back_like_the_line_parser(self, ev, blanks, batch_lines):
+        buf = io.StringIO()
+        write_events(ev, buf)
+        lines = buf.getvalue().split("\n")
+        for at in sorted(blanks, reverse=True):
+            lines.insert(min(at, len(lines)), "  ")
+        text = "\n".join(lines)
+        assert_bitwise_equal(self.read_all(text, batch_lines=batch_lines), oracle(text))
 
 
 class TestPgm:

@@ -19,6 +19,7 @@ from evframe import (
     generate_events,
     step_edge,
 )
+from evframe.synth import _sample
 
 GEOMETRY = SensorGeometry(16, 8)
 
@@ -33,6 +34,48 @@ def per_pixel_counts(ev: EventArray, geometry: SensorGeometry) -> np.ndarray:
     out = np.zeros((geometry.height, geometry.width), dtype=np.int64)
     np.add.at(out, (ev.y, ev.x), 1)
     return out
+
+
+def four_corner_sample(field: np.ndarray, ox: float, oy: float) -> np.ndarray:
+    """Bilinear sampling gathering all four corners per pixel, as originally written."""
+    h, w = field.shape
+    u = np.clip(np.arange(w) - ox, 0.0, w - 1.0)
+    v = np.clip(np.arange(h) - oy, 0.0, h - 1.0)
+    x0 = np.minimum(u.astype(np.intp), w - 2) if w > 1 else np.zeros(w, dtype=np.intp)
+    y0 = np.minimum(v.astype(np.intp), h - 2) if h > 1 else np.zeros(h, dtype=np.intp)
+    fx = u - x0
+    fy = v - y0
+    x1 = np.minimum(x0 + 1, w - 1)
+    y1 = np.minimum(y0 + 1, h - 1)
+    a = field[np.ix_(y0, x0)]
+    b = field[np.ix_(y0, x1)]
+    c = field[np.ix_(y1, x0)]
+    d = field[np.ix_(y1, x1)]
+    top = a + (b - a) * fx[None, :]
+    bot = c + (d - c) * fx[None, :]
+    return top + (bot - top) * fy[:, None]
+
+
+class TestSample:
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(0, 2**32 - 1),
+        st.floats(-20.0, 20.0, allow_nan=False),
+        st.floats(-20.0, 20.0, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_four_corner_formula_bitwise(self, h, w, seed, ox, oy):
+        field = np.random.default_rng(seed).normal(size=(h, w))
+        got = _sample(field, ox, oy)
+        want = four_corner_sample(field, ox, oy)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("ox,oy", [(0.0, 0.0), (-3.5, 0.25), (1.75, -0.5), (400.0, 0.0)])
+    def test_step_edge_matches_four_corner_formula_bitwise(self, ox, oy):
+        field = step_edge(GEOMETRY, height=0.6).field
+        want = four_corner_sample(field, ox, oy)
+        assert np.array_equal(_sample(field, ox, oy).view(np.uint64), want.view(np.uint64))
 
 
 class TestExpectedEventCount:
