@@ -56,7 +56,6 @@ from .core import (
     AccumulatorConfig,
     Decay,
     DecayKind,
-    Event,
     EventFrame,
     FrameSpec,
     NonMonotonicTimestamps,
@@ -70,7 +69,6 @@ from .slicer import Slice, detect_no_motion
 __all__ = [
     "AccumulatorCarry",
     "FrameAccumulator",
-    "integrate_event",
     "apply_decay",
     "reset_frame",
     "accumulate_slice",
@@ -92,29 +90,6 @@ class AccumulatorCarry:
     previous_frame: Optional[EventFrame] = None
     buffer: Optional[np.ndarray] = None
     buffer_time: Optional[float] = None
-
-
-def integrate_event(
-    pixels: np.ndarray,
-    event: Event,
-    polarity_mode: PolarityMode,
-    contribution: float,
-) -> np.ndarray:
-    """Add one event's contribution to its pixel, clamped to [0, 1].
-
-    Mutates `pixels` in place and returns it.  This is the reference
-    path; `accumulate_slice` integrates whole slices vectorized.
-    """
-    h, w = pixels.shape
-    if not (0 <= event.x < w and 0 <= event.y < h):
-        raise OutOfBoundsEvent(
-            f"event at ({event.x}, {event.y}) outside {w}x{h} frame"
-        )
-    if polarity_mode is PolarityMode.SIGNED and event.p < 0:
-        contribution = -contribution
-    v = pixels[event.y, event.x] + contribution
-    pixels[event.y, event.x] = min(1.0, max(0.0, v))
-    return pixels
 
 
 def reset_frame(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:

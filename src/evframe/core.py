@@ -1,10 +1,10 @@
 """Core types for event-to-frame accumulation.
 
 An event camera reports a sparse stream of per-pixel brightness change
-events instead of full frames.  This module defines the event record and
-its batched array form, the sensor geometry, the normalized frame buffer
-handed to consumers, and the configuration vector that selects how a
-stream is sliced and accumulated.  The numeric helpers shared by the
+events instead of full frames.  This module defines the columnar event
+batch every interface carries, the sensor geometry, the normalized frame
+buffer handed to consumers, and the configuration vector that selects
+how a stream is sliced and accumulated.  The numeric helpers shared by the
 other modules (neutral value, quantization, window sizing) live here too.
 
 Pixel state is kept normalized in [0, 1] and only quantized to 8 or 16
@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "StreamError",
     "OutOfBoundsEvent",
     "NonMonotonicTimestamps",
-    "Event",
     "EventArray",
     "SensorGeometry",
     "FrameSpec",
@@ -49,31 +48,6 @@ class OutOfBoundsEvent(StreamError):
 
 class NonMonotonicTimestamps(StreamError):
     """Event timestamps decreased within a stream."""
-
-
-@dataclass(frozen=True, slots=True)
-class Event:
-    """One brightness change event.
-
-    Attributes:
-        t: timestamp in seconds, non-negative.
-        x: column index.
-        y: row index.
-        p: polarity, +1 for brightness increase and -1 for decrease.
-    """
-
-    t: float
-    x: int
-    y: int
-    p: int
-
-    def __post_init__(self) -> None:
-        if not (self.t >= 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"event timestamp must be finite and >= 0, got {self.t}")
-        if self.x < 0 or self.y < 0:
-            raise ValueError(f"event coordinates must be non-negative, got ({self.x}, {self.y})")
-        if self.p not in (-1, 1):
-            raise ValueError(f"event polarity must be +1 or -1, got {self.p}")
 
 
 @dataclass(frozen=True)
@@ -107,38 +81,14 @@ class SensorGeometry:
         return cls(w, h)
 
 
-class _Columns:
-    """Shared validation for the columnar event batch."""
-
-    @staticmethod
-    def check(t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> None:
-        n = len(t)
-        if not (len(x) == len(y) == len(p) == n):
-            raise ValueError("event columns must have equal length")
-        if n == 0:
-            return
-        if not np.isfinite(t).all() or float(t[0]) < 0.0:
-            raise ValueError("event timestamps must be finite and >= 0")
-        if np.any(np.diff(t) < 0.0):
-            i = int(np.argmax(np.diff(t) < 0.0))
-            raise NonMonotonicTimestamps(
-                f"timestamps decreased: {t[i]!r} followed by {t[i + 1]!r}"
-            )
-        if not np.isin(p, (-1, 1)).all():
-            raise ValueError("event polarities must be +1 or -1")
-        if np.any(x < 0) or np.any(y < 0):
-            raise ValueError("event coordinates must be non-negative")
-
-
 @dataclass(frozen=True, eq=False)
 class EventArray:
     """A time-ordered batch of events stored as columns.
 
-    This is the carrier used on every batch interface: slices hold one,
-    the synthetic generator returns one, and readers yield them in
-    chunks.  Columns are immutable once constructed.  Indexing with an
-    int returns an :class:`Event`; slicing returns a view-backed
-    :class:`EventArray`.
+    This is the only event carrier: slices hold one, the synthetic
+    generator returns one, and readers yield them in chunks.  Columns are
+    immutable once constructed.  Slicing returns a view-backed
+    :class:`EventArray`; single events are read from the columns.
     """
 
     t: np.ndarray
@@ -158,17 +108,24 @@ class EventArray:
         xa = np.ascontiguousarray(x, dtype=np.int32)
         ya = np.ascontiguousarray(y, dtype=np.int32)
         pa = np.ascontiguousarray(p, dtype=np.int8)
-        _Columns.check(ta, xa, ya, pa)
+        if not (len(xa) == len(ya) == len(pa) == len(ta)):
+            raise ValueError("event columns must have equal length")
+        if len(ta):
+            if not np.isfinite(ta).all() or float(ta[0]) < 0.0:
+                raise ValueError("event timestamps must be finite and >= 0")
+            drops = np.diff(ta) < 0.0
+            if drops.any():
+                i = int(np.argmax(drops))
+                raise NonMonotonicTimestamps(
+                    f"timestamps decreased: {float(ta[i])} followed by {float(ta[i + 1])}"
+                )
+            if not np.isin(pa, (-1, 1)).all():
+                raise ValueError("event polarities must be +1 or -1")
+            if np.any(xa < 0) or np.any(ya < 0):
+                raise ValueError("event coordinates must be non-negative")
         for a in (ta, xa, ya, pa):
             a.setflags(write=False)
         return cls(ta, xa, ya, pa)
-
-    @classmethod
-    def from_events(cls, events: Iterable[Event]) -> "EventArray":
-        seq = list(events)
-        return cls.from_columns(
-            [e.t for e in seq], [e.x for e in seq], [e.y for e in seq], [e.p for e in seq]
-        )
 
     @classmethod
     def empty(cls) -> "EventArray":
@@ -183,7 +140,7 @@ class EventArray:
             if nxt.t[0] < prev.t[-1]:
                 raise NonMonotonicTimestamps(
                     f"timestamp decreases across batches: "
-                    f"{prev.t[-1]!r} then {nxt.t[0]!r}"
+                    f"{float(prev.t[-1])} then {float(nxt.t[0])}"
                 )
         if len(parts) == 1:
             return parts[0]
@@ -200,15 +157,10 @@ class EventArray:
     def __len__(self) -> int:
         return len(self.t)
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return EventArray(self.t[key], self.x[key], self.y[key], self.p[key])
-        i = int(key)
-        return Event(float(self.t[i]), int(self.x[i]), int(self.y[i]), int(self.p[i]))
-
-    def __iter__(self) -> Iterator[Event]:
-        for i in range(len(self)):
-            yield self[i]
+    def __getitem__(self, key: slice) -> "EventArray":
+        if not isinstance(key, slice):
+            raise TypeError(f"EventArray takes slices only, got {type(key).__name__}")
+        return EventArray(self.t[key], self.x[key], self.y[key], self.p[key])
 
 
 @dataclass(frozen=True)
@@ -345,7 +297,8 @@ class AccumulatorConfig:
         interval: publish period in seconds (ignored by BY_NUMBER).
         contribution: potential added per event, in (0, 1].
         polarity_mode: rectified or signed integration.
-        decay: per-pixel decay policy.
+        decay: per-pixel decay policy.  LINEAR and EXPONENTIAL keep a
+            buffer that needs disjoint slices, so not BY_TIME_AND_NUMBER.
         no_motion_threshold: when > 0 and fewer events than this arrive
             in a publish interval, the previous frame is republished.
             0 disables the check.  BY_NUMBER slices always carry
@@ -379,6 +332,16 @@ class AccumulatorConfig:
             raise ValueError(
                 f"no_motion_threshold {self.no_motion_threshold} exceeds window_size "
                 f"{self.window_size}: slicing by number would hold every frame"
+            )
+        if (
+            self.slice_method is SliceMethod.BY_TIME_AND_NUMBER
+            and self.decay.kind is not DecayKind.STEP
+        ):
+            # A decaying buffer integrates each event once; overlapping
+            # windows would hand it events it already holds.
+            raise ValueError(
+                f"decay {self.decay.kind.value} needs disjoint slices, but slice_method "
+                f"{self.slice_method.value} windows overlap; slice by time or number"
             )
 
 

@@ -7,10 +7,14 @@ every format or contract violation is reported with its 1-based line
 number.
 
 Each chunk is parsed by one call to numpy's C text reader.  A chunk it
-rejects is parsed again line by line with Python's ``float``, which also
-accepts ``1_000``, and replayed through :func:`parse_event_line` to name
-a bad line, so the accepted files and the error messages are exactly
-those of the per-line parser.
+rejects is split into fields and converted by numpy's string-to-float
+cast, which also accepts ``1_000``.  That is the whole grammar: four
+whitespace-separated numbers per line.  When a chunk breaks it, the
+first line with a field count other than four, or else the first line
+with a field the cast rejects, is reported.  Every other rule (polarity,
+timestamp range and order, integer and in-bounds coordinates) is checked
+on the parsed columns, so an error never names a line the grammar
+accepts.
 
 Frames are written as binary PGM (P5), 8 bit or big-endian 16 bit, and
 a run's frames are listed in a CSV index of publish stamp, filename and
@@ -25,7 +29,6 @@ from typing import IO, Iterable, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from .core import (
-    Event,
     EventArray,
     NonMonotonicTimestamps,
     OutOfBoundsEvent,
@@ -36,10 +39,7 @@ from .core import (
 __all__ = [
     "MalformedLine",
     "InvalidPolarity",
-    "parse_event_line",
-    "format_event_line",
     "read_event_batches",
-    "read_stream",
     "write_events",
     "write_pgm",
     "read_pgm",
@@ -58,43 +58,6 @@ class InvalidPolarity(StreamError):
     """Polarity token was not 0 or 1."""
 
 
-def parse_event_line(line: str, line_number: int | None = None) -> Event:
-    """Parse one "t x y p" line; p is 1 for +1 and 0 for -1.
-
-    Raises MalformedLine, or InvalidPolarity when only the polarity
-    token is bad.  Error messages name the offending line number when
-    one is given.
-    """
-    where = f" at line {line_number}" if line_number is not None else ""
-    parts = line.split()
-    if len(parts) != 4:
-        raise MalformedLine(
-            f"expected 4 fields 't x y p'{where}, got {len(parts)}: {line.strip()!r}"
-        )
-    try:
-        t = float(parts[0])
-        x = int(parts[1])
-        y = int(parts[2])
-    except ValueError:
-        raise MalformedLine(f"could not parse numeric fields{where}: {line.strip()!r}") from None
-    if parts[3] == "1":
-        p = 1
-    elif parts[3] == "0":
-        p = -1
-    else:
-        raise InvalidPolarity(f"polarity must be 0 or 1{where}, got {parts[3]!r}")
-    if not t >= 0.0:
-        raise MalformedLine(f"timestamp must be >= 0{where}, got {parts[0]}")
-    if x < 0 or y < 0:
-        raise MalformedLine(f"coordinates must be >= 0{where}, got ({x}, {y})")
-    return Event(t, x, y, p)
-
-
-def format_event_line(event: Event) -> str:
-    """Inverse of parse_event_line; float repr round-trips the stamp."""
-    return f"{float(event.t)!r} {event.x} {event.y} {1 if event.p > 0 else 0}"
-
-
 def _open_text(path: Union[str, Path, IO[str]]) -> Tuple[IO[str], bool]:
     if hasattr(path, "read"):
         return path, False
@@ -108,10 +71,11 @@ def read_event_batches(
 ) -> Iterator[EventArray]:
     """Stream a "t x y p" text file as validated EventArray chunks.
 
-    Checks per line: parseable fields, non-negative timestamp, polarity
-    in {0, 1}.  Checks across the stream: timestamps non-decreasing
-    (the error reports both offending stamps) and coordinates inside
-    `geometry`.  Line numbers are 1-based.  Blank lines are skipped.
+    Checks per line: four numeric fields, finite non-negative timestamp,
+    polarity in {0, 1}, integer coordinates.  Checks across the stream:
+    timestamps non-decreasing (the error reports both offending stamps)
+    and coordinates inside `geometry`.  Line numbers are 1-based.  Blank
+    lines are skipped.
     """
     fh, owned = _open_text(path)
     prev_t: float | None = None
@@ -143,7 +107,8 @@ def _parse_chunk(lines: List[str], line_base: int) -> Tuple[np.ndarray, Sequence
     """Parse lines into an (n, 4) float array and each row's 1-based line number.
 
     A chunk numpy's reader rejects, or whose rows do not line up with
-    the non-blank lines, is parsed again by the exact per-line path.
+    the non-blank lines, is split and cast field by field, and a line
+    that breaks the grammar is named.
     """
     first = line_base + 1
     try:
@@ -157,19 +122,24 @@ def _parse_chunk(lines: List[str], line_base: int) -> Tuple[np.ndarray, Sequence
     numbers = [first + i for i, ln in enumerate(lines) if ln.strip()]
     if raw is not None and raw.shape == (len(numbers), 4):
         return raw, numbers
-    if not numbers:
-        return np.empty((0, 4)), numbers
-    kept = [lines[n - first] for n in numbers]
+    rows = [lines[n - first].split() for n in numbers]
+    for n, fields in zip(numbers, rows):
+        if len(fields) != 4:
+            raise MalformedLine(
+                f"expected 4 fields 't x y p' at line {n}, got {len(fields)}: "
+                f"{lines[n - first].strip()!r}"
+            )
     try:
-        raw = np.array([ln.split() for ln in kept], dtype=np.float64)
-        if raw.shape[1] != 4:
-            raise ValueError
+        return np.array(rows, dtype=np.float64).reshape(-1, 4), numbers
     except ValueError:
-        # Some line is ragged or non-numeric; replay to name it.
-        for ln, n in zip(kept, numbers):
-            parse_event_line(ln, n)
-        raise MalformedLine("unparseable batch")  # pragma: no cover
-    return raw, numbers
+        for n, fields in zip(numbers, rows):
+            try:
+                np.array(fields, dtype=np.float64)
+            except ValueError:
+                raise MalformedLine(
+                    f"could not parse numeric fields at line {n}: {lines[n - first].strip()!r}"
+                ) from None
+        raise
 
 
 def _validate_batch(
@@ -190,7 +160,9 @@ def _validate_batch(
     bad = ~np.isfinite(t) | (t < 0.0)
     if bad.any():
         i = int(np.argmax(bad))
-        raise MalformedLine(f"timestamp must be finite and >= 0 at line {numbers[i]}, got {t[i]!r}")
+        raise MalformedLine(
+            f"timestamp must be finite and >= 0 at line {numbers[i]}, got {float(t[i])}"
+        )
     bad = (x != np.floor(x)) | (y != np.floor(y))
     if bad.any():
         i = int(np.argmax(bad))
@@ -206,7 +178,7 @@ def _validate_batch(
         )
     if prev_t is not None and float(t[0]) < prev_t:
         raise NonMonotonicTimestamps(
-            f"timestamps must not decrease: {prev_t!r} followed by {t[0]!r} "
+            f"timestamps must not decrease: {prev_t} followed by {float(t[0])} "
             f"at line {numbers[0]}"
         )
     if len(t) > 1:
@@ -214,27 +186,20 @@ def _validate_batch(
         if drops.any():
             i = int(np.argmax(drops))
             raise NonMonotonicTimestamps(
-                f"timestamps must not decrease: {t[i]!r} followed by {t[i + 1]!r} "
+                f"timestamps must not decrease: {float(t[i])} followed by {float(t[i + 1])} "
                 f"at line {numbers[i + 1]}"
             )
 
 
-def read_stream(
-    path: Union[str, Path, IO[str]],
-    geometry: SensorGeometry,
-) -> Iterator[Event]:
-    """Yield validated events one at a time from a "t x y p" file."""
-    for batch in read_event_batches(path, geometry):
-        yield from batch
+def write_events(events: EventArray, path: Union[str, Path, IO[str]]) -> None:
+    """Write events as "t x y p" lines, one per event.
 
-
-def write_events(events: Iterable[Event] | EventArray, path: Union[str, Path, IO[str]]) -> None:
-    """Write events as "t x y p" lines, one per event."""
-    if isinstance(events, EventArray):
-        events = iter(events)
+    The stamp is written as the float's repr, so it reads back exactly.
+    """
+    rows = zip(events.t.tolist(), events.x.tolist(), events.y.tolist(), (events.p > 0).tolist())
     fh, owned = _open_out(path)
     try:
-        fh.write("\n".join(format_event_line(e) for e in events))
+        fh.write("\n".join(f"{t!r} {x} {y} {1 if on else 0}" for t, x, y, on in rows))
         fh.write("\n")
     finally:
         if owned:
@@ -282,16 +247,21 @@ def read_pgm(path: Union[str, Path]) -> np.ndarray:
             pos += 1
         fields.append(data[start:pos])
     pos += 1  # single whitespace after maxval
+    if not fields[3]:
+        raise ValueError(f"truncated PGM {path}: the header ends after {len(data)} bytes")
     if fields[0] != b"P5":
         raise ValueError(f"not a binary PGM: magic {fields[0]!r}")
     w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval == 255:
-        raster = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    elif maxval == 65535:
-        raster = np.frombuffer(data, dtype=">u2", count=w * h, offset=pos).astype(np.uint16)
-    else:
+    if maxval not in (255, 65535):
         raise ValueError(f"unsupported maxval {maxval}")
-    return raster.reshape(h, w)
+    sample = np.dtype(np.uint8 if maxval == 255 else ">u2")
+    if len(data) - pos < w * h * sample.itemsize:
+        raise ValueError(
+            f"truncated PGM {path}: {max(len(data) - pos, 0)} of "
+            f"{w * h * sample.itemsize} payload bytes"
+        )
+    raster = np.frombuffer(data, dtype=sample, count=w * h, offset=pos)
+    return raster.astype(sample.newbyteorder("="), copy=False).reshape(h, w)
 
 
 def write_frame_index(

@@ -17,8 +17,8 @@ Three methods are supported:
   events is emitted flagged as partial.
 
 :class:`StreamSlicer` is a single-owner state machine fed in timestamp
-order, either one event at a time or in array batches.  The module
-functions wrap it for whole-stream use.
+order in :class:`EventArray` batches of any size, down to one event.
+The module functions wrap it for whole-stream use.
 
 Slices also carry the number of events that arrived in their publish
 interval (t_{k-1}, t_k], which feeds the no-motion hold decision.  The
@@ -28,11 +28,11 @@ counts always telescope to the stream total.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
-from .core import AccumulatorConfig, Event, EventArray, SliceMethod
+from .core import AccumulatorConfig, EventArray, SliceMethod
 
 __all__ = [
     "Slice",
@@ -81,9 +81,10 @@ def detect_no_motion(interval_event_count: int, threshold: int) -> bool:
 class StreamSlicer:
     """Streaming slicer state machine.
 
-    Feed events in non-decreasing timestamp order through :meth:`push`
-    or :meth:`push_batch`; each call returns the slices completed by
-    that input.  Call :meth:`flush` once at end of stream to publish
+    Feed events in non-decreasing timestamp order through
+    :meth:`push_batch`; each call returns the slices completed by that
+    input, and how the stream is split into batches does not change
+    them.  Call :meth:`flush` once at end of stream to publish
     the final ticks.  For BY_NUMBER a trailing remainder of fewer than
     N events is withheld and exposed through :attr:`pending`.
     """
@@ -125,11 +126,6 @@ class StreamSlicer:
         # rounding error from t0 + k * dt no matter how long the run is.
         return self._t0 + self._k * self._dt
 
-    def push(self, event: Event) -> List[Slice]:
-        return self.push_batch(
-            EventArray.from_columns([event.t], [event.x], [event.y], [event.p])
-        )
-
     def push_batch(self, events: EventArray) -> List[Slice]:
         if self._finished:
             raise RuntimeError("slicer already flushed")
@@ -137,7 +133,7 @@ class StreamSlicer:
             return []
         if self._t_last is not None and float(events.t[0]) < self._t_last:
             raise ValueError(
-                f"events must arrive in time order: {events.t[0]!r} after {self._t_last!r}"
+                f"events must arrive in time order: {float(events.t[0])} after {self._t_last}"
             )
         if len(events) > 1 and np.any(np.diff(events.t) < 0.0):
             raise ValueError("events within a batch must be in time order")
@@ -196,7 +192,7 @@ class StreamSlicer:
     def _push_by_time(self, events: EventArray) -> List[Slice]:
         if float(events.t[0]) < self._t0:
             raise ValueError(
-                f"event at {events.t[0]!r} precedes the window origin {self._t0!r}"
+                f"event at {float(events.t[0])} precedes the window origin {self._t0}"
             )
         out: List[Slice] = []
         pos = 0
@@ -284,26 +280,20 @@ def slicer_for(config: AccumulatorConfig, t0: Optional[float] = None) -> StreamS
     )
 
 
-def _coerce(stream) -> EventArray:
-    if isinstance(stream, EventArray):
-        return stream
-    return EventArray.from_events(stream)
-
-
-def slice_by_number(stream: Iterable[Event] | EventArray, window_size: int) -> List[Slice]:
+def slice_by_number(stream: EventArray, window_size: int) -> List[Slice]:
     """Cut a stream into consecutive groups of exactly `window_size` events.
 
     A trailing remainder shorter than the window is withheld, not
     emitted; use :class:`StreamSlicer` directly when you need it.
     """
     s = StreamSlicer(SliceMethod.BY_NUMBER, window_size=window_size)
-    out = s.push_batch(_coerce(stream))
+    out = s.push_batch(stream)
     out.extend(s.flush())
     return out
 
 
 def slice_by_time(
-    stream: Iterable[Event] | EventArray,
+    stream: EventArray,
     interval: float,
     t0: Optional[float] = None,
 ) -> List[Slice]:
@@ -314,13 +304,13 @@ def slice_by_time(
     span with no gaps.
     """
     s = StreamSlicer(SliceMethod.BY_TIME, interval=interval, t0=t0)
-    out = s.push_batch(_coerce(stream))
+    out = s.push_batch(stream)
     out.extend(s.flush())
     return out
 
 
 def slice_by_time_and_number(
-    stream: Iterable[Event] | EventArray,
+    stream: EventArray,
     interval: float,
     window_size: int,
     t0: Optional[float] = None,
@@ -337,6 +327,6 @@ def slice_by_time_and_number(
         window_size=window_size,
         t0=t0,
     )
-    out = s.push_batch(_coerce(stream))
+    out = s.push_batch(stream)
     out.extend(s.flush())
     return out

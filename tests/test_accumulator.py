@@ -11,7 +11,6 @@ from evframe import (
     AccumulatorConfig,
     Decay,
     DecayKind,
-    Event,
     EventArray,
     EventFrame,
     FrameAccumulator,
@@ -20,16 +19,17 @@ from evframe import (
     PolarityMode,
     SensorGeometry,
     Slice,
+    SliceMethod,
     accumulate_slice,
     apply_decay,
     hold_previous,
-    integrate_event,
     neutral_value,
     quantize_frame,
     reset_frame,
 )
 
 from conftest import SMALL_GEOMETRY, event_arrays
+from oracles import Event, events_of, integrate_event
 
 SPEC = FrameSpec(SMALL_GEOMETRY.width, SMALL_GEOMETRY.height)
 
@@ -50,7 +50,7 @@ def reference_step_pixels(
 ) -> np.ndarray:
     """Per-event reference for STEP decay: integrate from a fresh frame."""
     pixels = reset_frame(spec.geometry, config.polarity_mode)
-    for event in events:
+    for event in events_of(events):
         integrate_event(pixels, event, config.polarity_mode, config.contribution)
     return pixels
 
@@ -76,7 +76,7 @@ def reference_decaying_pixels(
     else:
         pixels = reset_frame(spec.geometry, config.polarity_mode)
         now = float(events.t[0]) if len(events) else publish_stamp
-    for event in events:
+    for event in events_of(events):
         pixels = apply_decay(pixels, event.t - now, config.decay, neutral)
         now = event.t
         integrate_event(pixels, event, config.polarity_mode, config.contribution)
@@ -122,14 +122,14 @@ class TestIntegrateEvent:
 
 class TestStepAccumulation:
     def test_two_half_contributions_saturate(self):
-        ev = EventArray.from_events([Event(0.1, 3, 2, 1), Event(0.2, 3, 2, 1)])
+        ev = EventArray.from_columns([0.1, 0.2], [3, 3], [2, 2], [1, 1])
         config = AccumulatorConfig(contribution=0.5)
         frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
         assert frame.pixels[2, 3] == 1.0
         assert quantize_frame(frame)[2, 3] == 255
 
     def test_single_half_contribution_is_midgray(self):
-        ev = EventArray.from_events([Event(0.1, 3, 2, 1)])
+        ev = EventArray.from_columns([0.1], [3], [2], [1])
         config = AccumulatorConfig(contribution=0.5)
         frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
         assert frame.pixels[2, 3] == 0.5
@@ -140,7 +140,7 @@ class TestStepAccumulation:
         assert np.all(frame.pixels == 0.0)
 
     def test_does_not_keep_a_buffer(self):
-        ev = EventArray.from_events([Event(0.1, 0, 0, 1)])
+        ev = EventArray.from_columns([0.1], [0], [0], [1])
         _, carry = accumulate_slice(make_slice(ev), AccumulatorConfig(), SPEC)
         assert carry.buffer is None
         assert carry.previous_frame is not None
@@ -192,7 +192,7 @@ class TestStepAccumulation:
         assert np.allclose(a.pixels + b.pixels, 1.0, atol=1e-12)
 
     def test_rejects_out_of_bounds_slice(self):
-        ev = EventArray.from_events([Event(0.1, SMALL_GEOMETRY.width, 0, 1)])
+        ev = EventArray.from_columns([0.1], [SMALL_GEOMETRY.width], [0], [1])
         with pytest.raises(OutOfBoundsEvent):
             accumulate_slice(make_slice(ev), AccumulatorConfig(), SPEC)
 
@@ -260,6 +260,7 @@ class TestApplyDecay:
 
 decaying_configs = st.builds(
     AccumulatorConfig,
+    slice_method=st.just(SliceMethod.BY_TIME),
     contribution=st.sampled_from([0.2, 0.5]),
     polarity_mode=st.sampled_from([PolarityMode.RECTIFIED, PolarityMode.SIGNED]),
     decay=st.sampled_from([Decay.linear(0.8), Decay.linear(5.0), Decay.exponential(0.3)]),
@@ -294,31 +295,33 @@ class TestDecayingAccumulation:
         assert np.allclose(whole.pixels, second.pixels, atol=1e-12, rtol=0.0)
 
     def test_buffer_persists_between_slices(self):
-        config = AccumulatorConfig(decay=Decay.exponential(10.0), contribution=0.5)
-        ev = EventArray.from_events([Event(0.0, 1, 1, 1)])
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, decay=Decay.exponential(10.0), contribution=0.5
+        )
+        ev = EventArray.from_columns([0.0], [1], [1], [1])
         _, carry = accumulate_slice(make_slice(ev, 0.5), config, SPEC)
         later, _ = accumulate_slice(make_slice(EventArray.empty(), 1.0), config, SPEC, carry)
         assert 0.0 < later.pixels[1, 1] < 0.5
         assert later.pixels[1, 1] == pytest.approx(0.5 * np.exp(-0.1), abs=1e-12)
 
     def test_rejects_slice_overlapping_buffer(self):
-        config = AccumulatorConfig(decay=Decay.linear(1.0))
-        ev = EventArray.from_events([Event(0.5, 1, 1, 1)])
+        config = AccumulatorConfig(slice_method=SliceMethod.BY_TIME, decay=Decay.linear(1.0))
+        ev = EventArray.from_columns([0.5], [1], [1], [1])
         _, carry = accumulate_slice(make_slice(ev, 1.0), config, SPEC)
-        overlapping = EventArray.from_events([Event(0.75, 1, 1, 1)])
+        overlapping = EventArray.from_columns([0.75], [1], [1], [1])
         with pytest.raises(ValueError):
             accumulate_slice(make_slice(overlapping, 1.5), config, SPEC, carry)
 
     def test_rejects_events_past_publish_stamp(self):
-        config = AccumulatorConfig(decay=Decay.linear(1.0))
-        ev = EventArray.from_events([Event(2.0, 1, 1, 1)])
+        config = AccumulatorConfig(slice_method=SliceMethod.BY_TIME, decay=Decay.linear(1.0))
+        ev = EventArray.from_columns([2.0], [1], [1], [1])
         with pytest.raises(ValueError):
             accumulate_slice(make_slice(ev, publish_stamp=1.0), config, SPEC)
 
 
 class TestHold:
     def test_hold_shares_pixels_with_previous_frame(self):
-        ev = EventArray.from_events([Event(0.1, 1, 1, 1)])
+        ev = EventArray.from_columns([0.1], [1], [1], [1])
         frame, carry = accumulate_slice(make_slice(ev, 0.2), AccumulatorConfig(), SPEC)
         held = hold_previous(carry, 0.4, SPEC, PolarityMode.RECTIFIED)
         assert held.held is True
@@ -333,10 +336,10 @@ class TestHold:
     def test_accumulator_holds_below_threshold(self):
         config = AccumulatorConfig(no_motion_threshold=5, contribution=0.5)
         acc = FrameAccumulator(config, SPEC)
-        busy = EventArray.from_events([Event(0.01 * i, i % 4, 0, 1) for i in range(8)])
+        busy = EventArray.from_columns(0.01 * np.arange(8), np.arange(8) % 4, [0] * 8, [1] * 8)
         first = acc.process(Slice(busy, 0.5, interval_event_count=8, partial=False))
         assert first.held is False
-        quiet = EventArray.from_events([Event(0.6, 0, 0, 1)])
+        quiet = EventArray.from_columns([0.6], [0], [0], [1])
         second = acc.process(Slice(quiet, 1.0, interval_event_count=1, partial=False))
         assert second.held is True
         assert second.stamp == 1.0
@@ -391,7 +394,7 @@ class TestDeepChains:
         ev = hot_pixel_stream()
         pixels = reset_frame(SMALL_GEOMETRY, PolarityMode.SIGNED)
         trajectory = []
-        for event in ev:
+        for event in events_of(ev):
             integrate_event(pixels, event, PolarityMode.SIGNED, 0.2)
             if (event.x, event.y) == (3, 2):
                 trajectory.append(pixels[2, 3])
@@ -410,7 +413,9 @@ class TestDeepChains:
     )
     def test_matches_reference_across_a_carry(self, runs, mode, decay):
         ev = hot_pixel_stream(runs)
-        config = AccumulatorConfig(contribution=0.2, polarity_mode=mode, decay=decay)
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, contribution=0.2, polarity_mode=mode, decay=decay
+        )
         # The cut falls inside a group of equal timestamps.
         first, rest = ev[:1401], ev[1401:]
         mid, end = float(rest.t[0]), float(ev.t[-1]) + 0.125

@@ -169,6 +169,19 @@ class TestAccumulate:
         assert err.startswith("evframe: error: ")
         assert len(err.splitlines()) == 1
 
+    def test_decay_with_default_slicer_fails_before_reading(self, tmp_path, capsys):
+        # Line 1 is malformed, so reading any input would report it instead.
+        path = tmp_path / "bad.txt"
+        path.write_text("0.1 oops 2 1\n")
+        code = run(
+            "accumulate", "--input", str(path), "--geometry", "80x60",
+            "--decay", "exp:0.05", "--out", str(tmp_path / "frames"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "decay exp" in err and "slice_method time-number" in err
+        assert "line 1" not in err
+
     def test_prints_core_and_wall_throughput(self, stream_file, tmp_path, capsys):
         assert run(*accumulate_args(stream_file, tmp_path / "frames")) == 0
         out = capsys.readouterr().out

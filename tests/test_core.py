@@ -10,7 +10,6 @@ from evframe import (
     AccumulatorConfig,
     Decay,
     DecayKind,
-    Event,
     EventArray,
     EventFrame,
     FrameSpec,
@@ -22,31 +21,6 @@ from evframe import (
     quantize_frame,
     window_size_for,
 )
-
-from conftest import event_arrays
-
-
-class TestEvent:
-    def test_fields_round_trip(self):
-        ev = Event(t=0.125, x=3, y=4, p=-1)
-        assert (ev.t, ev.x, ev.y, ev.p) == (0.125, 3, 4, -1)
-
-    @pytest.mark.parametrize("bad", [0, 2, -2])
-    def test_rejects_bad_polarity(self, bad):
-        with pytest.raises(ValueError):
-            Event(t=0.0, x=0, y=0, p=bad)
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            Event(t=-1e-9, x=0, y=0, p=1)
-
-    def test_rejects_nan_time(self):
-        with pytest.raises(ValueError):
-            Event(t=float("nan"), x=0, y=0, p=1)
-
-    def test_rejects_negative_coordinates(self):
-        with pytest.raises(ValueError):
-            Event(t=0.0, x=-1, y=0, p=1)
 
 
 class TestSensorGeometry:
@@ -75,16 +49,37 @@ class TestSensorGeometry:
 
 
 class TestEventArray:
-    def test_from_events_round_trip(self):
-        events = [Event(0.1, 1, 2, 1), Event(0.2, 3, 4, -1)]
-        arr = EventArray.from_events(events)
+    def test_from_columns_round_trip(self):
+        arr = EventArray.from_columns([0.1, 0.2], [1, 3], [2, 4], [1, -1])
         assert len(arr) == 2
-        assert list(arr) == events
+        assert (arr.t.tolist(), arr.x.tolist(), arr.y.tolist(), arr.p.tolist()) == (
+            [0.1, 0.2], [1, 3], [2, 4], [1, -1]
+        )
+        assert [c.dtype for c in (arr.t, arr.x, arr.y, arr.p)] == [
+            np.float64, np.int32, np.int32, np.int8
+        ]
 
     def test_empty(self):
         arr = EventArray.empty()
         assert len(arr) == 0
-        assert list(arr) == []
+        assert arr.t.tolist() == []
+
+    @pytest.mark.parametrize(
+        "t,x,y,p",
+        [
+            ([0.0], [0], [0], [0]),
+            ([0.0], [0], [0], [2]),
+            ([0.0], [0], [0], [-2]),
+            ([-1e-9], [0], [0], [1]),
+            ([float("nan")], [0], [0], [1]),
+            ([0.0], [-1], [0], [1]),
+            ([0.0], [0], [-1], [1]),
+        ],
+        ids=["p0", "p2", "p-2", "negative-t", "nan-t", "negative-x", "negative-y"],
+    )
+    def test_rejects_invalid_event(self, t, x, y, p):
+        with pytest.raises(ValueError):
+            EventArray.from_columns(t, x, y, p)
 
     def test_rejects_decreasing_timestamps(self):
         with pytest.raises(NonMonotonicTimestamps) as err:
@@ -94,7 +89,7 @@ class TestEventArray:
                 np.array([0, 0]),
                 np.array([1, 1]),
             )
-        assert "0.2" in str(err.value) and "0.1" in str(err.value)
+        assert str(err.value) == "timestamps decreased: 0.2 followed by 0.1"
 
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
@@ -112,32 +107,41 @@ class TestEventArray:
             )
 
     def test_columns_are_read_only(self):
-        arr = EventArray.from_events([Event(0.1, 1, 2, 1)])
+        arr = EventArray.from_columns([0.1], [1], [2], [1])
         with pytest.raises(ValueError):
             arr.t[0] = 5.0
 
     def test_slicing_returns_view(self):
-        arr = EventArray.from_events([Event(0.1, 1, 2, 1), Event(0.2, 3, 4, -1)])
+        arr = EventArray.from_columns([0.1, 0.2], [1, 3], [2, 4], [1, -1])
         tail = arr[1:]
         assert isinstance(tail, EventArray)
         assert len(tail) == 1
-        assert tail[0] == Event(0.2, 3, 4, -1)
+        assert (tail.t.tolist(), tail.x.tolist(), tail.y.tolist(), tail.p.tolist()) == (
+            [0.2], [3], [4], [-1]
+        )
+        assert np.shares_memory(tail.t, arr.t)
 
     def test_concatenate(self):
-        a = EventArray.from_events([Event(0.1, 0, 0, 1)])
-        b = EventArray.from_events([Event(0.2, 1, 1, -1)])
+        a = EventArray.from_columns([0.1], [0], [0], [1])
+        b = EventArray.from_columns([0.2], [1], [1], [-1])
         joined = EventArray.concatenate([a, b])
-        assert list(joined) == [Event(0.1, 0, 0, 1), Event(0.2, 1, 1, -1)]
+        assert joined.t.tolist() == [0.1, 0.2]
+        assert joined.x.tolist() == [0, 1]
+        assert joined.p.tolist() == [1, -1]
 
     def test_concatenate_rejects_out_of_order_batches(self):
-        a = EventArray.from_events([Event(0.5, 0, 0, 1)])
-        b = EventArray.from_events([Event(0.2, 1, 1, -1)])
-        with pytest.raises(NonMonotonicTimestamps):
+        a = EventArray.from_columns([0.5], [0], [0], [1])
+        b = EventArray.from_columns([0.2], [1], [1], [-1])
+        with pytest.raises(NonMonotonicTimestamps) as err:
             EventArray.concatenate([a, b])
+        assert str(err.value) == "timestamp decreases across batches: 0.5 then 0.2"
 
-    @given(event_arrays())
-    def test_iteration_matches_indexing(self, arr):
-        assert list(arr) == [arr[i] for i in range(len(arr))]
+    def test_integer_index_and_iteration_are_rejected(self):
+        arr = EventArray.from_columns([0.1, 0.2], [1, 3], [2, 4], [1, -1])
+        with pytest.raises(TypeError, match="slices only"):
+            arr[0]
+        with pytest.raises(TypeError):
+            list(arr)
 
 
 class TestFrameTypes:
@@ -230,6 +234,14 @@ class TestConfig:
             slice_method=SliceMethod.BY_NUMBER, window_size=100, no_motion_threshold=100
         )
         AccumulatorConfig(window_size=100, no_motion_threshold=101)
+
+    @pytest.mark.parametrize("decay", [Decay.linear(1.0), Decay.exponential(0.05)])
+    def test_rejects_decay_with_time_number_slicing(self, decay):
+        # Time-number windows overlap; a decaying buffer takes each event once.
+        with pytest.raises(ValueError, match="decay.*slice_method time-number"):
+            AccumulatorConfig(decay=decay)
+        for method in (SliceMethod.BY_TIME, SliceMethod.BY_NUMBER):
+            assert AccumulatorConfig(slice_method=method, decay=decay).decay == decay
 
     def test_decay_constructors(self):
         assert Decay.step().kind is DecayKind.STEP

@@ -10,30 +10,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evframe import (
-    Event,
     EventArray,
     InvalidPolarity,
     MalformedLine,
     NonMonotonicTimestamps,
     OutOfBoundsEvent,
     SensorGeometry,
-    format_event_line,
-    parse_event_line,
     read_event_batches,
     read_frame_index,
     read_pgm,
-    read_stream,
     write_events,
     write_frame_index,
     write_pgm,
 )
 
 from conftest import event_arrays
+from oracles import Event, events_of, parse_event_line
 
 GEOMETRY = SensorGeometry(240, 180)
 
 
 class TestParseEventLine:
+    """The per-line oracle that the chunk parser is compared with."""
+
     def test_parses_fields(self):
         ev = parse_event_line("0.123456 120 90 1")
         assert ev == Event(0.123456, 120, 90, 1)
@@ -67,9 +66,10 @@ class TestParseEventLine:
         st.integers(0, 10_000),
         st.sampled_from([-1, 1]),
     )
-    def test_format_parse_round_trip(self, t, x, y, p):
-        ev = Event(t, x, y, p)
-        assert parse_event_line(format_event_line(ev)) == ev
+    def test_written_line_parses_back(self, t, x, y, p):
+        buf = io.StringIO()
+        write_events(EventArray.from_columns([t], [x], [y], [p]), buf)
+        assert parse_event_line(buf.getvalue()) == Event(t, x, y, p)
 
 
 class TestReadEventBatches:
@@ -113,9 +113,60 @@ class TestReadEventBatches:
         assert np.array_equal(whole.t, chunked.t)
         assert np.array_equal(whole.p, chunked.p)
 
-    def test_read_stream_yields_events(self):
-        events = list(read_stream(io.StringIO("0.1 1 2 1\n0.2 3 4 0\n"), GEOMETRY))
+    def test_reads_events_in_order(self):
+        events = events_of(self.read_all("0.1 1 2 1\n0.2 3 4 0\n"))
         assert events == [Event(0.1, 1, 2, 1), Event(0.2, 3, 4, -1)]
+
+    # Lines with four numbers pass the chunk parser even where the per-line
+    # oracle is stricter (``1.0`` as a coordinate or polarity), so no
+    # error may name them.
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "0.1 1.0 2 1\n0.2 1 1\n",
+                "expected 4 fields 't x y p' at line 2, got 3: '0.2 1 1'",
+            ),
+            (
+                "0.1 1 2 1.0\n0.2 1 1\n",
+                "expected 4 fields 't x y p' at line 2, got 3: '0.2 1 1'",
+            ),
+            (
+                "0.1 1 1 1\ninf 1 1 1\n0.3 1 1\n",
+                "expected 4 fields 't x y p' at line 3, got 3: '0.3 1 1'",
+            ),
+            (
+                "0.1 1 1 1\ninf 1 1 1\n0.3 1 1 1\n",
+                "timestamp must be finite and >= 0 at line 2, got inf",
+            ),
+            (
+                "1_000 1.0 2 1\n1_001 3 4 0\n1_002 oops 4 0\n",
+                "could not parse numeric fields at line 3: '1_002 oops 4 0'",
+            ),
+        ],
+        ids=["float-coordinate", "float-polarity", "inf-then-ragged", "inf", "underscore"],
+    )
+    def test_error_names_the_malformed_line(self, text, message):
+        with pytest.raises(MalformedLine) as err:
+            self.read_all(text)
+        assert type(err.value) is MalformedLine
+        assert str(err.value) == message
+
+    def test_lines_the_grammar_accepts_parse(self):
+        # numpy's reader rejects 1_000, so this chunk takes the split-and-cast path.
+        ev = self.read_all("1_000 1.0 2 1\n1_001 3 4 0\n")
+        assert ev.t.tolist() == [1000.0, 1001.0]
+        assert ev.x.tolist() == [1, 3]
+        assert ev.p.tolist() == [1, -1]
+        assert self.read_all("0.1 1 2 1.0\n").p.tolist() == [1]
+
+    @pytest.mark.parametrize("batch_lines", [1, 65536])
+    def test_decrease_prints_plain_floats(self, batch_lines):
+        # Padding makes each line a chunk of its own at batch_lines=1.
+        text = "0.2 1 2 1" + " " * 30 + "\n0.1 1 2 1\n"
+        with pytest.raises(NonMonotonicTimestamps) as err:
+            self.read_all(text, batch_lines=batch_lines)
+        assert str(err.value) == "timestamps must not decrease: 0.2 followed by 0.1 at line 2"
 
     @given(event_arrays(min_size=1))
     @settings(max_examples=30, deadline=None)
@@ -263,6 +314,20 @@ class TestPgm:
     def test_rejects_wrong_rank(self, tmp_path):
         with pytest.raises(ValueError, match="2D"):
             write_pgm(np.zeros(4, dtype=np.uint8), tmp_path / "f.pgm")
+
+    def test_truncated_payload(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        write_pgm(np.zeros((3, 4), dtype=np.uint16), path)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match="truncated PGM .*: 23 of 24 payload bytes"):
+            read_pgm(path)
+
+    @pytest.mark.parametrize("data", [b"", b"P5\n4 3", b"P5\n4 3\n255"])
+    def test_truncated_header(self, tmp_path, data):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match="truncated PGM"):
+            read_pgm(path)
 
     def test_read_rejects_other_magic(self, tmp_path):
         path = tmp_path / "f.pgm"

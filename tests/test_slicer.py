@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evframe import (
-    Event,
     EventArray,
     Slice,
     SliceMethod,
@@ -25,9 +24,8 @@ from conftest import event_arrays
 
 def stream(times: Sequence[float]) -> EventArray:
     """Events at the given times, coordinates tagging their index."""
-    return EventArray.from_events(
-        [Event(t, i % 8, i % 6, 1 if i % 2 == 0 else -1) for i, t in enumerate(times)]
-    )
+    i = np.arange(len(times))
+    return EventArray.from_columns(times, i % 8, i % 6, np.where(i % 2 == 0, 1, -1))
 
 
 def times_of(slc: Slice) -> List[float]:
@@ -326,16 +324,21 @@ class TestStreaming:
 
         single = build()
         one_by_one: List[Slice] = []
-        for event in ev:
-            one_by_one.extend(single.push(event))
+        for i in range(len(ev)):
+            one_by_one.extend(single.push_batch(ev[i : i + 1]))
         one_by_one.extend(single.flush())
         assert_same_slices(expected, one_by_one)
 
     def test_rejects_out_of_order_batches(self):
         slicer = StreamSlicer(SliceMethod.BY_NUMBER, window_size=2)
         slicer.push_batch(stream([0.5]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^events must arrive in time order: 0\.1 after 0\.5"):
             slicer.push_batch(stream([0.1]))
+
+    def test_rejects_events_before_the_origin(self):
+        slicer = StreamSlicer(SliceMethod.BY_TIME, interval=0.1, t0=1.0)
+        with pytest.raises(ValueError, match=r"^event at 0\.5 precedes the window origin 1\.0$"):
+            slicer.push_batch(stream([0.5]))
 
     def test_push_after_flush_raises(self):
         slicer = StreamSlicer(SliceMethod.BY_TIME, interval=0.1)
