@@ -28,18 +28,30 @@ x -> clip(a*x + b, lo, hi) with a > 0:
 That family is closed under composition, so `_compose_runs` reduces
 each pixel's maps to one in ceil(log2 n) vectorized passes for a pixel
 with n events, and the pixel's value is that map applied to its
-carried value.  Signed linear decay is a soft threshold toward 0.5,
-which is not in the family; it runs one vectorized pass per event rank
-(the k-th event of every pixel at once), so its loop count is the most
-events any pixel has in the slice.  Rectified STEP is a clipped
-per-pixel count.
+carried value.  Rectified STEP is a clipped per-pixel count, and an
+empty STEP slice publishes one shared read-only neutral buffer.
+
+Signed linear decay is a soft threshold toward 0.5, which is not in the
+family.  While many pixels share an event rank it runs one vectorized
+pass per rank (the k-th event of every pixel at once).  The deep tails
+beyond, where a pass would integrate only a few pixels, split each
+event by its prior's sign.  With u the distance from 0.5 and
+w = rate*dt, the event is P(u) = clip(u + s - w, clip(s), 1/2) for
+every u >= -w and N(u) = clip(u + s + w, -1/2, clip(s)) for every
+u <= w, both in the family with a = 1.  `_speculate` guesses each
+prior's sign, composes the guessed branches with one inclusive scan
+into every prior state, and keeps what verifies: everything before a
+run's first prior outside its branch's domain is exact.  Windows grow
+while the checks pass, a cost budget bounds the failed rounds, and rank
+passes finish what speculation leaves.  Only the run depths in the
+slice choose between passes and scans.
 
 Rounding: where no ordering of a pixel's events could reach a clamp,
 STEP computes count*c, one rounding, the float closest to the exact
-value.  Elsewhere the composed maps round in a different order than
-event-by-event integration and agree with it to within 1e-12; with a
-power-of-two c every partial sum is exact and signed STEP matches it
-bit for bit.
+value.  Elsewhere the composed maps, speculated signed linear runs
+included, round in a different order than event-by-event integration
+and agree with it to within 1e-12; with a power-of-two c every partial
+sum is exact and signed STEP matches it bit for bit.
 
 When too few events arrived in a publish interval the previous frame is
 republished unchanged (a "hold"), which keeps downstream consumers fed
@@ -95,6 +107,16 @@ class AccumulatorCarry:
 def reset_frame(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:
     """Fresh pixel buffer at the neutral value everywhere."""
     return np.full((geometry.height, geometry.width), neutral_value(polarity_mode))
+
+
+# One read-only value per polarity mode; every neutral frame of every
+# geometry is a zero-stride view of it, so idle gaps allocate no pixels.
+_NEUTRAL = {mode: np.broadcast_to(neutral_value(mode), ()) for mode in PolarityMode}
+
+
+def _neutral_pixels(spec: FrameSpec, polarity_mode: PolarityMode) -> np.ndarray:
+    """Read-only neutral pixels of `spec`'s shape, sharing one buffer."""
+    return np.broadcast_to(_NEUTRAL[polarity_mode], (spec.height, spec.width))
 
 
 def apply_decay(
@@ -199,22 +221,19 @@ def _integrate_step(slc: Slice, config: AccumulatorConfig, spec: FrameSpec) -> n
     touched a clamp; the pixels that could are composed in order by
     `_compose_runs`.  Counting rounds once (count * c) instead of once
     per event, which is the closest float64 to the real-arithmetic
-    pixel value.
+    pixel value.  An empty slice gets the shared read-only neutral
+    pixels, so an idle gap costs no frame buffers.
     """
     ev = slc.events
     h, w = spec.height, spec.width
     c = config.contribution
+    if len(ev) == 0:
+        return _neutral_pixels(spec, config.polarity_mode)
+    idx = ev.y.astype(np.intp) * w + ev.x.astype(np.intp)
     if config.polarity_mode is PolarityMode.RECTIFIED:
-        if len(ev) == 0:
-            return np.zeros((h, w))
-        idx = ev.y.astype(np.intp) * w + ev.x.astype(np.intp)
         counts = np.bincount(idx, minlength=h * w)
         return np.minimum(counts.reshape(h, w) * c, 1.0)
 
-    pixels = np.full((h, w), 0.5)
-    if len(ev) == 0:
-        return pixels
-    idx = ev.y.astype(np.intp) * w + ev.x.astype(np.intp)
     pos = np.bincount(idx[ev.p > 0], minlength=h * w)
     neg = np.bincount(idx[ev.p < 0], minlength=h * w)
     # Worst-case prefix excursion per pixel: all of one sign first.
@@ -230,23 +249,38 @@ def _integrate_step(slc: Slice, config: AccumulatorConfig, spec: FrameSpec) -> n
     return flat.reshape(h, w)
 
 
-def _integrate_signed_linear(flat, pix, starts, rank, dt, signs, rate: float) -> None:
-    """Signed LINEAR integration in place, one vectorized pass per event rank.
+# Signed LINEAR integration runs one vectorized pass per event rank
+# while at least _SHARED_RANK pixels reach that rank.  Fewer pixels make
+# a scan step cheaper per event than a pass, so the tails beyond are
+# speculated if their first round would cost at most 1/_MIN_GAIN of
+# their rank passes.  Costs are counted in rank passes: a round costs
+# _ROUND_COST plus _CELL_COST per window cell and scan step.  A run's
+# window starts at _FIRST_WINDOW events, grows fourfold while its checks
+# pass and never exceeds _MAX_WINDOW.
+_SHARED_RANK = 16
+_MIN_GAIN = 8
+_ROUND_COST = 40
+_CELL_COST = 1 / 256
+_FIRST_WINDOW = 256
+_MAX_WINDOW = 4096
 
-    Linear decay toward 0.5 is a soft threshold, which is not of the
-    form clip(a*x + b, lo, hi), so these events cannot be composed.
-    Instead the k-th event of every pixel is integrated in the same
-    pass; a pixel appears at most once per rank, so the gather and the
-    scatter never collide.  The loop runs once per rank, not per event.
+
+def _round_cost(rows: int, cols: int) -> float:
+    """Estimated cost of one speculation round, in rank passes."""
+    return _ROUND_COST + _CELL_COST * rows * cols * (cols - 1).bit_length()
+
+
+def _rank_passes(u, run, rank, width, signs) -> None:
+    """Apply u -> clip(soft(u, w) + s, -1/2, 1/2) to `u`, one pass per rank.
+
+    `u` holds each run's distance from 0.5; event i belongs to run
+    `run[i]` and is its `rank[i]`-th event.  The k-th event of every run
+    is integrated in the same pass; a run appears at most once per rank,
+    so the gather and the scatter never collide.
     """
-    touched = pix[starts]
-    run = np.repeat(np.arange(len(starts)), np.diff(starts, append=len(pix)))
     by_rank = np.argsort(rank, kind="stable")
-    run, signs = run[by_rank], signs[by_rank]
-    width = rate * dt[by_rank]
+    run, signs, width = run[by_rank], signs[by_rank], width[by_rank]
     neg_width = -width
-    # Signed distance of each touched pixel from neutral.
-    u = flat[touched] - 0.5
     bounds = np.cumsum(np.bincount(rank)).tolist()
     for lo, hi in zip([0] + bounds, bounds):
         p = run[lo:hi]
@@ -255,6 +289,133 @@ def _integrate_signed_linear(flat, pix, starts, rank, dt, signs, rate: float) ->
         d -= np.maximum(np.minimum(d, width[lo:hi]), neg_width[lo:hi])
         d += signs[lo:hi]
         u[p] = np.minimum(np.maximum(d, -0.5, out=d), 0.5, out=d)
+
+
+def _prior_states(x, b, lo, hi):
+    """Orbits of the maps v -> clip(v + b, lo, hi) along each row, from `x`.
+
+    Row r applies its maps in column order to x[r].  The first map and
+    x[r] fold into a constant map, and an inclusive Hillis-Steele scan
+    composes every prefix (a = 1 members of the family `_compose_runs`
+    reduces), so each prefix is constant: lo == hi is the state after
+    that column.  Returns the state before each column.  Overwrites the
+    arrays.
+    """
+    lo[:, 0] = hi[:, 0] = np.minimum(np.maximum(x + b[:, 0], lo[:, 0]), hi[:, 0])
+    stride = 1
+    while stride < b.shape[1]:
+        earlier, later = slice(None, -stride), slice(stride, None)
+        new_lo = lo[:, earlier] + b[:, later]
+        new_hi = hi[:, earlier] + b[:, later]
+        for v in (new_lo, new_hi):
+            np.maximum(v, lo[:, later], out=v)
+            np.minimum(v, hi[:, later], out=v)
+        lo[:, later] = new_lo
+        hi[:, later] = new_hi
+        b[:, later] += b[:, earlier]
+        stride *= 2
+    return np.concatenate([x[:, None], lo[:, :-1]], axis=1)
+
+
+def _speculate(u, runs, first, count, width, signs, c: float) -> None:
+    """Integrate deep run tails by speculative scans, in place.
+
+    Run `runs[r]` has `count[r]` events left from index `first[r]`.  With
+    w = rate*dt, an event is u -> clip(soft(u, w) + s, -1/2, 1/2), which
+    equals P(u) = clip(u + s - w, clip(s), 1/2) wherever u >= -w and
+    N(u) = clip(u + s + w, -1/2, clip(s)) wherever u <= w.  Each round
+    guesses every prior sign in a window of each run from the orbit
+    without decay (restarted at s where w >= c, as that gap wipes a
+    typical state), composes the chosen branch with `_prior_states`, and
+    checks that each prior lies in its branch's domain.  Everything up
+    to a run's first failed check is exact; the failed event itself is
+    integrated from its exact prior.  A run leaves speculation once its
+    rounds have cost more rank passes than it resolved events, or when
+    its rest is no longer than one already left; rank passes finish
+    what speculation leaves.
+    """
+    x = u[runs]
+    pos = np.zeros(len(runs), dtype=np.intp)
+    window = np.full(len(runs), _FIRST_WINDOW)
+    budget = np.zeros(len(runs))
+    live = np.arange(len(runs))
+    while live.size:
+        size = np.minimum(window[live], count[live] - pos[live])
+        cols = np.arange(int(size.max()))
+        pad = cols >= size[:, None]
+        events = (first[live] + pos[live])[:, None] + np.minimum(cols, size[:, None] - 1)
+        w, s = width[events], signs[events]
+        cs = np.clip(s, -0.5, 0.5)
+        x0 = x[live]
+        wiped = w >= c
+        guess = _prior_states(
+            x0, np.where(wiped, 0.0, s), np.where(wiped, cs, -0.5), np.where(wiped, cs, 0.5)
+        )
+        up = guess >= 0.0
+        lo, hi = np.where(up, cs, -0.5), np.where(up, 0.5, cs)
+        prior = _prior_states(x0, np.where(up, s - w, s + w), lo, hi)
+        ok = np.where(up, prior >= -w, prior <= w) | pad
+        rows = np.arange(len(live))
+        bad = np.argmin(ok, axis=1)
+        failed = ~ok[rows, bad]
+        done = np.where(failed, bad, size)
+        # The exact prior of the first failed event, or the window's result.
+        state = np.where(failed, prior[rows, bad], lo[rows, size - 1])
+        at = rows[failed], bad[failed]
+        d = state[failed]
+        d -= np.maximum(np.minimum(d, w[at]), -w[at])
+        state[failed] = np.clip(d + s[at], -0.5, 0.5)
+        x[live] = state
+        done += failed
+        pos[live] += done
+        budget[live] += done - _round_cost(len(live), len(cols))
+        window[live] = np.minimum(
+            np.where(failed, np.maximum(_FIRST_WINDOW, 2 * done), 4 * window[live]), _MAX_WINDOW
+        )
+        live = live[(pos[live] < count[live]) & (budget[live] >= 0)]
+        # The rank passes cost as many passes as the longest rest they
+        # get, so a run whose rest is no longer joins them for free.
+        rest = count - pos
+        rest[live] = 0
+        live = live[count[live] - pos[live] > rest.max()]
+    u[runs] = x
+    left = np.flatnonzero(pos < count)
+    if left.size:
+        n = count[left] - pos[left]
+        rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+        events = np.repeat(first[left] + pos[left], n) + rank
+        _rank_passes(u, np.repeat(runs[left], n), rank, width[events], signs[events])
+
+
+def _integrate_signed_linear(flat, pix, starts, rank, dt, signs, rate: float, c: float) -> None:
+    """Signed LINEAR integration in place.
+
+    Linear decay toward 0.5 is a soft threshold, which is not of the
+    form clip(a*x + b, lo, hi), so these events cannot be composed as
+    they come.  Ranks shared by many pixels run one pass per rank; the
+    deep tails, where a pass would integrate only a few pixels, are
+    speculated (`_speculate`).  The choice depends only on the run
+    depths in the slice.
+    """
+    touched = pix[starts]
+    lengths = np.diff(starts, append=len(pix))
+    run = np.repeat(np.arange(len(starts)), lengths)
+    width = rate * dt
+    # Signed distance of each touched pixel from neutral.
+    u = flat[touched] - 0.5
+    # At least _SHARED_RANK pixels reach rank r iff the run that many
+    # places from the longest is longer than r.
+    shared = 0
+    if len(lengths) >= _SHARED_RANK:
+        shared = int(np.partition(lengths, -_SHARED_RANK)[-_SHARED_RANK])
+    deep = np.flatnonzero(lengths > shared)
+    depth = int(lengths.max()) - shared
+    if depth < _MIN_GAIN * _round_cost(len(deep), min(depth, _FIRST_WINDOW)):
+        _rank_passes(u, run, rank, width, signs)
+    else:
+        head = rank < shared
+        _rank_passes(u, run[head], rank[head], width[head], signs[head])
+        _speculate(u, deep, starts[deep] + shared, lengths[deep] - shared, width, signs, c)
     flat[touched] = u + 0.5
 
 
@@ -301,7 +462,7 @@ def _integrate_decaying(
         else:
             s = np.full(len(t), c)
         if config.polarity_mode is PolarityMode.SIGNED and decay.kind is DecayKind.LINEAR:
-            _integrate_signed_linear(flat, pix, starts, rank, dt, s, decay.rate)
+            _integrate_signed_linear(flat, pix, starts, rank, dt, s, decay.rate, c)
         else:
             if decay.kind is DecayKind.LINEAR:
                 # Rectified: x -> min(max(x - r*dt, 0) + c, 1).
@@ -364,12 +525,12 @@ def hold_previous(
     """Republish the previous frame at a new stamp, flagged as held.
 
     The pixel buffer is shared byte for byte with the previous frame.
-    Before anything has been published, a neutral frame is emitted
-    instead (still flagged held).
+    Before anything has been published, the shared read-only neutral
+    pixels are emitted instead (still flagged held).
     """
     prev = carry.previous_frame
     if prev is None:
-        pixels = reset_frame(spec.geometry, polarity_mode)
+        pixels = _neutral_pixels(spec, polarity_mode)
         return EventFrame(spec=spec, pixels=pixels, stamp=publish_stamp, held=True)
     return EventFrame(
         spec=prev.spec, pixels=prev.pixels, stamp=publish_stamp, held=True

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from itertools import count
 from pathlib import Path
 from time import perf_counter
 from typing import IO, List, Optional, Sequence, Tuple
@@ -236,21 +237,24 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    index_rows: List[Tuple[float, str, bool]] = []
-
-    def sink(frame: EventFrame) -> None:
-        name = f"frame_{len(index_rows):06d}.pgm"
-        write_pgm(quantize_frame(frame), out_dir / name)
-        index_rows.append((frame.stamp, name, frame.held))
-
+    names = (f"frame_{i:06d}.pgm" for i in count())
     source: IO[str] | str
     if args.input == "-":
         source = sys.stdin
     else:
         source = args.input
     batches = read_event_batches(source, geometry)
-    stats = run_accumulation(batches, config, spec, t0=args.t0, on_frame=sink)
-    write_frame_index(index_rows, out_dir / "index.csv")
+    # Each row is written as its frame is, so a run that fails part-way
+    # still leaves an index of every frame it wrote.
+    with open(out_dir / "index.csv", "w", encoding="ascii", buffering=1) as index:
+        write_frame_index((), index)
+
+        def sink(frame: EventFrame) -> None:
+            name = next(names)
+            write_pgm(quantize_frame(frame), out_dir / name)
+            write_frame_index([(frame.stamp, name, frame.held)], index)
+
+        stats = run_accumulation(batches, config, spec, t0=args.t0, on_frame=sink)
     wall = perf_counter() - started
 
     print(f"frames emitted: {stats.frames}")

@@ -10,11 +10,13 @@ Each chunk is parsed by one call to numpy's C text reader.  A chunk it
 rejects is split into fields and converted by numpy's string-to-float
 cast, which also accepts ``1_000``.  That is the whole grammar: four
 whitespace-separated numbers per line.  When a chunk breaks it, the
-first line with a field count other than four, or else the first line
-with a field the cast rejects, is reported.  Every other rule (polarity,
-timestamp range and order, integer and in-bounds coordinates) is checked
-on the parsed columns, so an error never names a line the grammar
-accepts.
+first line with a field count other than four or a field the cast
+rejects is reported.  Every other rule (polarity, timestamp range and
+order, integer and in-bounds coordinates) is checked on the parsed
+columns, so an error never names a line the grammar accepts.  The rows
+before a grammar break are checked and yielded first, and the rules
+report their earliest row, so the earliest bad line is reported at
+every chunk size.
 
 Frames are written as binary PGM (P5), 8 bit or big-endian 16 bit, and
 a run's frames are listed in a CSV index of publish stamp, filename and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,30 +87,35 @@ def read_event_batches(
             lines = fh.readlines(batch_lines * 24)
             if not lines:
                 break
-            raw, numbers = _parse_chunk(lines, line_base)
+            raw, numbers, broken = _parse_chunk(lines, line_base)
             line_base += len(lines)
-            if not numbers:
-                continue
-            t, x, y, p = raw.T
-            _validate_batch(t, x, y, p, numbers, geometry, prev_t)
-            prev_t = float(t[-1])
-            yield EventArray.from_columns(
-                t,
-                x.astype(np.int32),
-                y.astype(np.int32),
-                np.where(p > 0.5, 1, -1).astype(np.int8),
-            )
+            if len(numbers):
+                t, x, y, p = raw.T
+                _validate_batch(t, x, y, p, numbers, geometry, prev_t)
+                prev_t = float(t[-1])
+                yield EventArray.from_columns(
+                    t,
+                    x.astype(np.int32),
+                    y.astype(np.int32),
+                    np.where(p > 0.5, 1, -1).astype(np.int8),
+                )
+            if broken is not None:
+                raise broken
     finally:
         if owned:
             fh.close()
 
 
-def _parse_chunk(lines: List[str], line_base: int) -> Tuple[np.ndarray, Sequence[int]]:
+def _parse_chunk(
+    lines: List[str], line_base: int
+) -> Tuple[np.ndarray, Sequence[int], Optional[MalformedLine]]:
     """Parse lines into an (n, 4) float array and each row's 1-based line number.
 
     A chunk numpy's reader rejects, or whose rows do not line up with
-    the non-blank lines, is split and cast field by field, and a line
-    that breaks the grammar is named.
+    the non-blank lines, is split and cast field by field.  Then only
+    the rows before the first line that breaks the grammar are
+    returned, with the error that names that line, so the caller checks
+    the earlier rows first.
     """
     first = line_base + 1
     try:
@@ -118,28 +125,33 @@ def _parse_chunk(lines: List[str], line_base: int) -> Tuple[np.ndarray, Sequence
     except ValueError:
         raw = None
     if raw is not None and raw.shape == (len(lines), 4):
-        return raw, range(first, first + len(lines))
+        return raw, range(first, first + len(lines)), None
     numbers = [first + i for i, ln in enumerate(lines) if ln.strip()]
     if raw is not None and raw.shape == (len(numbers), 4):
-        return raw, numbers
+        return raw, numbers, None
     rows = [lines[n - first].split() for n in numbers]
-    for n, fields in zip(numbers, rows):
-        if len(fields) != 4:
-            raise MalformedLine(
-                f"expected 4 fields 't x y p' at line {n}, got {len(fields)}: "
-                f"{lines[n - first].strip()!r}"
-            )
+    end = next((i for i, fields in enumerate(rows) if len(fields) != 4), len(rows))
     try:
-        return np.array(rows, dtype=np.float64).reshape(-1, 4), numbers
+        raw = np.array(rows[:end], dtype=np.float64).reshape(-1, 4)
     except ValueError:
-        for n, fields in zip(numbers, rows):
-            try:
-                np.array(fields, dtype=np.float64)
-            except ValueError:
-                raise MalformedLine(
-                    f"could not parse numeric fields at line {n}: {lines[n - first].strip()!r}"
-                ) from None
-        raise
+        end = next(i for i, fields in enumerate(rows) if not _is_numeric(fields))
+        raw = np.array(rows[:end], dtype=np.float64).reshape(-1, 4)
+    if end == len(rows):
+        return raw, numbers, None
+    n, fields = numbers[end], rows[end]
+    if len(fields) != 4:
+        problem = f"expected 4 fields 't x y p' at line {n}, got {len(fields)}"
+    else:
+        problem = f"could not parse numeric fields at line {n}"
+    return raw, numbers[:end], MalformedLine(f"{problem}: {lines[n - first].strip()!r}")
+
+
+def _is_numeric(fields: List[str]) -> bool:
+    try:
+        np.array(fields, dtype=np.float64)
+    except ValueError:
+        return False
+    return True
 
 
 def _validate_batch(
@@ -151,44 +163,49 @@ def _validate_batch(
     geometry: SensorGeometry,
     prev_t: float | None,
 ) -> None:
-    bad = ~np.isin(p, (0.0, 1.0))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise InvalidPolarity(
-            f"polarity must be 0 or 1 at line {numbers[i]}, got {p[i]:g}"
-        )
-    bad = ~np.isfinite(t) | (t < 0.0)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MalformedLine(
-            f"timestamp must be finite and >= 0 at line {numbers[i]}, got {float(t[i])}"
-        )
-    bad = (x != np.floor(x)) | (y != np.floor(y))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise MalformedLine(
-            f"coordinates must be integers at line {numbers[i]}: ({x[i]:g}, {y[i]:g})"
-        )
-    bad = (x < 0) | (x >= geometry.width) | (y < 0) | (y >= geometry.height)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise OutOfBoundsEvent(
-            f"event at ({int(x[i])}, {int(y[i])}) outside "
-            f"{geometry.width}x{geometry.height} sensor at line {numbers[i]}"
-        )
-    if prev_t is not None and float(t[0]) < prev_t:
-        raise NonMonotonicTimestamps(
-            f"timestamps must not decrease: {prev_t} followed by {float(t[0])} "
-            f"at line {numbers[0]}"
-        )
-    if len(t) > 1:
-        drops = np.diff(t) < 0.0
-        if drops.any():
-            i = int(np.argmax(drops))
-            raise NonMonotonicTimestamps(
-                f"timestamps must not decrease: {float(t[i])} followed by {float(t[i + 1])} "
-                f"at line {numbers[i + 1]}"
-            )
+    """Raise the error of the earliest row that breaks a rule.
+
+    A row that breaks two rules reports the first one listed here.
+    """
+    before = np.concatenate([[-np.inf if prev_t is None else prev_t], t[:-1]])
+    rules = [
+        (
+            ~np.isin(p, (0.0, 1.0)),
+            lambda i: InvalidPolarity(
+                f"polarity must be 0 or 1 at line {numbers[i]}, got {p[i]:g}"
+            ),
+        ),
+        (
+            ~np.isfinite(t) | (t < 0.0),
+            lambda i: MalformedLine(
+                f"timestamp must be finite and >= 0 at line {numbers[i]}, got {float(t[i])}"
+            ),
+        ),
+        (
+            (x != np.floor(x)) | (y != np.floor(y)),
+            lambda i: MalformedLine(
+                f"coordinates must be integers at line {numbers[i]}: ({x[i]:g}, {y[i]:g})"
+            ),
+        ),
+        (
+            (x < 0) | (x >= geometry.width) | (y < 0) | (y >= geometry.height),
+            lambda i: OutOfBoundsEvent(
+                f"event at ({int(x[i])}, {int(y[i])}) outside "
+                f"{geometry.width}x{geometry.height} sensor at line {numbers[i]}"
+            ),
+        ),
+        (
+            t < before,
+            lambda i: NonMonotonicTimestamps(
+                f"timestamps must not decrease: {float(before[i])} followed by "
+                f"{float(t[i])} at line {numbers[i]}"
+            ),
+        ),
+    ]
+    firsts = [int(np.argmax(bad)) if bad.any() else len(t) for bad, _ in rules]
+    i = min(firsts)
+    if i < len(t):
+        raise rules[firsts.index(i)][1](i)
 
 
 def write_events(events: EventArray, path: Union[str, Path, IO[str]]) -> None:
@@ -268,10 +285,16 @@ def write_frame_index(
     entries: Iterable[Tuple[float, str, bool]],
     path: Union[str, Path, IO[str]],
 ) -> None:
-    """Write the per-run frame index CSV: stamp,filename,held."""
+    """Write the per-run frame index CSV: stamp,filename,held.
+
+    The header goes first into a new file, a stream, or an open file
+    still at its start, so later calls on the same open file append
+    rows to it.
+    """
     fh, owned = _open_out(path)
     try:
-        fh.write("stamp,filename,held\n")
+        if not fh.seekable() or fh.tell() == 0:
+            fh.write("stamp,filename,held\n")
         for stamp, filename, held in entries:
             fh.write(f"{stamp:.9f},{filename},{1 if held else 0}\n")
     finally:

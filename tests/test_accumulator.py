@@ -387,6 +387,81 @@ def hot_pixel_stream(runs=CLAMPING_RUNS, n: int = 2800) -> EventArray:
     )
 
 
+SIGNED_LINEAR_KINDS = ("hovering", "wiped", "saturating", "drifting")
+
+
+def signed_linear_chain(kind: str, n: int = 6000):
+    """Two deep signed LINEAR chains, on pixels (3, 2) and (5, 1).
+
+    Returns (events, contribution, decay).  Each kind steers the deep-tail
+    speculation down one branch:
+
+    * "hovering": c = 0.01 and w = rate*dt near c/10, so each pixel
+      walks around 0.5, the guessed signs keep failing and the tails
+      fall back to rank passes;
+    * "wiped": c = 0.25 with gaps of 0, 0.25 or 0.5 s, so w >= c is
+      common, priors land in the dead zone and states reach exactly 0.5;
+    * "saturating": c = 1, where each branch map has lo == hi;
+    * "drifting": pixel (3, 2) sits at 1 under +c events, then -c events
+      with w = 0.6c pull it below 0.5 while the orbit without decay
+      stays above, so a few guesses fail and the error a wrong branch
+      would leave lasts to the end.  Pixel (5, 1) mirrors it.
+    """
+    if kind == "drifting":
+        c, hold, drift = 0.05, 600, 20
+        t = np.cumsum(np.repeat([0.01, 0.03], [hold, drift]))
+        signs = np.repeat([1, -1], [hold, drift])
+        ev = EventArray.from_columns(
+            np.repeat(t, 2),
+            np.tile(np.array([3, 5], dtype=np.int32), hold + drift),
+            np.tile(np.array([2, 1], dtype=np.int32), hold + drift),
+            np.stack([signs, -signs], axis=1).ravel().astype(np.int8),
+        )
+        return ev, c, Decay.linear(1.0)
+    rng = np.random.default_rng(SIGNED_LINEAR_KINDS.index(kind))
+    if kind == "hovering":
+        c, gaps = 0.01, rng.exponential(1e-3, n)
+    elif kind == "wiped":
+        c, gaps = 0.25, rng.choice([0.0, 0.25, 0.5], n, p=[0.4, 0.3, 0.3])
+    else:
+        c, gaps = 1.0, rng.exponential(0.1, n)
+    # Each pixel gets every other gap, so rate*gap is its own decay width.
+    hot = np.arange(n) % 2 == 0
+    t = np.concatenate([np.cumsum(gaps[hot]), np.cumsum(gaps[~hot])])
+    order = np.argsort(t, kind="stable")
+    hot = np.concatenate([np.ones(hot.sum(), bool), np.zeros((~hot).sum(), bool)])[order]
+    ev = EventArray.from_columns(
+        t[order],
+        np.where(hot, 3, 5).astype(np.int32),
+        np.where(hot, 2, 1).astype(np.int32),
+        np.where(rng.random(n) < 0.5, 1, -1).astype(np.int8),
+    )
+    return ev, c, Decay.linear(1.0)
+
+
+def signed_linear_config(c: float, decay: Decay) -> AccumulatorConfig:
+    return AccumulatorConfig(
+        slice_method=SliceMethod.BY_TIME,
+        contribution=c,
+        polarity_mode=PolarityMode.SIGNED,
+        decay=decay,
+    )
+
+
+def pixel_trajectory(ev: EventArray, c: float, decay: Decay):
+    """Prior value, decay width and value after each event of pixel (3, 2)."""
+    value, last, out = 0.5, None, []
+    for event in events_of(ev):
+        if (event.x, event.y) != (3, 2):
+            continue
+        gap = 0.0 if last is None else event.t - last
+        frame = apply_decay(np.full((1, 1), value), gap, decay, 0.5)
+        integrate_event(frame, Event(event.t, 0, 0, event.p), PolarityMode.SIGNED, c)
+        out.append((value, decay.rate * gap, float(frame[0, 0])))
+        value, last = float(frame[0, 0]), event.t
+    return out
+
+
 class TestDeepChains:
     """One pixel with thousands of events, far deeper than the strategies reach."""
 
@@ -438,3 +513,62 @@ class TestDeepChains:
         for part in (ev, ev[:1401], ev[1401:]):
             frame, _ = accumulate_slice(make_slice(part), config, SPEC)
             assert np.array_equal(frame.pixels, reference_step_pixels(part, config, SPEC))
+
+    def test_signed_linear_streams_have_their_shapes(self):
+        hover = pixel_trajectory(*signed_linear_chain("hovering"))
+        after = np.array([v for _, _, v in hover])
+        assert len(after) >= 2500
+        assert np.sum(np.diff(np.sign(after - 0.5)) != 0) >= 200
+        assert 0.05 < np.mean([w for _, w, _ in hover]) / 0.01 < 0.2
+        wiped = pixel_trajectory(*signed_linear_chain("wiped"))
+        assert sum(w >= 0.25 for _, w, _ in wiped) >= 1000
+        assert sum(0.0 < abs(u - 0.5) <= w for u, w, _ in wiped) >= 1000
+        assert sum(v == 0.5 for _, _, v in wiped) >= 300
+        saturating = pixel_trajectory(*signed_linear_chain("saturating"))
+        assert {v for _, _, v in saturating} == {0.0, 1.0}
+        drifting = pixel_trajectory(*signed_linear_chain("drifting"))
+        assert [v for _, _, v in drifting[100:600]] == [1.0] * 500
+        after = [v for _, _, v in drifting[600:]]
+        assert after[-1] < 0.35 and min(after) > 0.0
+
+    def test_signed_linear_streams_reach_every_branch(self, monkeypatch):
+        from evframe import accumulator
+
+        seen = {}
+        speculate, rank_passes = accumulator._speculate, accumulator._rank_passes
+
+        def spy_speculate(*args):
+            seen["speculating"] = True
+            speculate(*args)
+            seen["speculating"] = False
+
+        def spy_rank_passes(u, run, rank, *rest):
+            if seen.get("speculating"):
+                seen[kind] = seen.get(kind, 0) + len(run)
+            rank_passes(u, run, rank, *rest)
+
+        monkeypatch.setattr(accumulator, "_speculate", spy_speculate)
+        monkeypatch.setattr(accumulator, "_rank_passes", spy_rank_passes)
+        for kind in SIGNED_LINEAR_KINDS:
+            ev, c, decay = signed_linear_chain(kind)
+            seen["speculating"] = None
+            accumulate_slice(make_slice(ev), signed_linear_config(c, decay), SPEC)
+            assert seen["speculating"] is False, kind
+        # Only the hovering walk leaves events to the fallback rank passes.
+        assert seen.get("hovering", 0) > 1000
+        assert not {"wiped", "saturating", "drifting"} & set(seen)
+
+    @pytest.mark.parametrize("kind", SIGNED_LINEAR_KINDS)
+    @pytest.mark.parametrize("parts", [1, 3], ids=["whole", "carried"])
+    def test_signed_linear_matches_reference(self, kind, parts):
+        ev, c, decay = signed_linear_chain(kind)
+        config = signed_linear_config(c, decay)
+        carry, expected = AccumulatorCarry(), AccumulatorCarry()
+        bounds = [len(ev) * k // parts for k in range(parts + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            # Publishing at the last event keeps the deep states in the frame.
+            part, stamp = ev[lo:hi], float(ev.t[hi - 1])
+            frame, carry = accumulate_slice(make_slice(part, stamp), config, SPEC, carry)
+            want = reference_decaying_pixels(part, stamp, config, SPEC, expected)
+            expected = AccumulatorCarry(buffer=want, buffer_time=stamp)
+            assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)

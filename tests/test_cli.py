@@ -182,6 +182,16 @@ class TestAccumulate:
         assert "decay exp" in err and "slice_method time-number" in err
         assert "line 1" not in err
 
+    def test_failed_run_indexes_every_frame_it_wrote(self, stream_file, tmp_path, capsys):
+        path = tmp_path / "truncated.txt"
+        path.write_text(stream_file.read_text() + "0.7 1 1\n")
+        out_dir = tmp_path / "frames"
+        assert run(*accumulate_args(path, out_dir)) == 2
+        assert "line 7201" in capsys.readouterr().err
+        written = sorted(p.name for p in out_dir.glob("*.pgm"))
+        assert len(written) >= 10
+        assert [name for _, name, _ in read_frame_index(out_dir / "index.csv")] == written
+
     def test_prints_core_and_wall_throughput(self, stream_file, tmp_path, capsys):
         assert run(*accumulate_args(stream_file, tmp_path / "frames")) == 0
         out = capsys.readouterr().out

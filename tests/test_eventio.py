@@ -94,7 +94,9 @@ class TestReadEventBatches:
             self.read_all("0.3 1 2 1\n0.2 3 4 1\n")
 
     def test_reports_decrease_across_chunks(self):
-        text = "0.1 1 2 1\n0.2 1 2 1\n0.15 1 2 1\n"
+        # Padding puts line 3 in a chunk of its own at batch_lines=2.
+        text = "".join(f"{t} 1 2 1{' ' * 30}\n" for t in ("0.1", "0.2", "0.15"))
+        assert len(read_chunks(text, 2)) > 1
         with pytest.raises(NonMonotonicTimestamps, match="line 3"):
             list(read_event_batches(io.StringIO(text), GEOMETRY, batch_lines=2))
 
@@ -133,7 +135,7 @@ class TestReadEventBatches:
             ),
             (
                 "0.1 1 1 1\ninf 1 1 1\n0.3 1 1\n",
-                "expected 4 fields 't x y p' at line 3, got 3: '0.3 1 1'",
+                "timestamp must be finite and >= 0 at line 2, got inf",
             ),
             (
                 "0.1 1 1 1\ninf 1 1 1\n0.3 1 1 1\n",
@@ -159,6 +161,39 @@ class TestReadEventBatches:
         assert ev.x.tolist() == [1, 3]
         assert ev.p.tolist() == [1, -1]
         assert self.read_all("0.1 1 2 1.0\n").p.tolist() == [1]
+
+    # Padding makes each first line a chunk of its own at batch_lines=1.
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            (
+                "inf 1 1 1".ljust(39) + "\n0.3 1 1\n",
+                "timestamp must be finite and >= 0 at line 1, got inf",
+            ),
+            (
+                "0.1 oops 2 1".ljust(39) + "\n0.2 1 2\n",
+                "could not parse numeric fields at line 1: '0.1 oops 2 1'",
+            ),
+            (
+                "0.1 240 2 1".ljust(39) + "\n0.2 1 2 7\n",
+                "event at (240, 2) outside 240x180 sensor at line 1",
+            ),
+        ],
+        ids=["semantic-then-ragged", "cast-then-ragged", "bounds-then-polarity"],
+    )
+    @pytest.mark.parametrize("batch_lines", [1, 65536])
+    def test_earliest_bad_line_wins_at_every_chunk_size(self, text, message, batch_lines):
+        assert len(read_chunks(text, 1)) == 2
+        with pytest.raises(ValueError) as err:
+            self.read_all(text, batch_lines=batch_lines)
+        assert str(err.value) == message
+
+    def test_rows_before_a_broken_line_are_yielded(self):
+        text = "0.1 1 2 1\n0.2 3 4 0\n0.3 1\n"
+        batches = read_event_batches(io.StringIO(text), GEOMETRY)
+        assert next(batches).t.tolist() == [0.1, 0.2]
+        with pytest.raises(MalformedLine, match="line 3"):
+            next(batches)
 
     @pytest.mark.parametrize("batch_lines", [1, 65536])
     def test_decrease_prints_plain_floats(self, batch_lines):
@@ -348,6 +383,17 @@ class TestFrameIndex:
         write_frame_index([(0.03125, "frame_000000.pgm", False)], path)
         assert path.read_text() == (
             "stamp,filename,held\n0.031250000,frame_000000.pgm,0\n"
+        )
+
+    def test_later_calls_append_rows_to_an_open_file(self):
+        buf = io.StringIO()
+        write_frame_index((), buf)
+        write_frame_index([(0.03125, "frame_000000.pgm", False)], buf)
+        write_frame_index([(0.0625, "frame_000001.pgm", True)], buf)
+        assert buf.getvalue() == (
+            "stamp,filename,held\n"
+            "0.031250000,frame_000000.pgm,0\n"
+            "0.062500000,frame_000001.pgm,1\n"
         )
 
     def test_rejects_foreign_header(self, tmp_path):

@@ -16,6 +16,7 @@ from evframe import (
     PolarityMode,
     SliceMethod,
     accumulate_stream,
+    neutral_value,
     run_accumulation,
     slice_by_time_and_number,
 )
@@ -114,3 +115,21 @@ class TestRunAccumulation:
         assert stats.frames == len(events) // n
         assert stats.slice_events == stats.frames * n
         assert all(0.0 <= float(f.pixels.min()) and float(f.pixels.max()) <= 1.0 for f in frames)
+
+    @pytest.mark.parametrize("mode", [PolarityMode.RECTIFIED, PolarityMode.SIGNED])
+    def test_idle_gap_frames_share_one_read_only_buffer(self, mode):
+        # A 50 ms gap at 1 ms ticks: 49 slices without events.
+        ev = EventArray.from_columns(
+            np.array([0.0005, 0.0505]),
+            np.array([1, 2], dtype=np.int32),
+            np.array([1, 1], dtype=np.int32),
+            np.array([1, -1], dtype=np.int8),
+        )
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=1e-3, polarity_mode=mode
+        )
+        frames, _ = accumulate_stream(ev, config, FrameSpec(240, 180))
+        idle = [f for f in frames if np.all(f.pixels == neutral_value(mode))]
+        assert len(idle) == 49
+        assert all(np.shares_memory(f.pixels, idle[0].pixels) for f in idle)
+        assert not any(f.pixels.flags.writeable for f in idle)
