@@ -273,6 +273,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     geometry = args.geometry
     scene = _SCENES[args.scene](geometry, height=args.height)
     speed = float(args.speed)
+    if speed == 0.0 and (args.duration is None or args.time_step is None):
+        raise ValueError(
+            "--speed 0 leaves no default --duration or --time-step; "
+            "give both, or a nonzero --speed"
+        )
     duration = args.duration
     if duration is None:
         duration = (geometry.width / 2.0) / abs(speed)

@@ -217,7 +217,10 @@ class EventFrame:
             )
         if px.dtype != np.float64:
             raise ValueError(f"pixel buffer must be float64, got {px.dtype}")
-        if len(px) and (float(px.min()) < 0.0 or float(px.max()) > 1.0):
+        # An idle tick's frame is one value broadcast with zero strides;
+        # checking that value checks every pixel.
+        values = px if any(px.strides) else px[:1, :1]
+        if values.size and (float(values.min()) < 0.0 or float(values.max()) > 1.0):
             raise ValueError("pixel values must stay within [0, 1]")
         px.setflags(write=False)
 

@@ -16,6 +16,7 @@ contribution.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -162,6 +163,12 @@ def _frames_for(
     return [(acc.process(s), s) for s in slices]
 
 
+def _check_speed(speed: float) -> None:
+    """Reject a sweep speed that gives no finite, positive duration."""
+    if not 0.0 < float(speed) < math.inf:
+        raise ValueError(f"speed must be a finite number > 0 px/s, got {speed:g}")
+
+
 def _speed_runs(
     scene: SyntheticScene,
     speeds: Sequence[float],
@@ -237,6 +244,8 @@ def speed_invariance_report(
     """
     if len(speeds) < 2:
         raise ValueError("need at least 2 speeds to compare")
+    for s in speeds:
+        _check_speed(s)
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
     if travel is None:
@@ -380,6 +389,7 @@ def polarity_flip_report(
     below it; in rectified mode aligned before/after frames should
     correlate strongly because both show the same band of activity.
     """
+    _check_speed(speed)
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
     m = int(round(half_duration / interval))

@@ -14,12 +14,21 @@ bilinear with clamp-to-edge borders, so an edge leaving the field of
 view simply stops producing events.  Background noise is an optional
 per-pixel homogeneous Poisson process with uniform random polarity,
 seeded and reproducible.
+
+Synthesis is sparse: at each step only the pixels whose sample can
+change are resampled.  A pixel reads a 2x2 footprint of the field at
+its clamped coordinate.  Its sample can change only if that footprint
+moved and, before or after the move, sits on a pair of columns or rows
+where the field varies; otherwise the field is constant across the
+footprint and its shift, and the sample repeats bit for bit.  On the
+step edge that leaves one or two columns of pixels per step.  The
+stream is bit-identical to resampling every pixel at every step.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +49,11 @@ __all__ = [
 # Slack for deciding that a floating-point residual has reached the
 # threshold; keeps quantum counts exact when H is a multiple of C.
 _THRESHOLD_SLACK = 1e-9
+
+# Steps whose footprints `generate_events` holds at once.  The stream does
+# not depend on it; it bounds memory at about 24 * (width + height) bytes
+# per step of a block.
+_STEPS_PER_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,22 +194,66 @@ def checker(geometry: SensorGeometry, cell: int = 8, height: float = 0.6) -> Syn
     return SyntheticScene(field, geometry)
 
 
+def _footprint(n: int, offset) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each pixel of an axis of `n` samples when translated by `offset`.
+
+    Returns (i0, frac, i1): pixel k reads samples i0 and i1 of the axis
+    with weight frac on i1, the coordinate first clamped to the border.
+    `offset` broadcasts against the pixel axis, so a column of offsets
+    gives one row of footprints per offset.
+    """
+    u = np.clip(np.arange(n) - offset, 0.0, n - 1.0)
+    i0 = np.minimum(u.astype(np.intp), max(n - 2, 0))
+    return i0, u - i0, np.minimum(i0 + 1, n - 1)
+
+
+def _interpolate(
+    field: np.ndarray, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
+) -> np.ndarray:
+    """Bilinear samples of the field on a grid of pixel rows and columns.
+
+    `xs` and `ys` are the :func:`_footprint` triples of the columns and
+    rows to sample, each non-empty and in ascending pixel order.  Every
+    sample takes the same operations in the same order whichever pixels
+    are asked for, so a sampled subset is bit-identical to the same
+    pixels of the full image.
+    """
+    x0, fx, x1 = xs
+    y0, fy, y1 = ys
+    # Interpolate along x once for every field row the pixels read, then
+    # between row pairs.  Only the field rows and the span of columns
+    # that the footprints cover are copied.
+    used = np.zeros(len(field), dtype=bool)
+    used[y0] = True
+    used[y1] = True
+    lo = x0[0]
+    source = field[used, lo : x1[-1] + 1]
+    left = source[:, x0 - lo]
+    rows = left + (source[:, x1 - lo] - left) * fx
+    at = np.cumsum(used) - 1
+    top = rows[at[y0]]
+    return top + (rows[at[y1]] - top) * fy[:, None]
+
+
+def _live(footprints: Sequence[np.ndarray], pair_varies: np.ndarray) -> np.ndarray:
+    """Which pixels of an axis can change sample at each step.
+
+    `footprints` holds one :func:`_footprint` row per step, starting
+    with the step before the first.  A pixel is live at a step when its
+    footprint moved since the step before and, at either of the two,
+    starts on a pair of samples where the field varies.  Returns one row
+    per step after the first row of `footprints`.
+    """
+    i0, frac, _ = footprints
+    touches = pair_varies[i0]
+    moved = (i0[1:] != i0[:-1]) | (frac[1:] != frac[:-1])
+    return moved & (touches[1:] | touches[:-1])
+
+
 def _sample(field: np.ndarray, ox: float, oy: float) -> np.ndarray:
     """Bilinear sample of the field translated by (ox, oy), clamped."""
     h, w = field.shape
-    u = np.clip(np.arange(w) - ox, 0.0, w - 1.0)
-    v = np.clip(np.arange(h) - oy, 0.0, h - 1.0)
-    x0 = np.minimum(u.astype(np.intp), w - 2) if w > 1 else np.zeros(w, dtype=np.intp)
-    y0 = np.minimum(v.astype(np.intp), h - 2) if h > 1 else np.zeros(h, dtype=np.intp)
-    fx = u - x0
-    fy = v - y0
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    # Interpolate along x once for every row, then between row pairs.
-    left = field[:, x0]
-    rows = left + (field[:, x1] - left) * fx
-    top = rows[y0]
-    return top + (rows[y1] - top) * fy[:, None]
+    return _interpolate(field, _footprint(w, ox), _footprint(h, oy))
 
 
 def expected_event_count(edge_height: float, contrast_threshold: float) -> int:
@@ -223,7 +281,22 @@ def generate_events(
     pixel releases as many threshold quanta as its residual allows, all
     stamped with the step time, and the per-pixel reference moves by
     the released amount.  Requires max_speed * time_step < 0.5 px so no
-    step skips over scene structure.
+    step skips over scene structure.  Within a step, events are in
+    row-major pixel order.
+
+    Only pixels whose sample can change are resampled, and the stream
+    is bit-identical to resampling every pixel.  A pixel's footprint is
+    taken from its clamped coordinate, one column pair and one row pair
+    of the field.  Footprints of consecutive steps share a column and a
+    row, because a step moves less than 0.5 px.  If the x footprint did
+    not move, or sits on column pairs where the field is equal in every
+    row at both steps, each row interpolates to the same value as
+    before; the same holds for rows, so the sample repeats.  A pixel
+    whose sample repeats and whose residual is below one quantum emits
+    nothing.  Rounding can leave a whole quantum in a residual after it
+    fires; such a pixel is resampled at the next step.  Footprints are
+    computed for a block of steps at a time, so memory does not grow
+    with the number of steps.
 
     The output is deterministic: it contains no randomness at all
     (noise is added separately by :func:`add_noise`).
@@ -238,37 +311,87 @@ def generate_events(
     duration = motion.duration
     n_steps = max(1, int(math.ceil(duration / time_step - 1e-12)))
     times = np.minimum(np.arange(1, n_steps + 1) * time_step, duration)
-    offsets = motion.offsets_at(times)
+    # Row 0 is the scene at rest, which sets every pixel's reference.
+    offsets = np.vstack((np.zeros((1, 2)), motion.offsets_at(times)))
     c = sensor.contrast_threshold
-    h, w = scene.field.shape
-    cols = np.tile(np.arange(w, dtype=np.int32), h)
-    rows = np.repeat(np.arange(h, dtype=np.int32), w)
-    reference = _sample(scene.field, 0.0, 0.0).reshape(-1)
-    t_parts = []
-    x_parts = []
-    y_parts = []
-    p_parts = []
-    for i in range(n_steps):
-        now = _sample(scene.field, float(offsets[i, 0]), float(offsets[i, 1])).reshape(-1)
-        residual = now - reference
-        quanta = np.floor(np.abs(residual) / c + _THRESHOLD_SLACK).astype(np.int64)
-        fired = np.flatnonzero(quanta)
-        if len(fired) == 0:
-            continue
-        reps = quanta[fired]
-        sign = np.sign(residual[fired]).astype(np.int8)
-        x_parts.append(np.repeat(cols[fired], reps))
-        y_parts.append(np.repeat(rows[fired], reps))
-        p_parts.append(np.repeat(sign, reps))
-        t_parts.append(np.full(int(reps.sum()), times[i]))
-        reference[fired] += sign * reps * c
-    if not t_parts:
+    field = scene.field
+    h, w = field.shape
+    # Footprint index k reads the pair (k, k + 1); the last index never
+    # starts a pair that varies.
+    col_varies = np.append((field[:, 1:] != field[:, :-1]).any(axis=0), False)
+    row_varies = np.append((field[1:] != field[:-1]).any(axis=1), False)
+    all_rows = slice(None)
+    row_starts = np.arange(h) * w
+    reference = _sample(field, 0.0, 0.0).reshape(-1)
+    fired_steps = []
+    fired = []
+    stale = None  # rows of pixels left holding a quantum by the last step
+    for start in range(0, n_steps, _STEPS_PER_BLOCK):
+        # Footprints of a block of steps and of the step before it, so
+        # their memory stays bounded however many steps there are.
+        block = offsets[start : start + _STEPS_PER_BLOCK + 1]
+        xs = _footprint(w, block[:, :1])
+        ys = _footprint(h, block[:, 1:])
+        live_cols = _live(xs, col_varies)
+        live_rows = _live(ys, row_varies)
+        busy = live_cols.any(axis=1) | live_rows.any(axis=1)
+        for j in range(len(block) - 1):
+            if stale is not None:
+                live_rows[j, stale] = True
+                busy[j] = True
+                stale = None
+            if not busy[j]:
+                continue
+            # The live pixels are every row of the live columns plus the
+            # other columns of the live rows: two grids, each row-major.
+            grids = [(all_rows, np.flatnonzero(live_cols[j]))]
+            rows_j = np.flatnonzero(live_rows[j])
+            if len(rows_j):
+                grids.append((rows_j, np.flatnonzero(~live_cols[j])))
+            hits = []
+            for rows, cols in grids:
+                if len(cols) == 0:
+                    continue
+                now = _interpolate(
+                    field,
+                    [a[j + 1, cols] for a in xs],
+                    [a[j + 1, rows] for a in ys],
+                ).reshape(-1)
+                flat = (row_starts[rows][:, None] + cols).reshape(-1)
+                residual = now - reference[flat]
+                quanta = np.floor(np.abs(residual) / c + _THRESHOLD_SLACK).astype(np.int64)
+                hit = np.flatnonzero(quanta)
+                if len(hit):
+                    hits.append((flat[hit], quanta[hit], residual[hit], now[hit]))
+            if not hits:
+                continue
+            flat, reps, residual, now = (np.concatenate(part) for part in zip(*hits))
+            if len(hits) > 1:
+                # Two sorted runs of distinct pixels: one merge puts them
+                # in row-major order.
+                order = np.argsort(flat, kind="stable")
+                flat, reps, residual, now = flat[order], reps[order], residual[order], now[order]
+            sign = np.sign(residual).astype(np.int8)
+            settled = reference[flat] + sign * reps * c
+            reference[flat] = settled
+            # Rounding can leave a whole quantum in the residual.  Such a
+            # pixel fires again at the next step with its sample
+            # unchanged, so it must be resampled there.
+            again = np.abs(now - settled) / c + _THRESHOLD_SLACK >= 1.0
+            if again.any():
+                stale = flat[again] // w
+            fired_steps.append(start + j)
+            fired.append((flat, reps, sign))
+    if not fired:
         return EventArray.empty()
+    flat, reps, sign = (np.concatenate(part) for part in zip(*fired))
+    step = np.repeat(fired_steps, [len(f) for f, _, _ in fired])
+    y, x = np.divmod(flat, w)
     return EventArray.from_columns(
-        np.concatenate(t_parts),
-        np.concatenate(x_parts),
-        np.concatenate(y_parts),
-        np.concatenate(p_parts),
+        np.repeat(times[step], reps),
+        np.repeat(x.astype(np.int32), reps),
+        np.repeat(y.astype(np.int32), reps),
+        np.repeat(sign, reps),
     )
 
 

@@ -1,16 +1,28 @@
-"""Scalar per-event oracles that the vectorized library paths are checked against.
+"""Plain reference versions that the fast library paths are checked against.
 
 The library carries events only as :class:`evframe.EventArray` columns.
-These one-event-at-a-time versions are kept here, unchanged, so the
-batch paths can be compared with the plain definitions.
+These one-event-at-a-time versions, and the synthesis loop that
+resamples every pixel at every step, are kept here, unchanged, so the
+fast paths can be compared with the plain definitions.
 """
 from __future__ import annotations
 
+import math
 from typing import List, NamedTuple
 
 import numpy as np
 
-from evframe import EventArray, InvalidPolarity, MalformedLine, OutOfBoundsEvent, PolarityMode
+from evframe import (
+    EventArray,
+    InvalidPolarity,
+    MalformedLine,
+    MotionProfile,
+    OutOfBoundsEvent,
+    PolarityMode,
+    SensorModel,
+    SyntheticScene,
+)
+from evframe.synth import _THRESHOLD_SLACK, _sample
 
 
 class Event(NamedTuple):
@@ -83,3 +95,59 @@ def integrate_event(
     v = pixels[event.y, event.x] + contribution
     pixels[event.y, event.x] = min(1.0, max(0.0, v))
     return pixels
+
+
+def dense_generate_events(
+    scene: SyntheticScene,
+    motion: MotionProfile,
+    sensor: SensorModel,
+    time_step: float,
+) -> EventArray:
+    """Simulate the event stream by resampling every pixel at every step.
+
+    This is the reference for :func:`evframe.generate_events`, which
+    resamples only the pixels whose sample can change; the two must
+    agree bit for bit.
+    """
+    if not time_step > 0.0:
+        raise ValueError(f"time step must be > 0, got {time_step}")
+    if motion.max_speed * time_step >= 0.5:
+        raise ValueError(
+            "time step too coarse: max speed * time_step = "
+            f"{motion.max_speed * time_step:.3f} px, needs to stay below 0.5 px"
+        )
+    duration = motion.duration
+    n_steps = max(1, int(math.ceil(duration / time_step - 1e-12)))
+    times = np.minimum(np.arange(1, n_steps + 1) * time_step, duration)
+    offsets = motion.offsets_at(times)
+    c = sensor.contrast_threshold
+    h, w = scene.field.shape
+    cols = np.tile(np.arange(w, dtype=np.int32), h)
+    rows = np.repeat(np.arange(h, dtype=np.int32), w)
+    reference = _sample(scene.field, 0.0, 0.0).reshape(-1)
+    t_parts = []
+    x_parts = []
+    y_parts = []
+    p_parts = []
+    for i in range(n_steps):
+        now = _sample(scene.field, float(offsets[i, 0]), float(offsets[i, 1])).reshape(-1)
+        residual = now - reference
+        quanta = np.floor(np.abs(residual) / c + _THRESHOLD_SLACK).astype(np.int64)
+        fired = np.flatnonzero(quanta)
+        if len(fired) == 0:
+            continue
+        reps = quanta[fired]
+        sign = np.sign(residual[fired]).astype(np.int8)
+        x_parts.append(np.repeat(cols[fired], reps))
+        y_parts.append(np.repeat(rows[fired], reps))
+        p_parts.append(np.repeat(sign, reps))
+        t_parts.append(np.full(int(reps.sum()), times[i]))
+        reference[fired] += sign * reps * c
+    if not t_parts:
+        return EventArray.empty()
+    return EventArray.from_columns(
+        np.concatenate(t_parts),
+        np.concatenate(x_parts),
+        np.concatenate(y_parts),
+        np.concatenate(p_parts),
+    )

@@ -1,6 +1,7 @@
 """End-to-end runs of the evframe command-line interface."""
 from __future__ import annotations
 
+import hashlib
 import io
 
 import numpy as np
@@ -83,6 +84,54 @@ class TestSynth:
             "--reverse", "--out", str(path))
         polarities = {line.split()[3] for line in path.read_text().splitlines()}
         assert polarities == {"0", "1"}
+
+
+    # sha256 of `evframe synth --geometry 48x36 --scene S [flags] --out FILE`,
+    # recorded with the generator that resampled every pixel at every step.
+    GOLDEN = {
+        ("step-edge", ""): "b1963033ac3dffa3e9af7c886ea85c2be4c96129da6e3767276833dd512347cd",
+        ("step-edge", "--reverse"):
+            "8ec619fe3fbfb3339d115b1c37d8a72ce8f0a8a3094000518c8dcb84fdbae98b",
+        ("step-edge", "--noise-rate 5 --seed 3"):
+            "b937e0cc301ef50566a984b8b16966a892d1ca90e41a86ca14f9f38e1ecd895b",
+        ("bars", ""): "ef042fd5ce911f8738622814189188e393157eb8d92fe03234ea01b093c50c0c",
+        ("bars", "--reverse"): "68a336d67a14eb9ae3a08537fcedaa8ff13eca3d3ead6ed07bb214c82db68510",
+        ("bars", "--noise-rate 5 --seed 3"):
+            "9330415fecb70a29e91e366e1b57dcea0a110f390e7afaac7e29adf36644cd74",
+        ("checker", ""): "ab2fe7ba5c0f446f46af4a126cd62aca8943ace383d6fa8674f46300c4669ade",
+        ("checker", "--reverse"):
+            "c07227892312c42890cf59e0368a1b506c7d39c994b508bb64f074a3a36f4e76",
+        ("checker", "--noise-rate 5 --seed 3"):
+            "98f61f8f3da49296b85c7d19fa5f24ba5dddbeabf129eb689affae82c1e8d7ff",
+    }
+
+    @pytest.mark.parametrize("scene,flags", sorted(GOLDEN))
+    def test_output_matches_recorded_hash(self, tmp_path, scene, flags):
+        path = tmp_path / "events.txt"
+        code = run("synth", "--geometry", "48x36", "--scene", scene, *flags.split(),
+                   "--out", str(path))
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[scene, flags]
+
+    @pytest.mark.parametrize("extra", [[], ["--duration", "1"]])
+    def test_zero_speed_without_step_fails_with_one_line(self, tmp_path, capsys, extra):
+        code = run("synth", "--speed", "0", *extra, "--out", str(tmp_path / "ev.txt"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evframe: error: --speed 0 ")
+        assert len(err.splitlines()) == 1
+
+    def test_zero_speed_with_duration_and_step_is_a_static_scene(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        code = run("synth", "--geometry", "8x4", "--speed", "0", "--duration", "1",
+                   "--time-step", "0.01", "--noise-rate", "2", "--seed", "1",
+                   "--out", str(path))
+        assert code == 0
+        clean = tmp_path / "clean.txt"
+        run("synth", "--geometry", "8x4", "--speed", "0", "--duration", "1",
+            "--time-step", "0.01", "--out", str(clean))
+        assert clean.read_text().split() == []
+        assert len(path.read_text().splitlines()) > 0
 
 
 class TestAccumulate:
@@ -285,6 +334,24 @@ class TestEval:
         assert len(lines) > 1
         assert (tmp_path / "panel_signed.pgm").exists()
         assert (tmp_path / "panel_rectified.pgm").exists()
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["speed-invariance", "--speeds", "0,64"],
+            ["speed-invariance", "--speeds", "64,-128"],
+            ["polarity-flip", "--speed", "0"],
+            ["polarity-flip", "--speed", "nan"],
+        ],
+    )
+    def test_non_positive_speed_fails_with_one_line(self, tmp_path, capsys, argv):
+        code = run("eval", *argv, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evframe: error: speed must be a finite number > 0 px/s, got ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "speed_invariance.csv").exists()
 
 
 def old_speed_panels(speeds, out_dir):

@@ -163,6 +163,13 @@ class TestFrameTypes:
         with pytest.raises(ValueError):
             EventFrame(spec=spec, pixels=np.full((3, 4), 1.5), stamp=0.0)
 
+    @pytest.mark.parametrize("value", [1.5, -0.5])
+    def test_event_frame_validates_range_of_zero_stride_pixels(self, value):
+        spec = FrameSpec(4, 3)
+        pixels = np.broadcast_to(np.float64(value), (3, 4))
+        with pytest.raises(ValueError):
+            EventFrame(spec=spec, pixels=pixels, stamp=0.0)
+
     def test_event_frame_pixels_read_only(self):
         spec = FrameSpec(4, 3)
         frame = EventFrame(spec=spec, pixels=np.zeros((3, 4)), stamp=0.0)

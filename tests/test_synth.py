@@ -19,7 +19,9 @@ from evframe import (
     generate_events,
     step_edge,
 )
+from evframe import synth
 from evframe.synth import _sample
+from oracles import dense_generate_events
 
 GEOMETRY = SensorGeometry(16, 8)
 
@@ -263,6 +265,172 @@ class TestGenerateEvents:
         ox, oy = velocity[0] * 0.75, velocity[1] * 0.75
         change = brightness(ox, oy) - brightness(0.0, 0.0)
         assert np.all(np.abs(change - net) < c + 1e-6)
+
+
+def assert_same_stream(got: EventArray, want: EventArray) -> None:
+    """Bit-for-bit equality of two streams, timestamps compared as bits."""
+    assert len(got) == len(want)
+    assert np.array_equal(got.t.view(np.uint64), want.t.view(np.uint64))
+    assert np.array_equal(got.x, want.x)
+    assert np.array_equal(got.y, want.y)
+    assert np.array_equal(got.p, want.p)
+
+
+def horizontal_edge(geometry: SensorGeometry, height: float = 0.6) -> SyntheticScene:
+    """Bright above row h // 4, dark below: only rows vary."""
+    field = np.zeros((geometry.height, geometry.width))
+    field[: geometry.height // 4 + 1] = height
+    return SyntheticScene(field, geometry)
+
+
+SPARSE = SensorGeometry(48, 36)
+SENSOR = SensorModel(contrast_threshold=0.2)
+
+
+class TestSparseSynthesisMatchesDenseOracle:
+    """`generate_events` resamples only live pixels; the oracle resamples all."""
+
+    @pytest.mark.parametrize("speed", [16.0, 32.0, 64.0])
+    def test_step_edge_at_each_speed(self, speed):
+        scene = step_edge(SPARSE, 0.6)
+        motion = MotionProfile.constant((speed, 0.0), 20.0 / speed)
+        dt = 0.25 / speed
+        assert_same_stream(
+            generate_events(scene, motion, SENSOR, dt),
+            dense_generate_events(scene, motion, SENSOR, dt),
+        )
+
+    @pytest.mark.parametrize(
+        "scene,motion,dt",
+        [
+            pytest.param(step_edge(SPARSE, 0.6), MotionProfile.reversing((32.0, 0.0), 0.3125),
+                         0.25 / 32, id="out-and-back"),
+            pytest.param(bars(SPARSE), MotionProfile.constant((32.0, 0.0), 0.625),
+                         0.25 / 32, id="bars"),
+            pytest.param(checker(SPARSE, cell=6), MotionProfile.constant((32.0, 10.0), 0.625),
+                         0.2 / 32, id="checker-diagonal"),
+            pytest.param(step_edge(SPARSE, 0.6, edge_x=40),
+                         MotionProfile.constant((30.0, 20.0), 1.0), 0.25 / 36,
+                         id="edge-leaves-field"),
+            pytest.param(step_edge(SPARSE, 0.6, edge_x=3),
+                         MotionProfile.constant((-30.0, 0.0), 0.5), 0.25 / 30,
+                         id="edge-leaves-left"),
+            pytest.param(horizontal_edge(SPARSE), MotionProfile.reversing((0.0, 24.0), 0.5),
+                         0.25 / 24, id="vertical-only"),
+            pytest.param(step_edge(SensorGeometry(40, 1), 0.6),
+                         MotionProfile.reversing((20.0, 0.0), 0.5), 0.25 / 20, id="one-row"),
+            pytest.param(horizontal_edge(SensorGeometry(1, 40)),
+                         MotionProfile.reversing((0.0, 20.0), 0.5), 0.25 / 20, id="one-column"),
+            pytest.param(step_edge(SensorGeometry(40, 1), 0.6),
+                         MotionProfile.constant((0.0, 20.0), 0.5), 0.25 / 20,
+                         id="one-row-moving-across"),
+            pytest.param(SyntheticScene(np.full((1, 1), 0.4), SensorGeometry(1, 1)),
+                         MotionProfile.constant((20.0, 20.0), 0.5), 0.25 / 30, id="one-pixel"),
+            pytest.param(checker(SPARSE), MotionProfile.constant((0.0, 0.0), 0.5), 0.01,
+                         id="static"),
+        ],
+    )
+    def test_scene(self, scene, motion, dt):
+        assert_same_stream(
+            generate_events(scene, motion, SENSOR, dt),
+            dense_generate_events(scene, motion, SENSOR, dt),
+        )
+
+    @pytest.fixture
+    def sampled(self, monkeypatch):
+        """Pixel counts of every `_interpolate` call `generate_events` makes."""
+        sizes = []
+        real = synth._interpolate
+
+        def counting(field, xs, ys):
+            out = real(field, xs, ys)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(synth, "_interpolate", counting)
+        return sizes
+
+    def test_static_scene_samples_only_the_reference(self, sampled):
+        ev = generate_events(
+            checker(SPARSE), MotionProfile.constant((0.0, 0.0), 0.5), SENSOR, 0.01
+        )
+        assert len(ev) == 0
+        assert sampled == [SPARSE.pixel_count]
+
+    def test_step_edge_resamples_a_few_columns_per_step(self, sampled):
+        scene = step_edge(SPARSE, 0.6)
+        ev = generate_events(
+            scene, MotionProfile.constant((32.0, 0.0), 0.625), SENSOR, 0.25 / 32
+        )
+        assert len(ev) == 20 * SPARSE.height * 3
+        reference, steps = sampled[0], sampled[1:]
+        assert reference == SPARSE.pixel_count
+        # Each pixel column is on the edge's column pair for at most two
+        # steps' worth of footprints.
+        assert max(steps) <= 3 * SPARSE.height
+        assert sum(steps) < 0.05 * 80 * SPARSE.pixel_count
+
+    @pytest.mark.parametrize("block", [1, 2, 5])
+    def test_blocks_of_steps_do_not_change_the_stream(self, monkeypatch, block):
+        monkeypatch.setattr(synth, "_STEPS_PER_BLOCK", block)
+        scene = checker(SPARSE, cell=6)
+        motion = MotionProfile.reversing((32.0, 10.0), 0.3125)
+        assert_same_stream(
+            generate_events(scene, motion, SENSOR, 0.2 / 32),
+            dense_generate_events(scene, motion, SENSOR, 0.2 / 32),
+        )
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 256])
+    def test_quantum_left_by_rounding_fires_at_the_next_step(self, monkeypatch, block):
+        # H = 4.899999999299999 is 7 quanta of C = 0.7 within the slack,
+        # but after a pixel's last bilinear step its reference rounds to
+        # leave a whole quantum, which the dense loop releases one step
+        # later with the sample unchanged.  The sparse loop must
+        # resample that pixel although its footprint is constant, also
+        # when the next step starts a new block of footprints.
+        monkeypatch.setattr(synth, "_STEPS_PER_BLOCK", block)
+        height, c = 4.899999999299999, 0.7
+        geometry = SensorGeometry(8, 1)
+        field = np.zeros((1, 8))
+        field[0, :4] = height
+        scene = SyntheticScene(field, geometry)
+        motion = MotionProfile.constant((1.0, 0.0), 3.0)
+        for dt in (0.35, 0.41):
+            got = generate_events(scene, motion, SensorModel(c), dt)
+            assert_same_stream(got, dense_generate_events(scene, motion, SensorModel(c), dt))
+            counts = per_pixel_counts(got, geometry)
+            assert counts[0, 4:7].tolist() == [expected_event_count(height, c)] * 3
+
+    @given(
+        st.integers(1, 9),
+        st.integers(1, 9),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 4),
+        st.sampled_from([0.05, 0.1, 0.2, 0.3]),
+        st.lists(
+            st.tuples(
+                st.integers(1, 12),
+                st.floats(-0.35, 0.35, allow_nan=False),
+                st.floats(-0.35, 0.35, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_fields_and_motions(self, h, w, seed, n_cells, c, pieces):
+        # A constant field with a few cells changed, moved by pieces of
+        # constant velocity at under 0.5 px per unit step.
+        rng = np.random.default_rng(seed)
+        field = np.full((h, w), rng.uniform(-1.0, 1.0))
+        cells = rng.integers(0, h * w, n_cells)
+        field.reshape(-1)[cells] = rng.uniform(-1.0, 1.0, n_cells)
+        scene = SyntheticScene(field, SensorGeometry(w, h))
+        motion = MotionProfile(tuple((float(n), (vx, vy)) for n, vx, vy in pieces))
+        assert_same_stream(
+            generate_events(scene, motion, SensorModel(c), 1.0),
+            dense_generate_events(scene, motion, SensorModel(c), 1.0),
+        )
 
 
 class TestAddNoise:
