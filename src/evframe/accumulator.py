@@ -164,6 +164,23 @@ def _validate_slice_events(slc: Slice, spec: FrameSpec) -> None:
         raise NonMonotonicTimestamps("slice events are not in time order")
 
 
+def _stable_order(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative integer keys, 16 bits per pass.
+
+    numpy sorts 16-bit keys stably by radix, which beats a comparison
+    sort of wider keys.  Keys of 2**16 or more take one more pass per
+    further 16 bits, least significant first.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")  # casting keeps the low bits
+    top = int(keys.max()) if len(keys) else 0
+    shift = 16
+    while top >> shift:
+        digit = (keys[order] >> shift).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _pixel_runs(idx: np.ndarray):
     """Group a slice's events by pixel, keeping time order inside each group.
 
@@ -172,8 +189,7 @@ def _pixel_runs(idx: np.ndarray):
     every event's rank inside its run.
     """
     n = len(idx)
-    # Unique keys make the default sort stable, and it beats kind="stable".
-    order = np.argsort(idx * n + np.arange(n))
+    order = _stable_order(idx)
     pix = idx[order]
     first = np.ones(n, dtype=bool)
     np.not_equal(pix[1:], pix[:-1], out=first[1:])
@@ -278,7 +294,7 @@ def _rank_passes(u, run, rank, width, signs) -> None:
     is integrated in the same pass; a run appears at most once per rank,
     so the gather and the scatter never collide.
     """
-    by_rank = np.argsort(rank, kind="stable")
+    by_rank = _stable_order(rank)
     run, signs, width = run[by_rank], signs[by_rank], width[by_rank]
     neg_width = -width
     bounds = np.cumsum(np.bincount(rank)).tolist()

@@ -6,17 +6,23 @@ chunked so arbitrarily large files stream through constant memory, and
 every format or contract violation is reported with its 1-based line
 number.
 
-Each chunk is parsed by one call to numpy's C text reader.  A chunk it
-rejects is split into fields and converted by numpy's string-to-float
-cast, which also accepts ``1_000``.  That is the whole grammar: four
-whitespace-separated numbers per line.  When a chunk breaks it, the
-first line with a field count other than four or a field the cast
-rejects is reported.  Every other rule (polarity, timestamp range and
-order, integer and in-bounds coordinates) is checked on the parsed
-columns, so an error never names a line the grammar accepts.  The rows
-before a grammar break are checked and yielded first, and the rules
-report their earliest row, so the earliest bad line is reported at
-every chunk size.
+A chunk is ``batch_lines`` x 24 characters, about 8,192 lines by
+default, so reading holds one chunk's lines and columns, a few MB,
+however long the file is.  Each chunk is parsed by one call to numpy's
+C text reader into typed columns: float64 stamps, int32 coordinates,
+int8 polarity.  A chunk that parse rejects (say ``3.0`` as a
+coordinate, or a value its column cannot hold) is read again as
+floats, and a chunk that reader rejects too is split into fields and
+converted by numpy's string-to-float cast, which also accepts
+``1_000``.  The typed parse and the fallbacks yield the same events and
+the same errors.  That is the whole grammar: four whitespace-separated
+numbers per line.  When a chunk breaks it, the first line with a field
+count other than four or a field the cast rejects is reported.  Every
+other rule (polarity, timestamp range and order, integer and in-bounds
+coordinates) is checked on the parsed columns, so an error never names
+a line the grammar accepts.  The rows before a grammar break are
+checked and yielded first, and the rules report their earliest row, so
+the earliest bad line is reported at every chunk size.
 
 Frames are written as binary PGM (P5), 8 bit or big-endian 16 bit, and
 a run's frames are listed in a CSV index of publish stamp, filename and
@@ -49,7 +55,10 @@ __all__ = [
     "read_frame_index",
 ]
 
-_BATCH_LINES = 65536
+_BATCH_LINES = 8192
+# A typed row is 17 bytes against 32 for four float64 fields.
+_RECORD = np.dtype([("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1")])
+_Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class MalformedLine(StreamError):
@@ -87,18 +96,12 @@ def read_event_batches(
             lines = fh.readlines(batch_lines * 24)
             if not lines:
                 break
-            raw, numbers, broken = _parse_chunk(lines, line_base)
+            (t, x, y, p), numbers, broken = _parse_chunk(lines, line_base)
             line_base += len(lines)
             if len(numbers):
-                t, x, y, p = raw.T
                 _validate_batch(t, x, y, p, numbers, geometry, prev_t)
                 prev_t = float(t[-1])
-                yield EventArray.from_columns(
-                    t,
-                    x.astype(np.int32),
-                    y.astype(np.int32),
-                    np.where(p > 0.5, 1, -1).astype(np.int8),
-                )
+                yield EventArray.from_columns(t, x, y, np.where(p > 0, 1, -1))
             if broken is not None:
                 raise broken
     finally:
@@ -106,29 +109,50 @@ def read_event_batches(
             fh.close()
 
 
-def _parse_chunk(
-    lines: List[str], line_base: int
-) -> Tuple[np.ndarray, Sequence[int], Optional[MalformedLine]]:
-    """Parse lines into an (n, 4) float array and each row's 1-based line number.
+def _typed_rows(lines: List[str]) -> Optional[_Columns]:
+    rows = _loadtxt(lines, _RECORD, ndmin=1)
+    return None if rows is None else (rows["t"], rows["x"], rows["y"], rows["p"])
 
-    A chunk numpy's reader rejects, or whose rows do not line up with
-    the non-blank lines, is split and cast field by field.  Then only
-    the rows before the first line that breaks the grammar are
-    returned, with the error that names that line, so the caller checks
-    the earlier rows first.
-    """
-    first = line_base + 1
+
+def _float_rows(lines: List[str]) -> Optional[_Columns]:
+    raw = _loadtxt(lines, np.dtype(np.float64), ndmin=2)
+    return None if raw is None or raw.shape[1] != 4 else tuple(raw.T)
+
+
+def _loadtxt(lines: List[str], dtype: np.dtype, ndmin: int) -> Optional[np.ndarray]:
+    """numpy's C reader on whitespace-separated lines, or None where it rejects them."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines only
-            raw = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=ndmin)
     except ValueError:
-        raw = None
-    if raw is not None and raw.shape == (len(lines), 4):
-        return raw, range(first, first + len(lines)), None
+        return None
+
+
+def _parse_chunk(
+    lines: List[str], line_base: int
+) -> Tuple[_Columns, Sequence[int], Optional[MalformedLine]]:
+    """Parse lines into (t, x, y, p) columns and each row's 1-based line number.
+
+    The typed parse reads integer coordinates and polarity.  A chunk it
+    rejects (``3.0``, ``1e0``, ``1_000``, a value its column cannot
+    hold) is parsed as floats.  A chunk that reader rejects too, or
+    whose rows do not line up with the non-blank lines, is split and
+    cast field by field.  Then only the rows before the first line that
+    breaks the grammar are returned, with the error that names that
+    line, so the caller checks the earlier rows first.
+    """
+    first = line_base + 1
+    numbers: Sequence[int] = range(first, first + len(lines))
+    for parse in (_typed_rows, _float_rows):
+        columns = parse(lines)
+        if columns is None:
+            continue
+        if len(columns[0]) != len(numbers):
+            numbers = [first + i for i, ln in enumerate(lines) if ln.strip()]
+        if len(columns[0]) == len(numbers):
+            return columns, numbers, None
     numbers = [first + i for i, ln in enumerate(lines) if ln.strip()]
-    if raw is not None and raw.shape == (len(numbers), 4):
-        return raw, numbers, None
     rows = [lines[n - first].split() for n in numbers]
     end = next((i for i, fields in enumerate(rows) if len(fields) != 4), len(rows))
     try:
@@ -137,13 +161,13 @@ def _parse_chunk(
         end = next(i for i, fields in enumerate(rows) if not _is_numeric(fields))
         raw = np.array(rows[:end], dtype=np.float64).reshape(-1, 4)
     if end == len(rows):
-        return raw, numbers, None
+        return tuple(raw.T), numbers, None
     n, fields = numbers[end], rows[end]
     if len(fields) != 4:
         problem = f"expected 4 fields 't x y p' at line {n}, got {len(fields)}"
     else:
         problem = f"could not parse numeric fields at line {n}"
-    return raw, numbers[:end], MalformedLine(f"{problem}: {lines[n - first].strip()!r}")
+    return tuple(raw.T), numbers[:end], MalformedLine(f"{problem}: {lines[n - first].strip()!r}")
 
 
 def _is_numeric(fields: List[str]) -> bool:
@@ -212,12 +236,12 @@ def write_events(events: EventArray, path: Union[str, Path, IO[str]]) -> None:
     """Write events as "t x y p" lines, one per event.
 
     The stamp is written as the float's repr, so it reads back exactly.
+    An empty stream writes nothing.
     """
     rows = zip(events.t.tolist(), events.x.tolist(), events.y.tolist(), (events.p > 0).tolist())
     fh, owned = _open_out(path)
     try:
-        fh.write("\n".join(f"{t!r} {x} {y} {1 if on else 0}" for t, x, y, on in rows))
-        fh.write("\n")
+        fh.write("".join(f"{t!r} {x} {y} {1 if on else 0}\n" for t, x, y, on in rows))
     finally:
         if owned:
             fh.close()

@@ -12,13 +12,17 @@ accumulator to quantify the claims the toolkit is built around: frame
 appearance should not depend on scene speed when slicing by time and
 number, rectified frames should survive a motion reversal, and fill,
 saturation and gray-level depth should track window size and event
-contribution.
+contribution.  Each report builds its frames one at a time and scores
+them as they arrive, so it holds O(speeds) frames (the polarity flip at
+most one frame per interval before the reversal), however long the
+sweeps run.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from itertools import islice, zip_longest
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -154,19 +158,47 @@ class SimilarityReport:
 _STEP_PX = 0.25  # scene displacement per simulation step, in pixels
 
 
-def _frames_for(
-    slices: Sequence[Slice],
-    config: AccumulatorConfig,
-    spec: FrameSpec,
-) -> List[Tuple[EventFrame, Slice]]:
+def _frames(
+    slices: Iterable[Slice], config: AccumulatorConfig, spec: FrameSpec
+) -> Iterator[EventFrame]:
+    """Accumulate slices in order, yielding each frame as it is built."""
     acc = FrameAccumulator(config, spec)
-    return [(acc.process(s), s) for s in slices]
+    for s in slices:
+        yield acc.process(s)
+
+
+class _AlignedScores:
+    """NCC of aligned frame pairs, gathered per speed pair as frames arrive."""
+
+    def __init__(self, pairs: Sequence[Tuple[float, float]], extreme: int) -> None:
+        self.pairs = pairs
+        self.extreme = extreme
+        self.scores: List[List[float]] = [[] for _ in pairs]
+        self.degenerate = 0
+        self.panel: Optional[Tuple[EventFrame, EventFrame]] = None
+
+    def add(self, i: int, frame_a: EventFrame, frame_b: EventFrame) -> None:
+        if i == self.extreme:
+            self.panel = (frame_a, frame_b)
+        try:
+            self.scores[i].append(ncc(frame_a, frame_b))
+        except DegenerateFrame:
+            self.degenerate += 1
+
+    def report(self, method: str, counts: Dict[float, Tuple[int, ...]]) -> SimilarityReport:
+        pairs = tuple(
+            PairScore(sa, sb, tuple(scores)) for (sa, sb), scores in zip(self.pairs, self.scores)
+        )
+        return SimilarityReport(method, pairs, self.degenerate, counts, self.panel)
 
 
 def _check_speed(speed: float) -> None:
     """Reject a sweep speed that gives no finite, positive duration."""
     if not 0.0 < float(speed) < math.inf:
         raise ValueError(f"speed must be a finite number > 0 px/s, got {speed:g}")
+
+
+_Run = Tuple[List[Slice], AccumulatorConfig]  # one sweep's slices and its config
 
 
 def _speed_runs(
@@ -177,31 +209,24 @@ def _speed_runs(
     sensor: SensorModel,
     travel: float,
     contribution: float,
-) -> Tuple[
-    Dict[float, List[Tuple[EventFrame, Slice]]],
-    Dict[float, List[Tuple[EventFrame, Slice]]],
-]:
-    """Accumulate every speed with both slicers over equal displacement.
+) -> Tuple[Dict[float, _Run], Dict[float, _Run]]:
+    """Slice every distinct speed with both slicers over equal displacement.
 
-    Returns ({speed: [(frame, slice)]} for the fixed-interval by-time
+    Returns ({speed: (slices, config)} for the fixed-interval by-time
     runs, then the same for by-time-and-number runs whose interval is
-    scaled inversely with speed).
+    scaled inversely with speed).  Frames are left to the caller to
+    build, one at a time.
     """
     s_ref = float(min(speeds))
-    spec = FrameSpec.from_geometry(scene.geometry)
-    btn_frames: Dict[float, List[Tuple[EventFrame, Slice]]] = {}
-    time_frames: Dict[float, List[Tuple[EventFrame, Slice]]] = {}
-    for s in speeds:
-        motion = MotionProfile.constant((float(s), 0.0), travel / float(s))
-        stream = generate_events(scene, motion, sensor, _STEP_PX / float(s))
-        btn_slices = slice_by_time_and_number(
-            stream, interval * (s_ref / float(s)), window_size, t0=0.0
-        )
-        time_slices = slice_by_time(stream, interval, t0=0.0)
+    btn_runs: Dict[float, _Run] = {}
+    time_runs: Dict[float, _Run] = {}
+    for s in dict.fromkeys(float(s) for s in speeds):
+        motion = MotionProfile.constant((s, 0.0), travel / s)
+        stream = generate_events(scene, motion, sensor, _STEP_PX / s)
         btn_cfg = AccumulatorConfig(
             slice_method=SliceMethod.BY_TIME_AND_NUMBER,
             window_size=window_size,
-            interval=interval * (s_ref / float(s)),
+            interval=interval * (s_ref / s),
             contribution=contribution,
         )
         time_cfg = AccumulatorConfig(
@@ -209,9 +234,10 @@ def _speed_runs(
             interval=interval,
             contribution=contribution,
         )
-        btn_frames[float(s)] = _frames_for(btn_slices, btn_cfg, spec)
-        time_frames[float(s)] = _frames_for(time_slices, time_cfg, spec)
-    return time_frames, btn_frames
+        btn_slices = slice_by_time_and_number(stream, btn_cfg.interval, window_size, t0=0.0)
+        btn_runs[s] = (btn_slices, btn_cfg)
+        time_runs[s] = (slice_by_time(stream, interval, t0=0.0), time_cfg)
+    return time_runs, btn_runs
 
 
 def speed_invariance_report(
@@ -240,6 +266,9 @@ def speed_invariance_report(
       slower run.  Slice event counts scale with speed, which is what
       smears fast frames and makes them look different.
 
+    Frames are scored as they are built, so the report holds O(speeds)
+    frames however long the sweeps are.
+
     Returns (by_time report, by_time_and_number report).
     """
     if len(speeds) < 2:
@@ -250,58 +279,57 @@ def speed_invariance_report(
         sensor = SensorModel(contrast_threshold=0.2)
     if travel is None:
         travel = scene.geometry.width / 2.0
-    time_frames, btn_frames = _speed_runs(
+    time_runs, btn_runs = _speed_runs(
         scene, speeds, interval, window_size, sensor, travel, contribution
     )
-    btn_counts = {
-        s: tuple(len(sl) for _, sl in runs if not sl.partial)
-        for s, runs in btn_frames.items()
-    }
-    time_counts = {s: tuple(len(sl) for _, sl in runs) for s, runs in time_frames.items()}
-
-    btn_pairs: List[PairScore] = []
-    time_pairs: List[PairScore] = []
-    btn_degen = 0
-    time_degen = 0
-    btn_panel = time_panel = None
+    spec = FrameSpec.from_geometry(scene.geometry)
     ordered = sorted(float(s) for s in speeds)
-    for i in range(len(ordered)):
-        for j in range(i + 1, len(ordered)):
-            sa, sb = ordered[i], ordered[j]
-            extreme = i == 0 and j == len(ordered) - 1  # the pair the panels show
-            scores: List[float] = []
-            for (fa, sl_a), (fb, sl_b) in zip(btn_frames[sa], btn_frames[sb]):
-                if sl_a.partial or sl_b.partial:
-                    continue
-                if extreme:
-                    btn_panel = (fa, fb)
-                try:
-                    scores.append(ncc(fa, fb))
-                except DegenerateFrame:
-                    btn_degen += 1
-            btn_pairs.append(PairScore(sa, sb, tuple(scores)))
+    pairs = [(sa, sb) for i, sa in enumerate(ordered) for sb in ordered[i + 1 :]]
+    extreme = len(ordered) - 2  # (slowest, fastest), the pair the panels show
+    btn = _AlignedScores(pairs, extreme)
+    by_time = _AlignedScores(pairs, extreme)
 
-            scores = []
+    # By time and number: frame k of every speed covers the same displacement.
+    btn_frames = {
+        s: zip(slices, _frames(slices, cfg, spec)) for s, (slices, cfg) in btn_runs.items()
+    }
+    for row in zip_longest(*btn_frames.values()):
+        full = {s: item[1] for s, item in zip(btn_frames, row) if item and not item[0].partial}
+        for i, (sa, sb) in enumerate(pairs):
+            if sa in full and sb in full:
+                btn.add(i, full[sa], full[sb])
+
+    # By time: frame k at speed s has swept (k + 1) * interval * s pixels.
+    # Building frames in that order, each pair is scored when its later
+    # frame arrives, while the earlier one is still its run's latest.
+    time_frames = {s: _frames(slices, cfg, spec) for s, (slices, cfg) in time_runs.items()}
+    swept = sorted(
+        ((k + 1) * interval * s, s, k)
+        for s, (slices, _) in time_runs.items()
+        for k in range(len(slices))
+    )
+    latest: Dict[float, Tuple[int, EventFrame]] = {}
+    for _, s, k in swept:
+        latest[s] = (k, next(time_frames[s]))
+        for i, (sa, sb) in enumerate(pairs):
+            if s not in (sa, sb) or sa not in latest or sb not in latest:
+                continue
+            (held, fa), (kb, fb) = latest[sa], latest[sb]
             ratio = sb / sa  # frames of the faster run are this much sparser
-            for kb in range(len(time_frames[sb])):
-                ka_f = (kb + 1) * ratio - 1.0
-                ka = int(round(ka_f))
-                if abs(ka_f - ka) > 1e-9 or not 0 <= ka < len(time_frames[sa]):
-                    continue
-                pair = (time_frames[sa][ka][0], time_frames[sb][kb][0])
-                if extreme:
-                    time_panel = pair
-                try:
-                    scores.append(ncc(*pair))
-                except DegenerateFrame:
-                    time_degen += 1
-            time_pairs.append(PairScore(sa, sb, tuple(scores)))
+            ka_f = (kb + 1) * ratio - 1.0
+            ka = int(round(ka_f))
+            if abs(ka_f - ka) > 1e-9 or ka != held:
+                continue
+            by_time.add(i, fa, fb)
 
+    btn_counts = {
+        s: tuple(len(sl) for sl in slices if not sl.partial)
+        for s, (slices, _) in btn_runs.items()
+    }
+    time_counts = {s: tuple(len(sl) for sl in slices) for s, (slices, _) in time_runs.items()}
     return (
-        SimilarityReport("by-time", tuple(time_pairs), time_degen, time_counts, time_panel),
-        SimilarityReport(
-            "by-time-and-number", tuple(btn_pairs), btn_degen, btn_counts, btn_panel
-        ),
+        by_time.report("by-time", time_counts),
+        btn.report("by-time-and-number", btn_counts),
     )
 
 
@@ -352,23 +380,23 @@ def _reversal_runs(
     half_duration: float,
     sensor: SensorModel,
     contribution: float,
-) -> Dict[PolarityMode, List[Tuple[EventFrame, Slice]]]:
-    """Accumulate an out-and-back sweep in both polarity modes."""
+) -> Tuple[List[Slice], Iterator[EventFrame], Iterator[EventFrame]]:
+    """Slice an out-and-back sweep; returns its slices and the signed and rectified frames."""
     motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
     stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
     spec = FrameSpec.from_geometry(scene.geometry)
     slices = slice_by_time_and_number(stream, interval, window_size, t0=0.0)
-    frames: Dict[PolarityMode, List[Tuple[EventFrame, Slice]]] = {}
-    for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED):
-        cfg = AccumulatorConfig(
-            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
-            window_size=window_size,
-            interval=interval,
-            contribution=contribution,
-            polarity_mode=mode,
-        )
-        frames[mode] = _frames_for(slices, cfg, spec)
-    return frames
+    config = AccumulatorConfig(
+        slice_method=SliceMethod.BY_TIME_AND_NUMBER,
+        window_size=window_size,
+        interval=interval,
+        contribution=contribution,
+    )
+    signed, rectified = (
+        _frames(slices, replace(config, polarity_mode=mode), spec)
+        for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
+    )
+    return slices, signed, rectified
 
 
 def polarity_flip_report(
@@ -388,6 +416,10 @@ def polarity_flip_report(
     boundary.  In signed mode the swept band flips from above 0.5 to
     below it; in rectified mode aligned before/after frames should
     correlate strongly because both show the same band of activity.
+
+    Pair j sets frame m - j against frame m + j - 1, where m is the
+    number of intervals before the reversal.  Frames are scored as they
+    are built, so the report holds at most m rectified frames.
     """
     _check_speed(speed)
     if sensor is None:
@@ -395,42 +427,49 @@ def polarity_flip_report(
     m = int(round(half_duration / interval))
     if abs(m * interval - half_duration) > 1e-9:
         raise ValueError("half_duration must be a whole number of intervals")
-    frames = _reversal_runs(
+    slices, signed, rectified = _reversal_runs(
         scene, speed, interval, window_size, half_duration, sensor, contribution
     )
-    slices = [sl for _, sl in frames[PolarityMode.SIGNED]]
-    total = len(slices)
+    signed_means: List[float | None] = []
+    rect_before: List[EventFrame] = []
     before_means: List[float] = []
     after_means: List[float] = []
     rect_scores: List[float] = []
     degenerate = 0
-    j = 1
-    while m - j + 1 >= 1 and m + j <= total:
-        bi = m - j  # 0-based index of frame published at (m - j + 1) * interval
-        ai = m + j - 1
-        signed_b, slice_b = frames[PolarityMode.SIGNED][bi]
-        signed_a, slice_a = frames[PolarityMode.SIGNED][ai]
-        if slice_b.partial or slice_a.partial:
-            j += 1
+    panels: Dict[PolarityMode, Tuple[EventFrame, EventFrame]] = {}
+    signed_prev = None
+    for k, (slc, signed_k, rect_k) in enumerate(zip(slices, signed, rectified)):
+        if k < m:
+            signed_means.append(_active_mean(signed_k, 0.5))
+            rect_before.append(rect_k)
+        elif k == m and m >= 1:
+            panels = {
+                PolarityMode.SIGNED: (signed_prev, signed_k),
+                PolarityMode.RECTIFIED: (rect_before[m - 1], rect_k),
+            }
+        signed_prev = signed_k
+        bi = 2 * m - 1 - k  # the before frame of pair j = k - m + 1
+        if not 0 <= bi < m or slices[bi].partial or slc.partial:
             continue
-        mb = _active_mean(signed_b, 0.5)
-        ma = _active_mean(signed_a, 0.5)
+        mb = signed_means[bi]
+        ma = _active_mean(signed_k, 0.5)
         if mb is not None and ma is not None:
             before_means.append(mb)
             after_means.append(ma)
         try:
-            rect_scores.append(
-                ncc(frames[PolarityMode.RECTIFIED][bi][0], frames[PolarityMode.RECTIFIED][ai][0])
-            )
+            rect_scores.append(ncc(rect_before[bi], rect_k))
         except DegenerateFrame:
             degenerate += 1
-        j += 1
-    panels = {}
-    if 1 <= m < total:
-        panels = {mode: (runs[m - 1][0], runs[m][0]) for mode, runs in frames.items()}
     return PolarityFlipReport(
         tuple(before_means), tuple(after_means), tuple(rect_scores), degenerate, panels
     )
+
+
+def _frame_at(
+    k: int, slices: Sequence[Slice], config: AccumulatorConfig, spec: FrameSpec
+) -> EventFrame:
+    """Frame k of a run, building the frames before it and holding none of them."""
+    return next(islice(_frames(slices, config, spec), k, None))
 
 
 def _common_full_index(slice_runs: Sequence[Sequence[Slice]]) -> int:
@@ -465,9 +504,7 @@ def window_coverage_sweep(
     k = _common_full_index(runs)
     rows: List[Tuple[int, float, float]] = []
     for n, slices in zip(window_sizes, runs):
-        cfg = replace(config, window_size=int(n))
-        frames = _frames_for(slices[: k + 1], cfg, spec)
-        frame = frames[k][0]
+        frame = _frame_at(k, slices, replace(config, window_size=int(n)), spec)
         rows.append((int(n), fill_ratio(frame, neutral), saturation_fraction(frame, neutral)))
     return rows
 
@@ -490,7 +527,6 @@ def contribution_level_sweep(
     k = _common_full_index([slices])
     rows: List[Tuple[float, int]] = []
     for c in contributions:
-        cfg = replace(config, contribution=float(c))
-        frames = _frames_for(slices[: k + 1], cfg, spec)
-        rows.append((float(c), distinct_levels(frames[k][0])))
+        frame = _frame_at(k, slices, replace(config, contribution=float(c)), spec)
+        rows.append((float(c), distinct_levels(frame)))
     return rows

@@ -1,27 +1,49 @@
 """Plain reference versions that the fast library paths are checked against.
 
 The library carries events only as :class:`evframe.EventArray` columns.
-These one-event-at-a-time versions, and the synthesis loop that
-resamples every pixel at every step, are kept here, unchanged, so the
-fast paths can be compared with the plain definitions.
+These one-event-at-a-time versions, the synthesis loop that resamples
+every pixel at every step, and the report builders that hold every
+frame of every run are kept here, unchanged, so the fast and streamed
+paths can be compared with the plain definitions.
 """
 from __future__ import annotations
 
 import math
-from typing import List, NamedTuple
+from dataclasses import replace
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from evframe import (
+    AccumulatorConfig,
+    DegenerateFrame,
     EventArray,
+    EventFrame,
+    FrameAccumulator,
+    FrameSpec,
     InvalidPolarity,
     MalformedLine,
     MotionProfile,
     OutOfBoundsEvent,
+    PairScore,
+    PolarityFlipReport,
     PolarityMode,
+    SensorGeometry,
     SensorModel,
+    SimilarityReport,
+    Slice,
+    SliceMethod,
     SyntheticScene,
+    distinct_levels,
+    fill_ratio,
+    generate_events,
+    ncc,
+    neutral_value,
+    saturation_fraction,
+    slice_by_time,
+    slice_by_time_and_number,
 )
+from evframe.metrics import _STEP_PX, _active_mean, _check_speed, _common_full_index
 from evframe.synth import _THRESHOLD_SLACK, _sample
 
 
@@ -151,3 +173,291 @@ def dense_generate_events(
         np.concatenate(y_parts),
         np.concatenate(p_parts),
     )
+
+
+def frames_for(
+    slices: Sequence[Slice],
+    config: AccumulatorConfig,
+    spec: FrameSpec,
+) -> List[Tuple[EventFrame, Slice]]:
+    acc = FrameAccumulator(config, spec)
+    return [(acc.process(s), s) for s in slices]
+
+
+def speed_runs(
+    scene: SyntheticScene,
+    speeds: Sequence[float],
+    interval: float,
+    window_size: int,
+    sensor: SensorModel,
+    travel: float,
+    contribution: float,
+) -> Tuple[
+    Dict[float, List[Tuple[EventFrame, Slice]]],
+    Dict[float, List[Tuple[EventFrame, Slice]]],
+]:
+    """Accumulate every speed with both slicers over equal displacement.
+
+    Returns ({speed: [(frame, slice)]} for the fixed-interval by-time
+    runs, then the same for by-time-and-number runs whose interval is
+    scaled inversely with speed).
+    """
+    s_ref = float(min(speeds))
+    spec = FrameSpec.from_geometry(scene.geometry)
+    btn_frames: Dict[float, List[Tuple[EventFrame, Slice]]] = {}
+    time_frames: Dict[float, List[Tuple[EventFrame, Slice]]] = {}
+    for s in speeds:
+        motion = MotionProfile.constant((float(s), 0.0), travel / float(s))
+        stream = generate_events(scene, motion, sensor, _STEP_PX / float(s))
+        btn_slices = slice_by_time_and_number(
+            stream, interval * (s_ref / float(s)), window_size, t0=0.0
+        )
+        time_slices = slice_by_time(stream, interval, t0=0.0)
+        btn_cfg = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
+            window_size=window_size,
+            interval=interval * (s_ref / float(s)),
+            contribution=contribution,
+        )
+        time_cfg = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME,
+            interval=interval,
+            contribution=contribution,
+        )
+        btn_frames[float(s)] = frames_for(btn_slices, btn_cfg, spec)
+        time_frames[float(s)] = frames_for(time_slices, time_cfg, spec)
+    return time_frames, btn_frames
+
+
+def held_speed_invariance_report(
+    scene: SyntheticScene,
+    speeds: Sequence[float],
+    interval: float,
+    window_size: int,
+    *,
+    sensor: SensorModel | None = None,
+    travel: float | None = None,
+    contribution: float = 0.2,
+) -> Tuple[SimilarityReport, SimilarityReport]:
+    """Compare frame appearance across scene speeds for both slicers.
+
+    Every speed sweeps the same scene over the same total displacement,
+    so runs differ only in how fast the motion plays out.  Frames are
+    aligned so corresponding indices cover identical displacement:
+
+    * by time and number: the publish interval is scaled inversely
+      with speed (frame k at speed s pairs with frame k at speed 2s
+      under half the interval), and the window always holds the last
+      `window_size` events, so aligned frames should match.
+    * by time: the publish interval stays fixed, the realistic setting
+      for a consumer running at a fixed frame rate.  Frame k at the
+      faster speed pairs with the equal-displacement frame of the
+      slower run.  Slice event counts scale with speed, which is what
+      smears fast frames and makes them look different.
+
+    Returns (by_time report, by_time_and_number report).
+    """
+    if len(speeds) < 2:
+        raise ValueError("need at least 2 speeds to compare")
+    for s in speeds:
+        _check_speed(s)
+    if sensor is None:
+        sensor = SensorModel(contrast_threshold=0.2)
+    if travel is None:
+        travel = scene.geometry.width / 2.0
+    time_frames, btn_frames = speed_runs(
+        scene, speeds, interval, window_size, sensor, travel, contribution
+    )
+    btn_counts = {
+        s: tuple(len(sl) for _, sl in runs if not sl.partial)
+        for s, runs in btn_frames.items()
+    }
+    time_counts = {s: tuple(len(sl) for _, sl in runs) for s, runs in time_frames.items()}
+
+    btn_pairs: List[PairScore] = []
+    time_pairs: List[PairScore] = []
+    btn_degen = 0
+    time_degen = 0
+    btn_panel = time_panel = None
+    ordered = sorted(float(s) for s in speeds)
+    for i in range(len(ordered)):
+        for j in range(i + 1, len(ordered)):
+            sa, sb = ordered[i], ordered[j]
+            extreme = i == 0 and j == len(ordered) - 1  # the pair the panels show
+            scores: List[float] = []
+            for (fa, sl_a), (fb, sl_b) in zip(btn_frames[sa], btn_frames[sb]):
+                if sl_a.partial or sl_b.partial:
+                    continue
+                if extreme:
+                    btn_panel = (fa, fb)
+                try:
+                    scores.append(ncc(fa, fb))
+                except DegenerateFrame:
+                    btn_degen += 1
+            btn_pairs.append(PairScore(sa, sb, tuple(scores)))
+
+            scores = []
+            ratio = sb / sa  # frames of the faster run are this much sparser
+            for kb in range(len(time_frames[sb])):
+                ka_f = (kb + 1) * ratio - 1.0
+                ka = int(round(ka_f))
+                if abs(ka_f - ka) > 1e-9 or not 0 <= ka < len(time_frames[sa]):
+                    continue
+                pair = (time_frames[sa][ka][0], time_frames[sb][kb][0])
+                if extreme:
+                    time_panel = pair
+                try:
+                    scores.append(ncc(*pair))
+                except DegenerateFrame:
+                    time_degen += 1
+            time_pairs.append(PairScore(sa, sb, tuple(scores)))
+
+    return (
+        SimilarityReport("by-time", tuple(time_pairs), time_degen, time_counts, time_panel),
+        SimilarityReport(
+            "by-time-and-number", tuple(btn_pairs), btn_degen, btn_counts, btn_panel
+        ),
+    )
+
+
+def reversal_runs(
+    scene: SyntheticScene,
+    speed: float,
+    interval: float,
+    window_size: int,
+    half_duration: float,
+    sensor: SensorModel,
+    contribution: float,
+) -> Dict[PolarityMode, List[Tuple[EventFrame, Slice]]]:
+    """Accumulate an out-and-back sweep in both polarity modes."""
+    motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
+    stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
+    spec = FrameSpec.from_geometry(scene.geometry)
+    slices = slice_by_time_and_number(stream, interval, window_size, t0=0.0)
+    frames: Dict[PolarityMode, List[Tuple[EventFrame, Slice]]] = {}
+    for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED):
+        cfg = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
+            window_size=window_size,
+            interval=interval,
+            contribution=contribution,
+            polarity_mode=mode,
+        )
+        frames[mode] = frames_for(slices, cfg, spec)
+    return frames
+
+
+def held_polarity_flip_report(
+    scene: SyntheticScene,
+    speed: float,
+    interval: float,
+    window_size: int,
+    half_duration: float,
+    *,
+    sensor: SensorModel | None = None,
+    contribution: float = 0.2,
+) -> PolarityFlipReport:
+    """Drive an edge out and back and report both polarity modes.
+
+    The motion reverses at `half_duration`, which should be a whole
+    number of publish intervals so the reversal lands on a frame
+    boundary.  In signed mode the swept band flips from above 0.5 to
+    below it; in rectified mode aligned before/after frames should
+    correlate strongly because both show the same band of activity.
+    """
+    _check_speed(speed)
+    if sensor is None:
+        sensor = SensorModel(contrast_threshold=0.2)
+    m = int(round(half_duration / interval))
+    if abs(m * interval - half_duration) > 1e-9:
+        raise ValueError("half_duration must be a whole number of intervals")
+    frames = reversal_runs(
+        scene, speed, interval, window_size, half_duration, sensor, contribution
+    )
+    slices = [sl for _, sl in frames[PolarityMode.SIGNED]]
+    total = len(slices)
+    before_means: List[float] = []
+    after_means: List[float] = []
+    rect_scores: List[float] = []
+    degenerate = 0
+    j = 1
+    while m - j + 1 >= 1 and m + j <= total:
+        bi = m - j  # 0-based index of frame published at (m - j + 1) * interval
+        ai = m + j - 1
+        signed_b, slice_b = frames[PolarityMode.SIGNED][bi]
+        signed_a, slice_a = frames[PolarityMode.SIGNED][ai]
+        if slice_b.partial or slice_a.partial:
+            j += 1
+            continue
+        mb = _active_mean(signed_b, 0.5)
+        ma = _active_mean(signed_a, 0.5)
+        if mb is not None and ma is not None:
+            before_means.append(mb)
+            after_means.append(ma)
+        try:
+            rect_scores.append(
+                ncc(frames[PolarityMode.RECTIFIED][bi][0], frames[PolarityMode.RECTIFIED][ai][0])
+            )
+        except DegenerateFrame:
+            degenerate += 1
+        j += 1
+    panels = {}
+    if 1 <= m < total:
+        panels = {mode: (runs[m - 1][0], runs[m][0]) for mode, runs in frames.items()}
+    return PolarityFlipReport(
+        tuple(before_means), tuple(after_means), tuple(rect_scores), degenerate, panels
+    )
+
+
+def held_window_coverage_sweep(
+    events: EventArray,
+    geometry: SensorGeometry,
+    config: AccumulatorConfig,
+    window_sizes: Sequence[int],
+    *,
+    t0: float | None = None,
+) -> List[Tuple[int, float, float]]:
+    """Fill and saturation of one aligned frame per window size.
+
+    Runs the same stream through the time-and-number slicer at each
+    window size and measures the latest frame index that is non-partial
+    everywhere, so the comparison sees identical scene state.
+    Returns rows of (window_size, fill_ratio, saturation_fraction).
+    """
+    spec = FrameSpec.from_geometry(geometry)
+    neutral = neutral_value(config.polarity_mode)
+    runs = [
+        slice_by_time_and_number(events, config.interval, n, t0=t0) for n in window_sizes
+    ]
+    k = _common_full_index(runs)
+    rows: List[Tuple[int, float, float]] = []
+    for n, slices in zip(window_sizes, runs):
+        cfg = replace(config, window_size=int(n))
+        frames = frames_for(slices[: k + 1], cfg, spec)
+        frame = frames[k][0]
+        rows.append((int(n), fill_ratio(frame, neutral), saturation_fraction(frame, neutral)))
+    return rows
+
+
+def held_contribution_level_sweep(
+    events: EventArray,
+    geometry: SensorGeometry,
+    config: AccumulatorConfig,
+    contributions: Sequence[float],
+    *,
+    t0: float | None = None,
+) -> List[Tuple[float, int]]:
+    """Distinct quantized levels of one aligned frame per contribution.
+
+    Returns rows of (contribution, distinct_levels) for the same
+    publish index under each contribution value.
+    """
+    spec = FrameSpec.from_geometry(geometry)
+    slices = slice_by_time_and_number(events, config.interval, config.window_size, t0=t0)
+    k = _common_full_index([slices])
+    rows: List[Tuple[float, int]] = []
+    for c in contributions:
+        cfg = replace(config, contribution=float(c))
+        frames = frames_for(slices[: k + 1], cfg, spec)
+        rows.append((float(c), distinct_levels(frames[k][0])))
+    return rows

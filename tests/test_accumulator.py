@@ -27,6 +27,7 @@ from evframe import (
     quantize_frame,
     reset_frame,
 )
+from evframe import accumulator
 
 from conftest import SMALL_GEOMETRY, event_arrays
 from oracles import Event, events_of, integrate_event
@@ -572,3 +573,31 @@ class TestDeepChains:
             want = reference_decaying_pixels(part, stamp, config, SPEC, expected)
             expected = AccumulatorCarry(buffer=want, buffer_time=stamp)
             assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
+
+
+class TestGrouping:
+    """Radix grouping against the unique-key argsort it replaced."""
+
+    @given(
+        st.sampled_from([2**16, 320 * 240, 2**40]).flatmap(
+            lambda size: st.lists(st.integers(0, size - 1), min_size=1, max_size=300)
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_order_equals_unique_key_argsort(self, keys):
+        idx = np.array(keys, dtype=np.intp)
+        n = len(idx)
+        expected = np.argsort(idx * n + np.arange(n))
+        order, pix, _, _ = accumulator._pixel_runs(idx)
+        assert order.tolist() == expected.tolist()
+        assert pix.tolist() == sorted(keys)
+        assert accumulator._stable_order(idx).tolist() == expected.tolist()
+
+    def test_full_320x240_frame(self):
+        rng = np.random.default_rng(5)
+        idx = rng.integers(0, 320 * 240, 20_000).astype(np.intp)
+        idx[:50] = 320 * 240 - 1  # a run above 2**16 with ties
+        n = len(idx)
+        order, _, _, rank = accumulator._pixel_runs(idx)
+        assert order.tolist() == np.argsort(idx * n + np.arange(n)).tolist()
+        assert accumulator._stable_order(rank).tolist() == np.argsort(rank, kind="stable").tolist()

@@ -11,13 +11,15 @@ from evframe import (
     PolarityMode,
     SensorGeometry,
     SensorModel,
+    read_event_batches,
     read_frame_index,
     read_pgm,
     write_pgm,
 )
 from evframe.cli import _panel, main
-from evframe.metrics import _reversal_runs, _speed_runs
 from evframe.synth import step_edge
+
+from oracles import reversal_runs, speed_runs
 
 
 def run(*argv: str) -> int:
@@ -132,6 +134,13 @@ class TestSynth:
             "--time-step", "0.01", "--out", str(clean))
         assert clean.read_text().split() == []
         assert len(path.read_text().splitlines()) > 0
+
+    def test_empty_stream_writes_an_empty_file(self, tmp_path):
+        path = tmp_path / "ev.txt"
+        assert run("synth", "--speed", "0", "--duration", "1", "--time-step", "0.01",
+                   "--out", str(path)) == 0
+        assert path.read_bytes() == b""
+        assert list(read_event_batches(path, SensorGeometry(240, 180))) == []
 
 
 class TestAccumulate:
@@ -357,7 +366,7 @@ class TestEval:
 def old_speed_panels(speeds, out_dir):
     """Panels selected from a second sweep, as the CLI once did: the oracle."""
     scene = step_edge(SensorGeometry(80, 60), height=0.6)
-    time_frames, btn_frames = _speed_runs(
+    time_frames, btn_frames = speed_runs(
         scene, speeds, 1.0 / 32.0, 360, SensorModel(contrast_threshold=0.2), 40.0, 0.2
     )
     slow, fast = float(min(speeds)), float(max(speeds))
@@ -386,7 +395,7 @@ def old_speed_panels(speeds, out_dir):
 
 def old_flip_panels(out_dir):
     scene = step_edge(SensorGeometry(80, 60), height=0.6)
-    frames = _reversal_runs(
+    frames = reversal_runs(
         scene, 64.0, 1.0 / 32.0, 360, 0.3125, SensorModel(contrast_threshold=0.2), 0.2
     )
     m = int(round(0.3125 / (1.0 / 32.0)))
@@ -421,3 +430,51 @@ class TestPanelsFromReports:
         assert names == ["panel_rectified.pgm", "panel_signed.pgm"]
         for name in names:
             assert (new / name).read_bytes() == (old / name).read_bytes()
+
+
+class TestEvalGolden:
+    # sha256 of each output of `evframe eval REPORT [flags] --out DIR`,
+    # recorded before the reports streamed their frames.
+    GOLDEN = {
+        ("speed-invariance", "--speeds", "64,100,256", "--panels"): {
+            "speed_invariance.csv":
+                "b77a4f61d37024af277a39de3b006b7afa3dcd6464c9e43f147363d73035513d",
+            "panel_by_time.pgm":
+                "049d19a855738d82bf6d4f47adf302b354b47a6872ed2ce70e65be556ccbb942",
+            "panel_by_time_and_number.pgm":
+                "d41eb38e08e05800e028ab4ecde7525a7673e7c44515d7c67fd375531f58213e",
+        },
+        ("speed-invariance", "--speeds", "32,64,128,256", "--panels"): {
+            "speed_invariance.csv":
+                "e8635761e1bda37a6be93237c1aabe4cc5f1cce21a343d7c7040298f700c5d83",
+            "panel_by_time.pgm":
+                "ad18d1e351b9e2299bd9f76b7fbc38f293c8c70cf0e2c4928c14c536f51438ce",
+            "panel_by_time_and_number.pgm":
+                "d41eb38e08e05800e028ab4ecde7525a7673e7c44515d7c67fd375531f58213e",
+        },
+        ("polarity-flip", "--panels"): {
+            "polarity_flip.csv":
+                "3bbf93521338ddc4f131c5feb496ad328ccdd4c7a137293b7f6721e4ff5b3cda",
+            "panel_signed.pgm": "0e9b2780f16fe90853795686af60d5e5f028d95f3da70922482ca3fc850ec6f8",
+            "panel_rectified.pgm":
+                "5ed8d11e235d7f58a4bde2784c9514763c509db5e7aa35f70213a94c626b8714",
+        },
+        ("window-sweep", "--geometry", "80x60", "--windows", "180,720,2880",
+         "--interval", "0.03125"): {
+            "window_sweep.csv": "77c0cb13de140f34c6c706518f26a639a0413d438cdffb134f8f7fb28bb46ac7",
+        },
+        ("contribution-sweep", "--geometry", "80x60", "--contributions", "0.1,0.5,1",
+         "--window-size", "720", "--interval", "0.03125"): {
+            "contribution_sweep.csv":
+                "6256f0f0013b88804783e5b179b20719ceb5f69f82c4d93c9238bfde61b57241",
+        },
+    }
+
+    @pytest.mark.parametrize(
+        "argv", list(GOLDEN), ids=lambda argv: "-".join(argv[:1] + argv[2:3])
+    )
+    def test_outputs_match_recorded_hash(self, stream_file, tmp_path, argv):
+        extra = ["--input", str(stream_file)] if argv[0].endswith("sweep") else []
+        assert run("eval", *argv, *extra, "--out", str(tmp_path)) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+        assert written == self.GOLDEN[argv]

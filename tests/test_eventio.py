@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -23,6 +24,7 @@ from evframe import (
     write_frame_index,
     write_pgm,
 )
+from evframe import eventio
 
 from conftest import event_arrays
 from oracles import Event, events_of, parse_event_line
@@ -401,3 +403,110 @@ class TestFrameIndex:
         path.write_text("time,file\n")
         with pytest.raises(ValueError, match="header"):
             read_frame_index(path)
+
+
+# Line 5 of FALLBACK_TEXT holds the token under test, after blank lines.
+FALLBACK_TEXT = "0.1 1 2 1\n\n0.2 3 4 0\n   \n{}\n2000.0 7 8 0\n2000.5 9 10 1\n"
+
+
+class TestTypedChunks:
+    """Typed chunks against the float and split-and-cast fallbacks."""
+
+    def read_all(self, text: str, **kwargs) -> EventArray:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batches = list(read_event_batches(io.StringIO(text), GEOMETRY, **kwargs))
+        return EventArray.concatenate(batches)
+
+    @pytest.mark.parametrize(
+        "line,typed_line",
+        [
+            ("1000 3.0 4 1", "1000 3 4 1"),
+            ("1_000 3 4 1", "1000 3 4 1"),
+            ("1000 1_0 4 1", "1000 10 4 1"),
+            ("1000 +3 4 +1", "1000 3 4 1"),
+            ("1000 3e0 4 1e0", "1000 3 4 1"),
+            ("1000 3 4.0 1.0", "1000 3 4 1"),
+            ("1000 3 4 0.0", "1000 3 4 0"),
+        ],
+    )
+    @pytest.mark.parametrize("batch_lines", [1, 3, None])
+    def test_fallback_reads_the_same_events(self, line, typed_line, batch_lines):
+        kwargs = {} if batch_lines is None else {"batch_lines": batch_lines}
+        typed = self.read_all(FALLBACK_TEXT.format(typed_line), **kwargs)
+        assert_bitwise_equal(typed, oracle(FALLBACK_TEXT.format(typed_line)))
+        assert_bitwise_equal(self.read_all(FALLBACK_TEXT.format(line), **kwargs), typed)
+
+    def test_typed_lines_skip_the_float_parse(self, monkeypatch):
+        calls = []
+        float_rows = eventio._float_rows
+        monkeypatch.setattr(
+            eventio, "_float_rows", lambda lines: calls.append(1) or float_rows(lines)
+        )
+        self.read_all(FALLBACK_TEXT.format("1000 +3 4 1"))
+        assert calls == []
+        self.read_all(FALLBACK_TEXT.format("1000 3.0 4 1"))
+        assert calls == [1]
+
+    @pytest.mark.parametrize(
+        "line,error,message",
+        [
+            ("1000 3 4 300", InvalidPolarity, "polarity must be 0 or 1 at line 5, got 300"),
+            ("1000 3 4 -1", InvalidPolarity, "polarity must be 0 or 1 at line 5, got -1"),
+            (
+                "1000 12345678901 4 1",
+                OutOfBoundsEvent,
+                "event at (12345678901, 4) outside 240x180 sensor at line 5",
+            ),
+            ("1000 -3 4 1", OutOfBoundsEvent, "event at (-3, 4) outside 240x180 sensor at line 5"),
+            ("1000 3.5 4 1", MalformedLine, "coordinates must be integers at line 5: (3.5, 4)"),
+            (
+                "1000 3 4 1 1",
+                MalformedLine,
+                "expected 4 fields 't x y p' at line 5, got 5: '1000 3 4 1 1'",
+            ),
+            (
+                "1000 3 4 0x1",
+                MalformedLine,
+                "could not parse numeric fields at line 5: '1000 3 4 0x1'",
+            ),
+            (
+                "0.15 3 4 1",
+                NonMonotonicTimestamps,
+                "timestamps must not decrease: 0.2 followed by 0.15 at line 5",
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("batch_lines", [1, 3, None])
+    def test_fallback_reports_the_same_error(self, line, error, message, batch_lines):
+        kwargs = {} if batch_lines is None else {"batch_lines": batch_lines}
+        with pytest.raises(error) as err:
+            self.read_all(FALLBACK_TEXT.format(line), **kwargs)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    def test_chunk_memory_does_not_grow_with_the_stream(self):
+        rng = np.random.default_rng(0)
+        n = 200_000
+        ev = EventArray.from_columns(
+            np.sort(rng.uniform(0.0, 3.0, n)),
+            rng.integers(0, 240, n),
+            rng.integers(0, 180, n),
+            rng.choice([-1, 1], n),
+        )
+        buf = io.StringIO()
+        write_events(ev, buf)
+        lines = buf.getvalue().splitlines(keepends=True)
+
+        def traced_peak(count: int) -> int:
+            text = io.StringIO("".join(lines[:count]))
+            tracemalloc.start()
+            try:
+                assert sum(len(b) for b in read_event_batches(text, GEOMETRY)) == count
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        whole = traced_peak(n)
+        assert whole < 2_000_000
+        assert whole < 1.25 * traced_peak(n // 4)

@@ -1,6 +1,9 @@
 """Frame comparison metrics and the evaluation reports."""
 from __future__ import annotations
 
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,13 @@ from evframe import (
     speed_invariance_report,
     step_edge,
     window_coverage_sweep,
+)
+
+from oracles import (
+    held_contribution_level_sweep,
+    held_polarity_flip_report,
+    held_speed_invariance_report,
+    held_window_coverage_sweep,
 )
 
 SPEC = FrameSpec(8, 6)
@@ -219,3 +229,82 @@ class TestSweeps:
         levels = {c: n for c, n in rows}
         assert levels[0.1] >= levels[0.5] >= levels[1.0]
         assert levels[1.0] == 2
+
+
+def assert_same_frames(new, old):
+    assert (new is None) == (old is None)
+    for a, b in zip(new or (), old or ()):
+        assert a.stamp == b.stamp
+        assert np.array_equal(a.pixels, b.pixels)
+
+
+class TestStreamedReports:
+    """The streamed reports against the builders that hold every frame."""
+
+    @pytest.mark.parametrize(
+        "speeds",
+        [
+            (64.0, 128.0, 256.0),
+            (32.0, 64.0, 128.0, 256.0),
+            (64.0, 100.0, 256.0),
+            (256.0, 64.0),
+            (64.0, 64.0, 128.0),
+        ],
+    )
+    def test_speed_invariance_equals_oracle(self, speeds):
+        args = (SCENE, speeds, 1.0 / 32.0, 360)
+        new = speed_invariance_report(*args, travel=40.0)
+        old = held_speed_invariance_report(*args, travel=40.0)
+        assert new == old
+        assert all(report.pairs and report.panel for report in new)
+        for a, b in zip(new, old):
+            assert_same_frames(a.panel, b.panel)
+
+    @pytest.mark.parametrize("interval", [1.0 / 256.0, 1.0 / 512.0])
+    def test_degenerate_frames_equal_oracle(self, interval):
+        scene = step_edge(SensorGeometry(8, 6), 0.6)
+        args = (scene, (64.0, 128.0, 256.0), interval, 360)
+        new = speed_invariance_report(*args, travel=4.0)
+        old = held_speed_invariance_report(*args, travel=4.0)
+        assert new == old
+        assert new[0].degenerate_pairs > 0
+        for a, b in zip(new, old):
+            assert_same_frames(a.panel, b.panel)
+
+    @pytest.mark.parametrize("window_size", [360, 1000, 2000])
+    def test_polarity_flip_equals_oracle(self, window_size):
+        args = (SCENE, 64.0, 1.0 / 32.0, window_size, 0.3125)
+        new = polarity_flip_report(*args)
+        old = held_polarity_flip_report(*args)
+        assert new == old
+        assert new.rectified_scores
+        assert new.panels.keys() == old.panels.keys() == set(PolarityMode)
+        for mode in PolarityMode:
+            assert_same_frames(new.panels[mode], old.panels[mode])
+
+    def test_partial_slices_drop_pairs(self):
+        report = polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 2000, 0.3125)
+        assert 0 < len(report.rectified_scores) < int(0.3125 * 32)
+
+    def test_sweeps_equal_oracle(self, sweep_events):
+        config = TestSweeps().base_config()
+        for polarity in PolarityMode:
+            cfg = replace(config, polarity_mode=polarity)
+            args = (sweep_events, SCENE.geometry, cfg, (180, 720, 2880))
+            assert window_coverage_sweep(*args) == held_window_coverage_sweep(*args)
+        args = (sweep_events, SCENE.geometry, replace(config, window_size=720), (0.1, 0.5, 1.0))
+        assert contribution_level_sweep(*args) == held_contribution_level_sweep(*args)
+
+    def test_speed_invariance_memory_does_not_grow_with_the_sweep(self):
+        scene = step_edge(SensorGeometry(240, 180), 0.6)
+
+        def traced_peak(speeds) -> int:
+            tracemalloc.start()
+            try:
+                speed_invariance_report(scene, speeds, 1.0 / 32.0, 360, travel=40.0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # The sweep at 16 px/s publishes four times the frames of the one at 64.
+        assert traced_peak((16.0, 64.0, 256.0)) < 1.25 * traced_peak((64.0, 128.0, 256.0))
