@@ -114,16 +114,25 @@ def _typed_rows(lines: List[str]) -> Optional[_Columns]:
     return None if rows is None else (rows["t"], rows["x"], rows["y"], rows["p"])
 
 
+# Float-formatted integers (``3.0``, np.savetxt's default ``%.18e``) parse
+# here in C rather than through the split-and-cast path.
 def _float_rows(lines: List[str]) -> Optional[_Columns]:
     raw = _loadtxt(lines, np.dtype(np.float64), ndmin=2)
     return None if raw is None or raw.shape[1] != 4 else tuple(raw.T)
 
 
 def _loadtxt(lines: List[str], dtype: np.dtype, ndmin: int) -> Optional[np.ndarray]:
-    """numpy's C reader on whitespace-separated lines, or None where it rejects them."""
+    """numpy's C reader on whitespace-separated lines, or None where it rejects them.
+
+    numpy 1.23 to 1.26 read an integer field that is not an integer of
+    the column's range (``3.5``, ``300`` as int8) as a float cast to the
+    column, with only a DeprecationWarning.  Raising that warning makes
+    the reader reject the chunk, as later numpy does.
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines only
+            warnings.simplefilter("error", DeprecationWarning)
             return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=ndmin)
     except ValueError:
         return None

@@ -249,8 +249,14 @@ class TestParserEquivalence:
     """The chunk parser against the line-by-line parser it replaced."""
 
     def read_all(self, text: str, **kwargs) -> EventArray:
+        """Read under filters that raise every warning but a deprecation.
+
+        Python's default filters hide DeprecationWarning outside
+        ``__main__``, so the reader must not depend on it being raised.
+        """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            warnings.simplefilter("ignore", DeprecationWarning)
             batches = list(read_event_batches(io.StringIO(text), GEOMETRY, **kwargs))
         return EventArray.concatenate(batches)
 
@@ -413,8 +419,14 @@ class TestTypedChunks:
     """Typed chunks against the float and split-and-cast fallbacks."""
 
     def read_all(self, text: str, **kwargs) -> EventArray:
+        """Read under filters that raise every warning but a deprecation.
+
+        Python's default filters hide DeprecationWarning outside
+        ``__main__``, so the reader must not depend on it being raised.
+        """
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            warnings.simplefilter("ignore", DeprecationWarning)
             batches = list(read_event_batches(io.StringIO(text), GEOMETRY, **kwargs))
         return EventArray.concatenate(batches)
 
@@ -482,6 +494,49 @@ class TestTypedChunks:
         kwargs = {} if batch_lines is None else {"batch_lines": batch_lines}
         with pytest.raises(error) as err:
             self.read_all(FALLBACK_TEXT.format(line), **kwargs)
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "line,error,message",
+        [
+            ("1000 3.5 4 1", MalformedLine, "coordinates must be integers at line 5: (3.5, 4)"),
+            ("1000 3 4 300", InvalidPolarity, "polarity must be 0 or 1 at line 5, got 300"),
+            (
+                "1000 12345678901 4 1",
+                OutOfBoundsEvent,
+                "event at (12345678901, 4) outside 240x180 sensor at line 5",
+            ),
+        ],
+    )
+    def test_int_via_float_deprecation_rejects_the_typed_parse(
+        self, monkeypatch, line, error, message
+    ):
+        """numpy 1.23 to 1.26 cast such a token to its column with only a warning."""
+        loadtxt = np.loadtxt
+
+        def loadtxt_casting_via_float(lines, dtype, **kwargs):
+            try:
+                return loadtxt(lines, dtype=dtype, **kwargs)
+            except ValueError:
+                if dtype.names is None:
+                    raise
+            try:
+                warnings.warn(
+                    "loadtxt(): Parsing an integer via a float is deprecated.",
+                    DeprecationWarning,
+                )
+            except DeprecationWarning as warning:
+                raise ValueError("could not convert string") from warning
+            raw = loadtxt(lines, dtype=np.float64, **kwargs)
+            rows = np.empty(len(raw), dtype=dtype)
+            for name, column in zip(dtype.names, raw.T):
+                rows[name] = column.astype(np.int64).astype(dtype[name])
+            return rows
+
+        monkeypatch.setattr(np, "loadtxt", loadtxt_casting_via_float)
+        with pytest.raises(error) as err:
+            self.read_all(FALLBACK_TEXT.format(line))
         assert type(err.value) is error
         assert str(err.value) == message
 
