@@ -6,18 +6,30 @@ chunked so arbitrarily large files stream through constant memory, and
 every format or contract violation is reported with its 1-based line
 number.
 
-A chunk is ``batch_lines`` x 24 characters, about 8,192 lines by
-default, so reading holds one chunk's lines and columns, a few MB,
-however long the file is.  Each chunk is parsed by one call to numpy's
-C text reader into typed columns: float64 stamps, int32 coordinates,
-int8 polarity.  A chunk that parse rejects (say ``3.0`` as a
-coordinate, or a value its column cannot hold) is read again as
-floats, and a chunk that reader rejects too is split into fields and
-converted by numpy's string-to-float cast, which also accepts
-``1_000``.  The typed parse and the fallbacks yield the same events and
-the same errors.  That is the whole grammar: four whitespace-separated
-numbers per line.  When a chunk breaks it, the first line with a field
-count other than four or a field the cast rejects is reported.  Every
+A chunk holds the lines ``readlines(batch_lines * 24)`` would return,
+about 8,192 by default, so reading holds one chunk's text and columns,
+a few MB, however long the file is.  Lines end at ``\n``, as they do
+when read from a path, stdin or a StringIO.  Columns are typed: float64
+stamps, int32 coordinates, int8 polarity.  Parsing tries four tiers in
+turn, and each later one accepts more:
+
+1. Fixed point: every line is ``D+.D+ D{1,9} D{1,9} D`` with single
+   spaces and at most 15 stamp digits, as in microsecond ``S.UUUUUU``
+   or nanosecond stamps.  The chunk's bytes are parsed by a few numpy
+   passes.  A stamp is the integer of its digits divided by
+   ``10**k``, k its fraction digits; both are exact in float64, so the
+   division is correctly rounded and gives the float strtod gives.
+   The first line alone decides most other chunks, so they pay nothing.
+2. One call to numpy's C text reader into the typed columns.
+3. The same reader as floats, for ``3.0`` as a coordinate or a value
+   its column cannot hold.
+4. Fields split and converted by numpy's string-to-float cast, which
+   also accepts ``1_000``.
+
+All four yield the same events and the same errors.  That is the whole
+grammar: four whitespace-separated numbers per line.  When a chunk
+breaks it, the first line with a field count other than four or a
+field the cast rejects is reported.  Every
 other rule (polarity, timestamp range and order, integer and in-bounds
 coordinates) is checked on the parsed columns, so an error never names
 a line the grammar accepts.  The rows before a grammar break are
@@ -30,6 +42,7 @@ hold flag.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -59,6 +72,13 @@ _BATCH_LINES = 8192
 # A typed row is 17 bytes against 32 for four float64 fields.
 _RECORD = np.dtype([("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1")])
 _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# A first line that cannot be fixed-point sends its chunk straight on.
+_FIXED_POINT_LINE = re.compile(
+    r"(?=[0-9.]{3,16} )[0-9]+\.[0-9]+ [0-9]{1,9} [0-9]{1,9} [0-9](?:\n|\Z)"
+)
+_STAMP_DIGITS = 15  # 10**15 < 2**53
+_COORD_DIGITS = 9  # 10**9 < 2**31
+_POW10 = np.array([float(10**k) for k in range(_STAMP_DIGITS + 1)])
 
 
 class MalformedLine(StreamError):
@@ -93,20 +113,110 @@ def read_event_batches(
     line_base = 0
     try:
         while True:
-            lines = fh.readlines(batch_lines * 24)
-            if not lines:
+            # The lines fh.readlines(hint) returns: whole lines until
+            # more than `hint` characters are read (hint 0 reads all).
+            block = fh.read(batch_lines * 24 or -1) + fh.readline()
+            if not block:
                 break
-            (t, x, y, p), numbers, broken = _parse_chunk(lines, line_base)
-            line_base += len(lines)
+            columns = _fixed_point_rows(block)
+            if columns is not None:
+                numbers: Sequence[int] = range(line_base + 1, line_base + 1 + len(columns[0]))
+                broken = None
+                line_base += len(numbers)
+            else:
+                lines = block.split("\n")  # readline's lines, less their "\n"
+                if not lines[-1]:
+                    lines.pop()
+                block = ""  # hold the lines only
+                columns, numbers, broken = _parse_chunk(lines, line_base)
+                line_base += len(lines)
             if len(numbers):
-                _validate_batch(t, x, y, p, numbers, geometry, prev_t)
-                prev_t = float(t[-1])
-                yield EventArray.from_columns(t, x, y, np.where(p > 0, 1, -1))
+                _validate_batch(*columns, numbers, geometry, prev_t)
+                prev_t = float(columns[0][-1])
+                yield _event_array(*columns)
             if broken is not None:
                 raise broken
     finally:
         if owned:
             fh.close()
+
+
+def _event_array(t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> EventArray:
+    """Wrap columns that `_validate_batch` accepted, without checking them again."""
+    columns = (
+        np.ascontiguousarray(t, dtype=np.float64),
+        np.ascontiguousarray(x, dtype=np.int32),
+        np.ascontiguousarray(y, dtype=np.int32),
+        np.where(p > 0, np.int8(1), np.int8(-1)),
+    )
+    for column in columns:
+        column.setflags(write=False)
+    return EventArray(*columns)
+
+
+def _fixed_point_rows(block: str) -> Optional[_Columns]:
+    """Parse a chunk of fixed-point lines from its bytes, or None if a line is not one.
+
+    A fixed-point line is ``D+.D+ D{1,9} D{1,9} D`` and a newline, with
+    at most 15 stamp digits.  The stamp is the integer of its digits
+    over ``10**k`` for k fraction digits: both are exact in float64,
+    below 2**53, so the one division is correctly rounded and gives
+    strtod's bits.  Nine digits fit int32, so no cast wraps.
+    """
+    if not (block.isascii() and _FIXED_POINT_LINE.match(block)):
+        return None  # most fallback chunks stop here, at the first line
+    if not block.endswith("\n"):
+        block += "\n"
+    data = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+    separators = _separators(data)
+    if separators is None:
+        return None
+    dot, space, space2, space3, newline = separators
+    start = np.concatenate(([0], newline[:-1] + 1))
+    widths = np.stack([
+        dot - start, space - dot - 1, space2 - space - 1, space3 - space2 - 1, newline - space3 - 1
+    ])
+    low, high = widths.min(axis=1), widths.max(axis=1)
+    if (
+        low.min() < 1
+        or high[4] > 1
+        or max(high[2], high[3]) > _COORD_DIGITS
+        or (widths[0] + widths[1]).max() > _STAMP_DIGITS
+    ):
+        return None
+    whole = _digit_runs(data, dot, widths[0], low[0], high[0], np.int64)
+    fraction = _digit_runs(data, space, widths[1], low[1], high[1], np.int64)
+    scale = _POW10[low[1]] if low[1] == high[1] else _POW10[widths[1]]
+    return (
+        (whole * scale + fraction) / scale,
+        _digit_runs(data, space2, widths[2], low[2], high[2], np.int32),
+        _digit_runs(data, space3, widths[3], low[3], high[3], np.int32),
+        (data.take(space3 + 1) - 48).view(np.int8),
+    )
+
+
+def _separators(data: np.ndarray) -> Optional[np.ndarray]:
+    """Each line's dot, three spaces and newline: five rows of positions, or None."""
+    found = np.flatnonzero((data - 48) > 9)  # every byte but a digit
+    n = len(found) // 5
+    if len(found) != 5 * n or np.count_nonzero(data == 32) != 3 * n:
+        return None
+    rows = found.reshape(n, 5).T.astype(np.int32 if len(data) < 2**31 else np.int64)
+    if (data.take(rows[0]) != 46).any() or (data.take(rows[4]) != 10).any():
+        return None  # else the 3n spaces fill the middle three columns
+    return rows
+
+
+def _digit_runs(
+    data: np.ndarray, stop: np.ndarray, width: np.ndarray, low: int, high: int, dtype: type
+) -> np.ndarray:
+    """The values of the digit runs ``data[stop - width:stop]``, `width` from `low` to `high`."""
+    value = np.zeros(len(stop), dtype=dtype)
+    for k in range(high, 0, -1):
+        digit = data.take(stop - k) - 48
+        value *= 10
+        value += digit if k <= low else digit * (width >= k)
+    return value
 
 
 def _typed_rows(lines: List[str]) -> Optional[_Columns]:
@@ -203,7 +313,7 @@ def _validate_batch(
     before = np.concatenate([[-np.inf if prev_t is None else prev_t], t[:-1]])
     rules = [
         (
-            ~np.isin(p, (0.0, 1.0)),
+            (p != 0) & (p != 1),
             lambda i: InvalidPolarity(
                 f"polarity must be 0 or 1 at line {numbers[i]}, got {p[i]:g}"
             ),
@@ -215,7 +325,7 @@ def _validate_batch(
             ),
         ),
         (
-            (x != np.floor(x)) | (y != np.floor(y)),
+            _not_whole(x) | _not_whole(y),
             lambda i: MalformedLine(
                 f"coordinates must be integers at line {numbers[i]}: ({x[i]:g}, {y[i]:g})"
             ),
@@ -241,16 +351,26 @@ def _validate_batch(
         raise rules[firsts.index(i)][1](i)
 
 
+def _not_whole(column: np.ndarray) -> np.ndarray:
+    """Where a coordinate column holds no integer: a fraction, inf or nan."""
+    if column.dtype.kind != "f":
+        return np.zeros(len(column), dtype=bool)
+    return ~np.isfinite(column) | (column != np.floor(column))
+
+
 def write_events(events: EventArray, path: Union[str, Path, IO[str]]) -> None:
     """Write events as "t x y p" lines, one per event.
 
     The stamp is written as the float's repr, so it reads back exactly.
-    An empty stream writes nothing.
+    An empty stream writes nothing.  The text is built and written
+    `_BATCH_LINES` events at a time, so it is never held whole.
     """
-    rows = zip(events.t.tolist(), events.x.tolist(), events.y.tolist(), (events.p > 0).tolist())
     fh, owned = _open_out(path)
     try:
-        fh.write("".join(f"{t!r} {x} {y} {1 if on else 0}\n" for t, x, y, on in rows))
+        for start in range(0, len(events), _BATCH_LINES):
+            part = events[start : start + _BATCH_LINES]
+            rows = zip(part.t.tolist(), part.x.tolist(), part.y.tolist(), (part.p > 0).tolist())
+            fh.write("".join(f"{t!r} {x} {y} {1 if on else 0}\n" for t, x, y, on in rows))
     finally:
         if owned:
             fh.close()

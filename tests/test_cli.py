@@ -267,6 +267,25 @@ class TestAccumulate:
         assert "missing.txt" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "line,shown",
+        [
+            ("0.1 inf 2 1", "(inf, 2)"),
+            ("0.1 -inf 2 1", "(-inf, 2)"),
+            ("0.1 2 inf 1", "(2, inf)"),
+            ("0.1 2 -inf 1", "(2, -inf)"),
+        ],
+    )
+    def test_infinite_coordinate_fails_with_one_line(self, tmp_path, capsys, line, shown):
+        path = tmp_path / "inf.txt"
+        path.write_text(line + "\n")
+        code = run("accumulate", "--input", str(path), "--geometry", "240x180",
+                   "--out", str(tmp_path / "frames"))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"evframe: error: coordinates must be integers at line 1: {shown}\n"
+        )
+
     def test_rejects_bad_geometry(self, stream_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("accumulate", "--input", str(stream_file), "--geometry", "80by60",

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -565,3 +566,238 @@ class TestTypedChunks:
         whole = traced_peak(n)
         assert whole < 2_000_000
         assert whole < 1.25 * traced_peak(n // 4)
+
+
+def outcome(text: str, batch_lines: int) -> tuple:
+    """Each batch's columns as (dtype, bytes, writeable), then the error's type and text."""
+    batches = []
+    try:
+        for batch in read_event_batches(io.StringIO(text), GEOMETRY, batch_lines=batch_lines):
+            columns = (batch.t, batch.x, batch.y, batch.p)
+            batches.append([(c.dtype.str, c.tobytes(), c.flags.writeable) for c in columns])
+    except ValueError as err:
+        return batches, (type(err), str(err))
+    return batches, None
+
+
+def fallback_outcome(text: str, batch_lines: int) -> tuple:
+    """outcome() with the fixed-point tier switched off."""
+    with mock.patch.object(eventio, "_fixed_point_rows", lambda block: None):
+        return outcome(text, batch_lines)
+
+
+# Tokens that leave the fixed-point grammar, or stay in it in an unusual form.
+ODD_TOKENS = (
+    ["1.", ".5", "1e-05", "1e5", "+1", "00", "007", "00.5", "0.10000000000000001",
+     "1234.123456789"],
+    ["007", "00", "+3", "3.0", "1234567890", "9999999999", "999999999", "-3", "1_0", ""],
+    ["007", "00", "+3", "4.0", "1234567890", "inf"],
+    ["300", "+1", "1.0", "00", "01", "2", "9", "-1", "1e0", ""],
+)
+
+
+@st.composite
+def fixed_point_texts(draw) -> str:
+    """Mostly fixed-point "t x y p" lines with 1 to 19 stamp digits, some of them odd."""
+    k = draw(st.integers(1, 17))
+    ticks = sorted(draw(st.lists(st.integers(0, 10 ** (k + 2)), min_size=1, max_size=12)))
+    lines = []
+    for u in ticks:
+        fields = [
+            f"{u // 10 ** k}.{u % 10 ** k:0{k}d}",
+            str(draw(st.integers(0, 239))),
+            str(draw(st.integers(0, 179))),
+            draw(st.sampled_from("01")),
+        ]
+        if draw(st.integers(0, 7)) == 0:
+            i = draw(st.integers(0, 3))
+            fields[i] = draw(st.sampled_from(ODD_TOKENS[i]))
+        space = draw(st.sampled_from([" "] * 12 + ["\t", "  "]))
+        end = draw(st.sampled_from(["\n"] * 12 + ["\r\n", "\n\n", "\n  \n"]))
+        lines.append(space.join(fields) + end)
+    text = "".join(lines)
+    return text.rstrip("\n") if draw(st.booleans()) else text
+
+
+def fixed_point_text(ticks: range, decimals: int) -> str:
+    """Lines stamped ``tick / 10**decimals`` s, written with that many decimals."""
+    scale = 10**decimals
+    return "".join(
+        f"{i // scale}.{i % scale:0{decimals}d} {i % 240} {i % 180} {i % 2}\n" for i in ticks
+    )
+
+
+class TestFixedPointChunks:
+    """The byte-level fixed-point tier against the line parsers behind it."""
+
+    @given(fixed_point_texts(), st.sampled_from([1, 3, 8192]))
+    @settings(max_examples=300, deadline=None)
+    def test_tier_matches_the_fallback(self, text, batch_lines):
+        assert outcome(text, batch_lines) == fallback_outcome(text, batch_lines)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # 1 to 15 stamp digits, then 16 to 18, which fall back.
+            *(
+                f"{'1' * w}.{'2' * f} 3 4 1\n"
+                for w, f in [(1, 1), (1, 6), (5, 9), (1, 14), (14, 1), (6, 9)]
+                + [(1, 15), (7, 9), (1, 17), (9, 9)]
+            ),
+            # 16 and 17 digits where int / 10**k is not strtod's float.
+            "91073.62417086303 3 4 1\n",
+            "6147098.1056725315 3 4 1\n",
+            "0e5 3 4 1\n",
+            "0.000004 57 17 0\n0.000021 174 39 1\n1.999999 0 0 1\n",
+            "1305030004.123456789 12 34 0\n1305030004.123456790 12 34 1\n",
+            "0.3 1 2 1\n0.30000000000000004 1 2 1\n",
+            "1. 3 4 1\n",
+            ".5 3 4 1\n",
+            "1e-05 3 4 1\n",
+            "+1.5 3 4 1\n",
+            "0.5 +3 4 +1\n",
+            "00.5 00 007 1\n",
+            "0.5 3 4 300\n",
+            "0.5 3 4 2\n",
+            "0.5 1234567890 4 1\n",
+            "0.5 9999999999 4 1\n",
+            "0.5  3 1\n",
+            "0.5 3,4 1\n",
+            "0.5 3 4 1;0.6 3 4 1\n",
+            "0.5 3 4 01\n",
+            "0.5 3 4 1\n0.6 3 4 \n",
+            "0.5 3 4 9\n",
+            "0.5 999999999 4 1\n",
+            "0.5 3 1234567890 1\n",
+            "0.5\t3 4 1\n",
+            "0.5  3 4 1\n",
+            " 0.5 3 4 1\n",
+            "0.5 3 4 1 \n",
+            "0.5 3 4 1\r\n0.6 3 4 1\r\n",
+            "0.5 3 4 1\n\n0.6 3 4 1\n",
+            "0.5 3 4 1\n0.6 3 4 1",
+            "0.5 3 4\n",
+            "0.5 3 4 1 1\n",
+            "0.5 3.0 4 1\n",
+            "0.5 3.5 4 1\n",
+            "0.5 inf 4 1\n",
+            "0.6 3 4 1\n0.5 3 4 1\n",
+            "0.5 240 4 1\n",
+            "0.5 3 4 1\n0.5 3 4 1\n0.5 3 4 1\n",
+        ],
+    )
+    @pytest.mark.parametrize("batch_lines", [1, 3, 8192])
+    @pytest.mark.parametrize("first", ["", "0.0 0 0 0\n"], ids=["first", "second"])
+    def test_tier_matches_the_fallback_on(self, text, batch_lines, first):
+        text = first + text
+        assert outcome(text, batch_lines) == fallback_outcome(text, batch_lines)
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["0.5 3 4 2", "0.05 3 4 1", "0.5 3 4", "0.5 240 4 1", "0.5\t3 4 1", "0.5 3.5 4 1"],
+    )
+    @pytest.mark.parametrize("side", ["last", "first"])
+    def test_a_bad_line_at_a_chunk_edge(self, bad, side):
+        lines = [f"0.{i + 1} 3 4 1\n" for i in range(9)]
+        edge = len(read_chunks("".join(lines), 3)[0])
+        lines[edge - 1 if side == "last" else edge] = bad + "\n"
+        text = "".join(lines)
+        assert len(read_chunks(text, 3)) > 1
+        got = outcome(text, 3)
+        assert got[1] is not None
+        assert got == fallback_outcome(text, 3)
+
+    @given(
+        st.lists(st.integers(1, 14), min_size=1, max_size=30),
+        st.integers(1, 6),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_are_the_lines_readlines_gives(self, widths, batch_lines, tier):
+        # Lines of 10 to 23 characters, each one fixed point.
+        text = "".join(f"0.{'0' * w} 1 2 1\n" for w in widths)
+        want = [len(chunk) for chunk in read_chunks(text, batch_lines)]
+        read = outcome if tier else fallback_outcome
+        batches, error = read(text, batch_lines)
+        assert error is None
+        assert [len(batch[0][1]) // 8 for batch in batches] == want
+
+    @pytest.mark.parametrize("end", ["\n", ""], ids=["", "no-final-newline"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            fixed_point_text(range(0, 3 * 10**6, 997), 6),
+            fixed_point_text(range(0, 6 * 10**10, 3 * 10**7 + 1), 9),
+        ],
+        ids=["microseconds", "nanoseconds"],
+    )
+    def test_fixed_point_text_skips_the_line_parsers(self, monkeypatch, text, end):
+        text = text[:-1] + end
+        fixed_point_rows = eventio._fixed_point_rows
+        parsed = []
+        monkeypatch.setattr(
+            eventio, "_fixed_point_rows", lambda block: parsed.append(1) or fixed_point_rows(block)
+        )
+        monkeypatch.setattr(eventio, "_parse_chunk", None)
+        batches = list(read_event_batches(io.StringIO(text), GEOMETRY, batch_lines=512))
+        assert len(parsed) == len(batches) > 1
+        assert sum(len(b) for b in batches) == len(text.splitlines())
+        assert_bitwise_equal(EventArray.concatenate(batches), oracle(text))
+
+    def test_written_text_is_rejected_at_its_first_line(self, monkeypatch):
+        buf = io.StringIO()
+        write_events(EventArray.from_columns([1 / 3, 0.5], [1, 2], [3, 4], [1, -1]), buf)
+        monkeypatch.setattr(eventio, "_separators", None)
+        assert eventio._fixed_point_rows(buf.getvalue()) is None
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize(
+        "line,shown",
+        [("0.1 inf 2 1", "(inf, 2)"), ("0.1 -inf 2 1", "(-inf, 2)"),
+         ("0.1 2 inf 1", "(2, inf)"), ("0.1 2 -inf 1", "(2, -inf)"), ("0.1 nan 2 1", "(nan, 2)")],
+    )
+    def test_are_not_integers(self, line, shown):
+        with pytest.raises(MalformedLine) as err:
+            list(read_event_batches(io.StringIO("0.05 1 1 1\n" + line + "\n"), GEOMETRY))
+        assert str(err.value) == f"coordinates must be integers at line 2: {shown}"
+
+
+def joined_text(events: EventArray) -> str:
+    """write_events' text for the whole stream, built as one string."""
+    rows = zip(events.t.tolist(), events.x.tolist(), events.y.tolist(), (events.p > 0).tolist())
+    return "".join(f"{t!r} {x} {y} {1 if on else 0}\n" for t, x, y, on in rows)
+
+
+class TestWriteEvents:
+    @staticmethod
+    def events(n: int) -> EventArray:
+        rng = np.random.default_rng(1)
+        return EventArray.from_columns(
+            np.sort(rng.uniform(0.0, 3.0, n)),
+            rng.integers(0, 240, n),
+            rng.integers(0, 180, n),
+            rng.choice([-1, 1], n),
+        )
+
+    @pytest.mark.parametrize("n", [0, 1, eventio._BATCH_LINES, eventio._BATCH_LINES + 1, 20_000])
+    def test_text_is_the_whole_stream_joined(self, n):
+        buf = io.StringIO()
+        write_events(self.events(n), buf)
+        assert buf.getvalue() == joined_text(self.events(n))
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        class Discard(io.TextIOBase):
+            def write(self, text: str) -> int:
+                return len(text)
+
+        def traced_peak(n: int) -> int:
+            events = self.events(n)
+            tracemalloc.start()
+            try:
+                write_events(events, Discard())
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(200_000) < 1.25 * traced_peak(50_000)
