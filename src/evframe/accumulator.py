@@ -69,22 +69,19 @@ from .core import (
     Decay,
     DecayKind,
     EventFrame,
-    FrameSpec,
     NonMonotonicTimestamps,
     OutOfBoundsEvent,
     PolarityMode,
     SensorGeometry,
     neutral_value,
 )
-from .slicer import Slice, detect_no_motion
+from .slicer import Slice
 
 __all__ = [
     "AccumulatorCarry",
     "FrameAccumulator",
     "apply_decay",
-    "reset_frame",
     "accumulate_slice",
-    "hold_previous",
 ]
 
 
@@ -104,19 +101,14 @@ class AccumulatorCarry:
     buffer_time: Optional[float] = None
 
 
-def reset_frame(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:
-    """Fresh pixel buffer at the neutral value everywhere."""
-    return np.full((geometry.height, geometry.width), neutral_value(polarity_mode))
-
-
 # One read-only value per polarity mode; every neutral frame of every
 # geometry is a zero-stride view of it, so idle gaps allocate no pixels.
 _NEUTRAL = {mode: np.broadcast_to(neutral_value(mode), ()) for mode in PolarityMode}
 
 
-def _neutral_pixels(spec: FrameSpec, polarity_mode: PolarityMode) -> np.ndarray:
-    """Read-only neutral pixels of `spec`'s shape, sharing one buffer."""
-    return np.broadcast_to(_NEUTRAL[polarity_mode], (spec.height, spec.width))
+def _neutral_pixels(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:
+    """Read-only neutral pixels of `geometry`'s shape, sharing one buffer."""
+    return np.broadcast_to(_NEUTRAL[polarity_mode], (geometry.height, geometry.width))
 
 
 def apply_decay(
@@ -150,15 +142,15 @@ def _decay_values(pixels: np.ndarray, dt, decay: Decay, neutral: float) -> np.nd
     return neutral + d * np.exp(-np.asarray(dt) / decay.tau)
 
 
-def _validate_slice_events(slc: Slice, spec: FrameSpec) -> None:
+def _validate_slice_events(slc: Slice, geometry: SensorGeometry) -> None:
     ev = slc.events
     if len(ev) == 0:
         return
-    if np.any(ev.x >= spec.width) or np.any(ev.y >= spec.height):
-        bad = int(np.argmax((ev.x >= spec.width) | (ev.y >= spec.height)))
+    w, h = geometry.width, geometry.height
+    if np.any(ev.x >= w) or np.any(ev.y >= h):
+        bad = int(np.argmax((ev.x >= w) | (ev.y >= h)))
         raise OutOfBoundsEvent(
-            f"event at ({int(ev.x[bad])}, {int(ev.y[bad])}) outside "
-            f"{spec.width}x{spec.height} frame"
+            f"event at ({int(ev.x[bad])}, {int(ev.y[bad])}) outside {w}x{h} frame"
         )
     if np.any(np.diff(ev.t) < 0.0):
         raise NonMonotonicTimestamps("slice events are not in time order")
@@ -228,7 +220,7 @@ def _compose_runs(a, b, lo, hi, starts, rank):
     return a[ends], b[ends], lo[ends], hi[ends]
 
 
-def _integrate_step(slc: Slice, config: AccumulatorConfig, spec: FrameSpec) -> np.ndarray:
+def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeometry) -> np.ndarray:
     """Vectorized from-reset integration for STEP decay.
 
     Per-pixel counting is exact for RECTIFIED (the running value is
@@ -241,10 +233,10 @@ def _integrate_step(slc: Slice, config: AccumulatorConfig, spec: FrameSpec) -> n
     pixels, so an idle gap costs no frame buffers.
     """
     ev = slc.events
-    h, w = spec.height, spec.width
+    h, w = geometry.height, geometry.width
     c = config.contribution
     if len(ev) == 0:
-        return _neutral_pixels(spec, config.polarity_mode)
+        return _neutral_pixels(geometry, config.polarity_mode)
     idx = ev.y.astype(np.intp) * w + ev.x.astype(np.intp)
     if config.polarity_mode is PolarityMode.RECTIFIED:
         counts = np.bincount(idx, minlength=h * w)
@@ -438,7 +430,7 @@ def _integrate_signed_linear(flat, pix, starts, rank, dt, signs, rate: float, c:
 def _integrate_decaying(
     slc: Slice,
     config: AccumulatorConfig,
-    spec: FrameSpec,
+    geometry: SensorGeometry,
     carry: AccumulatorCarry,
 ) -> np.ndarray:
     """Persistent-buffer integration for LINEAR / EXPONENTIAL decay.
@@ -457,7 +449,7 @@ def _integrate_decaying(
         flat = carry.buffer.ravel().copy()
         start = carry.buffer_time
     else:
-        flat = reset_frame(spec.geometry, config.polarity_mode).ravel()
+        flat = np.full(geometry.pixel_count, neutral)
         start = float(ev.t[0]) if len(ev) else slc.publish_stamp
     if len(ev) and float(ev.t[0]) < start:
         raise ValueError(
@@ -468,7 +460,7 @@ def _integrate_decaying(
     decay = config.decay
     last_touch = np.full(flat.shape, start)
     if len(ev):
-        idx = ev.y.astype(np.intp) * spec.width + ev.x.astype(np.intp)
+        idx = ev.y.astype(np.intp) * geometry.width + ev.x.astype(np.intp)
         order, pix, starts, rank = _pixel_runs(idx)
         t = ev.t[order]
         dt = np.diff(t, prepend=start)
@@ -497,13 +489,13 @@ def _integrate_decaying(
     remaining = slc.publish_stamp - last_touch
     if float(remaining.min()) < 0.0:
         raise ValueError("slice events run past the publish stamp")
-    return _decay_values(flat, remaining, decay, neutral).reshape(spec.height, spec.width)
+    return _decay_values(flat, remaining, decay, neutral).reshape(geometry.height, geometry.width)
 
 
 def accumulate_slice(
     slc: Slice,
     config: AccumulatorConfig,
-    spec: FrameSpec,
+    geometry: SensorGeometry,
     carry: Optional[AccumulatorCarry] = None,
 ) -> Tuple[EventFrame, AccumulatorCarry]:
     """Integrate one slice and publish the resulting frame.
@@ -515,42 +507,22 @@ def accumulate_slice(
     """
     if carry is None:
         carry = AccumulatorCarry()
-    _validate_slice_events(slc, spec)
+    _validate_slice_events(slc, geometry)
     if config.decay.kind is DecayKind.STEP:
-        pixels = _integrate_step(slc, config, spec)
+        pixels = _integrate_step(slc, config, geometry)
         buffer = carry.buffer
         buffer_time = carry.buffer_time
     else:
-        pixels = _integrate_decaying(slc, config, spec, carry)
-        buffer = pixels.copy()
-        buffer.setflags(write=False)
+        pixels = _integrate_decaying(slc, config, geometry, carry)
+        # The frame makes its pixels read-only and the next slice copies
+        # the buffer before writing, so the two can share memory.
+        buffer = pixels
         buffer_time = slc.publish_stamp
-    frame = EventFrame(spec=spec, pixels=pixels, stamp=slc.publish_stamp, held=False)
+    frame = EventFrame(spec=geometry, pixels=pixels, stamp=slc.publish_stamp, held=False)
     new_carry = AccumulatorCarry(
         previous_frame=frame, buffer=buffer, buffer_time=buffer_time
     )
     return frame, new_carry
-
-
-def hold_previous(
-    carry: AccumulatorCarry,
-    publish_stamp: float,
-    spec: FrameSpec,
-    polarity_mode: PolarityMode,
-) -> EventFrame:
-    """Republish the previous frame at a new stamp, flagged as held.
-
-    The pixel buffer is shared byte for byte with the previous frame.
-    Before anything has been published, the shared read-only neutral
-    pixels are emitted instead (still flagged held).
-    """
-    prev = carry.previous_frame
-    if prev is None:
-        pixels = _neutral_pixels(spec, polarity_mode)
-        return EventFrame(spec=spec, pixels=pixels, stamp=publish_stamp, held=True)
-    return EventFrame(
-        spec=prev.spec, pixels=prev.pixels, stamp=publish_stamp, held=True
-    )
 
 
 class FrameAccumulator:
@@ -560,11 +532,9 @@ class FrameAccumulator:
     no-motion hold and keeps the carry between calls.
     """
 
-    def __init__(self, config: AccumulatorConfig, spec: FrameSpec) -> None:
-        if spec.width < 1 or spec.height < 1:
-            raise ValueError("frame spec must cover at least one pixel")
+    def __init__(self, config: AccumulatorConfig, geometry: SensorGeometry) -> None:
         self._config = config
-        self._spec = spec
+        self._geometry = geometry
         self._carry = AccumulatorCarry()
 
     @property
@@ -572,11 +542,17 @@ class FrameAccumulator:
         return self._carry
 
     def process(self, slc: Slice) -> EventFrame:
-        if detect_no_motion(slc.interval_event_count, self._config.no_motion_threshold):
-            frame = hold_previous(
-                self._carry, slc.publish_stamp, self._spec, self._config.polarity_mode
-            )
+        threshold = self._config.no_motion_threshold
+        if threshold and slc.interval_event_count < threshold:
+            # A hold republishes the previous frame's pixels, shared byte
+            # for byte, or the shared neutral pixels before any frame.
+            prev = self._carry.previous_frame
+            if prev is None:
+                pixels = _neutral_pixels(self._geometry, self._config.polarity_mode)
+            else:
+                pixels = prev.pixels
+            frame = EventFrame(self._geometry, pixels, slc.publish_stamp, held=True)
             self._carry = replace(self._carry, previous_frame=frame)
             return frame
-        frame, self._carry = accumulate_slice(slc, self._config, self._spec, self._carry)
+        frame, self._carry = accumulate_slice(slc, self._config, self._geometry, self._carry)
         return frame

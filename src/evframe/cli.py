@@ -31,7 +31,6 @@ from .core import (
     Decay,
     EventArray,
     EventFrame,
-    FrameSpec,
     PolarityMode,
     SensorGeometry,
     SliceMethod,
@@ -151,57 +150,52 @@ def _build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="quantify frame-appearance claims as CSV reports")
     ev_sub = ev.add_subparsers(dest="report", required=True)
 
-    si = ev_sub.add_parser("speed-invariance", help="frame similarity across scene speeds")
-    si.add_argument("--geometry", type=_parse_geometry, default=SensorGeometry(80, 60),
-                    metavar="WxH")
+    # Flags shared by the reports that synthesize their own scene.
+    scene = argparse.ArgumentParser(add_help=False)
+    scene.add_argument("--geometry", type=_parse_geometry, default=SensorGeometry(80, 60),
+                       metavar="WxH")
+    scene.add_argument("--height", type=float, default=0.6)
+    scene.add_argument("--threshold", type=float, default=0.2)
+    scene.add_argument("--window-size", type=int, default=360)
+    scene.add_argument("--contribution", type=float, default=0.2)
+    scene.add_argument("--out", default=".", help="directory for CSV (and panel) output")
+    scene.add_argument("--panels", action="store_true",
+                       help="also write side-by-side PGM comparison panels")
+    # Flags shared by the sweeps over a recorded event file.
+    recorded = argparse.ArgumentParser(add_help=False)
+    recorded.add_argument("--input", required=True, help="event text file")
+    recorded.add_argument("--geometry", type=_parse_geometry, required=True, metavar="WxH")
+    recorded.add_argument("--interval", type=float, default=1.0 / 30.0)
+    recorded.add_argument("--t0", type=float, default=0.0)
+    recorded.add_argument("--out", default=".", help="directory for CSV output")
+
+    si = ev_sub.add_parser("speed-invariance", parents=[scene],
+                           help="frame similarity across scene speeds")
     si.add_argument("--scene", choices=sorted(_SCENES), default="step-edge")
-    si.add_argument("--height", type=float, default=0.6)
-    si.add_argument("--threshold", type=float, default=0.2)
     si.add_argument("--speeds", type=_parse_float_list, default=(64.0, 128.0),
                     metavar="S1,S2,...")
     si.add_argument("--interval", type=float, default=1.0 / 32.0,
                     help="publish interval at the slowest speed")
-    si.add_argument("--window-size", type=int, default=360)
     si.add_argument("--travel", type=float, default=40.0, help="total sweep in pixels")
-    si.add_argument("--contribution", type=float, default=0.2)
-    si.add_argument("--out", default=".", help="directory for CSV (and panel) output")
-    si.add_argument("--panels", action="store_true",
-                    help="also write side-by-side PGM comparison panels")
 
-    ws = ev_sub.add_parser("window-sweep", help="fill and saturation versus window size")
-    ws.add_argument("--input", required=True, help="event text file")
-    ws.add_argument("--geometry", type=_parse_geometry, required=True, metavar="WxH")
+    ws = ev_sub.add_parser("window-sweep", parents=[recorded],
+                           help="fill and saturation versus window size")
     ws.add_argument("--windows", type=_parse_int_list, required=True, metavar="N1,N2,...")
-    ws.add_argument("--interval", type=float, default=1.0 / 30.0)
     ws.add_argument("--contribution", type=float, default=0.2)
     ws.add_argument("--polarity", choices=["rectified", "signed"], default="rectified")
-    ws.add_argument("--t0", type=float, default=0.0)
-    ws.add_argument("--out", default=".", help="directory for CSV output")
 
-    cs = ev_sub.add_parser("contribution-sweep", help="gray-level depth versus contribution")
-    cs.add_argument("--input", required=True, help="event text file")
-    cs.add_argument("--geometry", type=_parse_geometry, required=True, metavar="WxH")
+    cs = ev_sub.add_parser("contribution-sweep", parents=[recorded],
+                           help="gray-level depth versus contribution")
     cs.add_argument("--contributions", type=_parse_float_list, required=True,
                     metavar="C1,C2,...")
-    cs.add_argument("--interval", type=float, default=1.0 / 30.0)
     cs.add_argument("--window-size", type=int, default=10000)
-    cs.add_argument("--t0", type=float, default=0.0)
-    cs.add_argument("--out", default=".", help="directory for CSV output")
 
-    pf = ev_sub.add_parser("polarity-flip", help="what a motion reversal does per polarity mode")
-    pf.add_argument("--geometry", type=_parse_geometry, default=SensorGeometry(80, 60),
-                    metavar="WxH")
-    pf.add_argument("--height", type=float, default=0.6)
-    pf.add_argument("--threshold", type=float, default=0.2)
+    pf = ev_sub.add_parser("polarity-flip", parents=[scene],
+                           help="what a motion reversal does per polarity mode")
     pf.add_argument("--speed", type=float, default=64.0)
     pf.add_argument("--interval", type=float, default=1.0 / 32.0)
-    pf.add_argument("--window-size", type=int, default=360)
     pf.add_argument("--half-duration", type=float, default=0.3125,
                     help="time until reversal (a whole number of intervals)")
-    pf.add_argument("--contribution", type=float, default=0.2)
-    pf.add_argument("--out", default=".", help="directory for CSV (and panel) output")
-    pf.add_argument("--panels", action="store_true",
-                    help="also write side-by-side PGM comparison panels")
     return parser
 
 
@@ -233,7 +227,6 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
     started = perf_counter()
     config = _config_from_args(args)
     geometry = args.geometry
-    spec = FrameSpec(geometry.width, geometry.height, bit_depth=args.bit_depth)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -251,10 +244,10 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
 
         def sink(frame: EventFrame) -> None:
             name = next(names)
-            write_pgm(quantize_frame(frame), out_dir / name)
+            write_pgm(quantize_frame(frame, args.bit_depth), out_dir / name)
             write_frame_index([(frame.stamp, name, frame.held)], index)
 
-        stats = run_accumulation(batches, config, spec, t0=args.t0, on_frame=sink)
+        stats = run_accumulation(batches, config, geometry, t0=args.t0, on_frame=sink)
     wall = perf_counter() - started
 
     print(f"frames emitted: {stats.frames}")
@@ -320,6 +313,7 @@ def _panel(frames: Sequence[EventFrame]) -> np.ndarray:
 
 
 def _write_csv(path: Path, header: str, rows: Sequence[str]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join([header, *rows]) + "\n", encoding="ascii")
 
 
@@ -336,7 +330,6 @@ def _cmd_eval_speed_invariance(args: argparse.Namespace) -> int:
         contribution=args.contribution,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
     for report in (by_time, by_both):
         for pair in report.pairs:
@@ -368,10 +361,8 @@ def _cmd_eval_window_sweep(args: argparse.Namespace) -> int:
         polarity_mode=PolarityMode(args.polarity),
     )
     rows = window_coverage_sweep(events, args.geometry, config, args.windows, t0=args.t0)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
-        out_dir / "window_sweep.csv",
+        Path(args.out) / "window_sweep.csv",
         "window_size,fill_ratio,saturation_fraction",
         [f"{n},{fill:.6f},{sat:.6f}" for n, fill, sat in rows],
     )
@@ -386,10 +377,8 @@ def _cmd_eval_contribution_sweep(args: argparse.Namespace) -> int:
     rows = contribution_level_sweep(
         events, args.geometry, config, args.contributions, t0=args.t0
     )
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(
-        out_dir / "contribution_sweep.csv",
+        Path(args.out) / "contribution_sweep.csv",
         "contribution,distinct_levels",
         [f"{c:g},{levels}" for c, levels in rows],
     )
@@ -411,7 +400,6 @@ def _cmd_eval_polarity_flip(args: argparse.Namespace) -> int:
         contribution=args.contribution,
     )
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rows = [
         f"{j},{before:.6f},{after:.6f},{score:.6f}"
         for j, (before, after, score) in enumerate(

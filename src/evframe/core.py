@@ -81,6 +81,12 @@ class SensorGeometry:
         return cls(w, h)
 
 
+# Former name of the frame geometry, kept because bench/ still passes
+# FrameSpec(width, height) to accumulate_stream.  Delete it once bench/
+# builds a SensorGeometry.
+FrameSpec = SensorGeometry
+
+
 @dataclass(frozen=True, eq=False)
 class EventArray:
     """A time-ordered batch of events stored as columns.
@@ -163,39 +169,12 @@ class EventArray:
         return EventArray(self.t[key], self.x[key], self.y[key], self.p[key])
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """Output raster shape and quantization depth."""
-
-    width: int
-    height: int
-    bit_depth: int = 8
-
-    def __post_init__(self) -> None:
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"frame must be at least 1x1, got {self.width}x{self.height}")
-        if self.bit_depth not in (8, 16):
-            raise ValueError(f"bit depth must be 8 or 16, got {self.bit_depth}")
-
-    @property
-    def geometry(self) -> SensorGeometry:
-        return SensorGeometry(self.width, self.height)
-
-    @property
-    def max_value(self) -> int:
-        return (1 << self.bit_depth) - 1
-
-    @classmethod
-    def from_geometry(cls, geometry: SensorGeometry, bit_depth: int = 8) -> "FrameSpec":
-        return cls(geometry.width, geometry.height, bit_depth)
-
-
 @dataclass(frozen=True, eq=False)
 class EventFrame:
     """A published frame of normalized pixel state.
 
     Attributes:
-        spec: raster geometry and bit depth.
+        spec: sensor geometry of the raster.
         pixels: (height, width) float array with values in [0, 1],
             row-major, read-only.
         stamp: publish timestamp in seconds.
@@ -203,7 +182,7 @@ class EventFrame:
             because too few events arrived in the interval.
     """
 
-    spec: FrameSpec
+    spec: SensorGeometry
     pixels: np.ndarray
     stamp: float
     held: bool = False
@@ -220,7 +199,8 @@ class EventFrame:
         # An idle tick's frame is one value broadcast with zero strides;
         # checking that value checks every pixel.
         values = px if any(px.strides) else px[:1, :1]
-        if values.size and (float(values.min()) < 0.0 or float(values.max()) > 1.0):
+        # NaN fails every comparison, so only values inside the range pass.
+        if values.size and not (0.0 <= float(values.min()) and float(values.max()) <= 1.0):
             raise ValueError("pixel values must stay within [0, 1]")
         px.setflags(write=False)
 
@@ -274,6 +254,9 @@ class Decay:
     def __post_init__(self) -> None:
         if self.kind is DecayKind.LINEAR and not self.rate > 0.0:
             raise ValueError(f"linear decay rate must be > 0, got {self.rate}")
+        if self.kind is DecayKind.LINEAR and self.rate == math.inf:
+            # rate * dt would be inf * 0 = nan at a pixel's first event.
+            raise ValueError(f"linear decay rate must be finite, got {self.rate}")
         if self.kind is DecayKind.EXPONENTIAL and not self.tau > 0.0:
             raise ValueError(f"exponential decay tau must be > 0, got {self.tau}")
 
@@ -321,6 +304,8 @@ class AccumulatorConfig:
             raise ValueError(f"window size must be >= 1, got {self.window_size}")
         if self.slice_method.uses_interval and not self.interval > 0.0:
             raise ValueError(f"interval must be > 0, got {self.interval}")
+        if self.slice_method.uses_interval and self.interval == math.inf:
+            raise ValueError(f"interval must be finite, got {self.interval}")
         if not (0.0 < self.contribution <= 1.0):
             raise ValueError(f"contribution must be in (0, 1], got {self.contribution}")
         if self.no_motion_threshold < 0:
@@ -357,15 +342,13 @@ def neutral_value(polarity_mode: PolarityMode) -> float:
     return 0.0 if polarity_mode is PolarityMode.RECTIFIED else 0.5
 
 
-def quantize_frame(frame: EventFrame, bit_depth: int | None = None) -> np.ndarray:
+def quantize_frame(frame: EventFrame, bit_depth: int = 8) -> np.ndarray:
     """Quantize normalized pixels to an unsigned integer raster.
 
     Values map linearly onto [0, 2**bits - 1] with ties rounded half
     away from zero, so 0.5 at 8 bit becomes 128, 0.0 becomes 0 and 1.0
     becomes the full-scale value exactly.
     """
-    if bit_depth is None:
-        bit_depth = frame.spec.bit_depth
     if bit_depth == 8:
         dtype = np.uint8
     elif bit_depth == 16:

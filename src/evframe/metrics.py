@@ -31,7 +31,6 @@ from .core import (
     AccumulatorConfig,
     EventArray,
     EventFrame,
-    FrameSpec,
     PolarityMode,
     SensorGeometry,
     SliceMethod,
@@ -105,7 +104,7 @@ def saturation_fraction(frame: FrameLike, neutral: float = 0.0) -> float:
     return float(np.count_nonzero(railed)) / n_active
 
 
-def distinct_levels(frame: EventFrame, bit_depth: int | None = None) -> int:
+def distinct_levels(frame: EventFrame, bit_depth: int = 8) -> int:
     """Number of distinct quantized pixel values in the frame."""
     return int(len(np.unique(quantize_frame(frame, bit_depth))))
 
@@ -159,10 +158,10 @@ _STEP_PX = 0.25  # scene displacement per simulation step, in pixels
 
 
 def _frames(
-    slices: Iterable[Slice], config: AccumulatorConfig, spec: FrameSpec
+    slices: Iterable[Slice], config: AccumulatorConfig, geometry: SensorGeometry
 ) -> Iterator[EventFrame]:
     """Accumulate slices in order, yielding each frame as it is built."""
-    acc = FrameAccumulator(config, spec)
+    acc = FrameAccumulator(config, geometry)
     for s in slices:
         yield acc.process(s)
 
@@ -282,7 +281,7 @@ def speed_invariance_report(
     time_runs, btn_runs = _speed_runs(
         scene, speeds, interval, window_size, sensor, travel, contribution
     )
-    spec = FrameSpec.from_geometry(scene.geometry)
+    geometry = scene.geometry
     ordered = sorted(float(s) for s in speeds)
     pairs = [(sa, sb) for i, sa in enumerate(ordered) for sb in ordered[i + 1 :]]
     extreme = len(ordered) - 2  # (slowest, fastest), the pair the panels show
@@ -291,7 +290,7 @@ def speed_invariance_report(
 
     # By time and number: frame k of every speed covers the same displacement.
     btn_frames = {
-        s: zip(slices, _frames(slices, cfg, spec)) for s, (slices, cfg) in btn_runs.items()
+        s: zip(slices, _frames(slices, cfg, geometry)) for s, (slices, cfg) in btn_runs.items()
     }
     for row in zip_longest(*btn_frames.values()):
         full = {s: item[1] for s, item in zip(btn_frames, row) if item and not item[0].partial}
@@ -302,7 +301,7 @@ def speed_invariance_report(
     # By time: frame k at speed s has swept (k + 1) * interval * s pixels.
     # Building frames in that order, each pair is scored when its later
     # frame arrives, while the earlier one is still its run's latest.
-    time_frames = {s: _frames(slices, cfg, spec) for s, (slices, cfg) in time_runs.items()}
+    time_frames = {s: _frames(slices, cfg, geometry) for s, (slices, cfg) in time_runs.items()}
     swept = sorted(
         ((k + 1) * interval * s, s, k)
         for s, (slices, _) in time_runs.items()
@@ -384,7 +383,6 @@ def _reversal_runs(
     """Slice an out-and-back sweep; returns its slices and the signed and rectified frames."""
     motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
     stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
-    spec = FrameSpec.from_geometry(scene.geometry)
     slices = slice_by_time_and_number(stream, interval, window_size, t0=0.0)
     config = AccumulatorConfig(
         slice_method=SliceMethod.BY_TIME_AND_NUMBER,
@@ -393,7 +391,7 @@ def _reversal_runs(
         contribution=contribution,
     )
     signed, rectified = (
-        _frames(slices, replace(config, polarity_mode=mode), spec)
+        _frames(slices, replace(config, polarity_mode=mode), scene.geometry)
         for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
     )
     return slices, signed, rectified
@@ -466,10 +464,10 @@ def polarity_flip_report(
 
 
 def _frame_at(
-    k: int, slices: Sequence[Slice], config: AccumulatorConfig, spec: FrameSpec
+    k: int, slices: Sequence[Slice], config: AccumulatorConfig, geometry: SensorGeometry
 ) -> EventFrame:
     """Frame k of a run, building the frames before it and holding none of them."""
-    return next(islice(_frames(slices, config, spec), k, None))
+    return next(islice(_frames(slices, config, geometry), k, None))
 
 
 def _common_full_index(slice_runs: Sequence[Sequence[Slice]]) -> int:
@@ -496,7 +494,6 @@ def window_coverage_sweep(
     everywhere, so the comparison sees identical scene state.
     Returns rows of (window_size, fill_ratio, saturation_fraction).
     """
-    spec = FrameSpec.from_geometry(geometry)
     neutral = neutral_value(config.polarity_mode)
     runs = [
         slice_by_time_and_number(events, config.interval, n, t0=t0) for n in window_sizes
@@ -504,7 +501,7 @@ def window_coverage_sweep(
     k = _common_full_index(runs)
     rows: List[Tuple[int, float, float]] = []
     for n, slices in zip(window_sizes, runs):
-        frame = _frame_at(k, slices, replace(config, window_size=int(n)), spec)
+        frame = _frame_at(k, slices, replace(config, window_size=int(n)), geometry)
         rows.append((int(n), fill_ratio(frame, neutral), saturation_fraction(frame, neutral)))
     return rows
 
@@ -522,11 +519,10 @@ def contribution_level_sweep(
     Returns rows of (contribution, distinct_levels) for the same
     publish index under each contribution value.
     """
-    spec = FrameSpec.from_geometry(geometry)
     slices = slice_by_time_and_number(events, config.interval, config.window_size, t0=t0)
     k = _common_full_index([slices])
     rows: List[Tuple[float, int]] = []
     for c in contributions:
-        frame = _frame_at(k, slices, replace(config, contribution=float(c)), spec)
+        frame = _frame_at(k, slices, replace(config, contribution=float(c)), geometry)
         rows.append((float(c), distinct_levels(frame)))
     return rows

@@ -12,8 +12,8 @@ from time import perf_counter
 from typing import Callable, Iterable, List, Optional, Tuple, Union
 
 from .accumulator import FrameAccumulator
-from .core import AccumulatorConfig, EventArray, EventFrame, FrameSpec
-from .slicer import slicer_for
+from .core import AccumulatorConfig, EventArray, EventFrame, SensorGeometry
+from .slicer import StreamSlicer
 
 __all__ = ["PipelineStats", "run_accumulation", "accumulate_stream"]
 
@@ -53,7 +53,7 @@ class PipelineStats:
 def run_accumulation(
     source: Source,
     config: AccumulatorConfig,
-    spec: FrameSpec,
+    geometry: SensorGeometry,
     *,
     t0: Optional[float] = None,
     on_frame: Optional[FrameSink] = None,
@@ -65,8 +65,14 @@ def run_accumulation(
     the timed region.  The stream is flushed at the end, so trailing
     partial windows and the final time tick are published.
     """
-    slicer = slicer_for(config, t0=t0)
-    accumulator = FrameAccumulator(config, spec)
+    method = config.slice_method
+    slicer = StreamSlicer(
+        method,
+        window_size=config.window_size if method.uses_window else None,
+        interval=config.interval if method.uses_interval else None,
+        t0=t0,
+    )
+    accumulator = FrameAccumulator(config, geometry)
     stats = PipelineStats()
     batches: Iterable[EventArray]
     if isinstance(source, EventArray):
@@ -96,11 +102,11 @@ def run_accumulation(
 def accumulate_stream(
     source: Source,
     config: AccumulatorConfig,
-    spec: FrameSpec,
+    geometry: SensorGeometry,
     *,
     t0: Optional[float] = None,
 ) -> Tuple[List[EventFrame], PipelineStats]:
     """Convenience wrapper that collects the published frames in a list."""
     frames: List[EventFrame] = []
-    stats = run_accumulation(source, config, spec, t0=t0, on_frame=frames.append)
+    stats = run_accumulation(source, config, geometry, t0=t0, on_frame=frames.append)
     return frames, stats

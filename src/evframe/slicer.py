@@ -27,21 +27,20 @@ counts always telescope to the stream total.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
-from .core import AccumulatorConfig, EventArray, SliceMethod
+from .core import EventArray, SliceMethod
 
 __all__ = [
     "Slice",
     "StreamSlicer",
-    "slicer_for",
     "slice_by_number",
     "slice_by_time",
     "slice_by_time_and_number",
-    "detect_no_motion",
 ]
 
 
@@ -66,16 +65,6 @@ class Slice:
 
     def __len__(self) -> int:
         return len(self.events)
-
-
-def detect_no_motion(interval_event_count: int, threshold: int) -> bool:
-    """True when the interval's event count falls strictly below threshold.
-
-    A threshold of 0 disables the check.
-    """
-    if threshold < 0:
-        raise ValueError(f"no-motion threshold must be >= 0, got {threshold}")
-    return threshold > 0 and interval_event_count < threshold
 
 
 class StreamSlicer:
@@ -103,6 +92,8 @@ class StreamSlicer:
         if method.uses_interval:
             if interval is None or not interval > 0.0:
                 raise ValueError(f"interval must be > 0, got {interval}")
+            if interval == math.inf:
+                raise ValueError(f"interval must be finite, got {interval}")
         self._method = method
         self._n = int(window_size) if window_size is not None else 0
         self._dt = float(interval) if interval is not None else 0.0
@@ -268,16 +259,6 @@ class StreamSlicer:
             interval_event_count=count,
             partial=len(window) < self._n,
         )
-
-
-def slicer_for(config: AccumulatorConfig, t0: Optional[float] = None) -> StreamSlicer:
-    """Build the slicer matching an accumulation config."""
-    return StreamSlicer(
-        config.slice_method,
-        window_size=config.window_size if config.slice_method.uses_window else None,
-        interval=config.interval if config.slice_method.uses_interval else None,
-        t0=t0,
-    )
 
 
 def slice_by_number(stream: EventArray, window_size: int) -> List[Slice]:

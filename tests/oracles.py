@@ -20,7 +20,6 @@ from evframe import (
     EventArray,
     EventFrame,
     FrameAccumulator,
-    FrameSpec,
     InvalidPolarity,
     MalformedLine,
     MotionProfile,
@@ -94,6 +93,11 @@ def parse_event_line(line: str, line_number: int | None = None) -> Event:
     if x < 0 or y < 0:
         raise MalformedLine(f"coordinates must be >= 0{where}, got ({x}, {y})")
     return Event(t, x, y, p)
+
+
+def reset_frame(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:
+    """Fresh writable pixel buffer at the neutral value everywhere."""
+    return np.full((geometry.height, geometry.width), neutral_value(polarity_mode))
 
 
 def integrate_event(
@@ -178,7 +182,7 @@ def dense_generate_events(
 def frames_for(
     slices: Sequence[Slice],
     config: AccumulatorConfig,
-    spec: FrameSpec,
+    spec: SensorGeometry,
 ) -> List[Tuple[EventFrame, Slice]]:
     acc = FrameAccumulator(config, spec)
     return [(acc.process(s), s) for s in slices]
@@ -203,7 +207,7 @@ def speed_runs(
     scaled inversely with speed).
     """
     s_ref = float(min(speeds))
-    spec = FrameSpec.from_geometry(scene.geometry)
+    spec = scene.geometry
     btn_frames: Dict[float, List[Tuple[EventFrame, Slice]]] = {}
     time_frames: Dict[float, List[Tuple[EventFrame, Slice]]] = {}
     for s in speeds:
@@ -332,7 +336,7 @@ def reversal_runs(
     """Accumulate an out-and-back sweep in both polarity modes."""
     motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
     stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
-    spec = FrameSpec.from_geometry(scene.geometry)
+    spec = scene.geometry
     slices = slice_by_time_and_number(stream, interval, window_size, t0=0.0)
     frames: Dict[PolarityMode, List[Tuple[EventFrame, Slice]]] = {}
     for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED):
@@ -424,7 +428,7 @@ def held_window_coverage_sweep(
     everywhere, so the comparison sees identical scene state.
     Returns rows of (window_size, fill_ratio, saturation_fraction).
     """
-    spec = FrameSpec.from_geometry(geometry)
+    spec = geometry
     neutral = neutral_value(config.polarity_mode)
     runs = [
         slice_by_time_and_number(events, config.interval, n, t0=t0) for n in window_sizes
@@ -452,7 +456,7 @@ def held_contribution_level_sweep(
     Returns rows of (contribution, distinct_levels) for the same
     publish index under each contribution value.
     """
-    spec = FrameSpec.from_geometry(geometry)
+    spec = geometry
     slices = slice_by_time_and_number(events, config.interval, config.window_size, t0=t0)
     k = _common_full_index([slices])
     rows: List[Tuple[float, int]] = []

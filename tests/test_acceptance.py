@@ -16,7 +16,6 @@ from evframe import (
     AccumulatorConfig,
     Decay,
     EventArray,
-    FrameSpec,
     PolarityMode,
     SensorGeometry,
     SensorModel,
@@ -47,7 +46,7 @@ from evframe.slicer import Slice
 from conftest import uniform_events
 
 GEOMETRY = SensorGeometry(80, 60)
-SPEC = FrameSpec(80, 60)
+SPEC = SensorGeometry(80, 60)
 SCENE = step_edge(GEOMETRY, 0.6)
 INTERVAL = 1.0 / 32.0
 WINDOW = 360
@@ -277,7 +276,7 @@ def test_criterion_12_pipeline_sustains_five_million_events_per_second():
     )
     stats = None
     for _ in range(3):
-        stats = accumulate_stream(stream, config, FrameSpec.from_geometry(geometry), t0=0.0)[1]
+        stats = accumulate_stream(stream, config, geometry, t0=0.0)[1]
         if stats.events_per_second >= 5_000_000:
             break
     assert stats.frames > 0

@@ -14,7 +14,6 @@ from evframe import (
     EventArray,
     EventFrame,
     FrameAccumulator,
-    FrameSpec,
     OutOfBoundsEvent,
     PolarityMode,
     SensorGeometry,
@@ -22,17 +21,15 @@ from evframe import (
     SliceMethod,
     accumulate_slice,
     apply_decay,
-    hold_previous,
     neutral_value,
     quantize_frame,
-    reset_frame,
 )
 from evframe import accumulator
 
 from conftest import SMALL_GEOMETRY, event_arrays
-from oracles import Event, events_of, integrate_event
+from oracles import Event, events_of, integrate_event, reset_frame
 
-SPEC = FrameSpec(SMALL_GEOMETRY.width, SMALL_GEOMETRY.height)
+SPEC = SensorGeometry(SMALL_GEOMETRY.width, SMALL_GEOMETRY.height)
 
 
 def make_slice(events: EventArray, publish_stamp: float | None = None) -> Slice:
@@ -47,10 +44,10 @@ def make_slice(events: EventArray, publish_stamp: float | None = None) -> Slice:
 
 
 def reference_step_pixels(
-    events: EventArray, config: AccumulatorConfig, spec: FrameSpec
+    events: EventArray, config: AccumulatorConfig, spec: SensorGeometry
 ) -> np.ndarray:
     """Per-event reference for STEP decay: integrate from a fresh frame."""
-    pixels = reset_frame(spec.geometry, config.polarity_mode)
+    pixels = reset_frame(spec, config.polarity_mode)
     for event in events_of(events):
         integrate_event(pixels, event, config.polarity_mode, config.contribution)
     return pixels
@@ -60,7 +57,7 @@ def reference_decaying_pixels(
     events: EventArray,
     publish_stamp: float,
     config: AccumulatorConfig,
-    spec: FrameSpec,
+    spec: SensorGeometry,
     carry: AccumulatorCarry,
 ) -> np.ndarray:
     """Globally-interleaved reference for decaying modes.
@@ -75,7 +72,7 @@ def reference_decaying_pixels(
         pixels = carry.buffer.copy()
         now = carry.buffer_time
     else:
-        pixels = reset_frame(spec.geometry, config.polarity_mode)
+        pixels = reset_frame(spec, config.polarity_mode)
         now = float(events.t[0]) if len(events) else publish_stamp
     for event in events_of(events):
         pixels = apply_decay(pixels, event.t - now, config.decay, neutral)
@@ -305,6 +302,20 @@ class TestDecayingAccumulation:
         assert 0.0 < later.pixels[1, 1] < 0.5
         assert later.pixels[1, 1] == pytest.approx(0.5 * np.exp(-0.1), abs=1e-12)
 
+    @pytest.mark.parametrize("decay", [Decay.linear(1.0), Decay.exponential(0.3)])
+    def test_carry_buffer_is_the_published_frame(self, decay):
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, decay=decay, contribution=0.5
+        )
+        ev = EventArray.from_columns([0.1, 0.2], [1, 2], [1, 1], [1, 1])
+        frame, carry = accumulate_slice(make_slice(ev, 0.5), config, SPEC)
+        assert np.shares_memory(carry.buffer, frame.pixels)
+        before = frame.pixels.copy()
+        later = EventArray.from_columns([0.6, 0.7], [1, 1], [1, 1], [1, 1])
+        nxt, _ = accumulate_slice(make_slice(later, 1.0), config, SPEC, carry)
+        assert np.array_equal(frame.pixels, before)
+        assert not np.array_equal(nxt.pixels, before)
+
     def test_rejects_slice_overlapping_buffer(self):
         config = AccumulatorConfig(slice_method=SliceMethod.BY_TIME, decay=Decay.linear(1.0))
         ev = EventArray.from_columns([0.5], [1], [1], [1])
@@ -322,15 +333,19 @@ class TestDecayingAccumulation:
 
 class TestHold:
     def test_hold_shares_pixels_with_previous_frame(self):
-        ev = EventArray.from_columns([0.1], [1], [1], [1])
-        frame, carry = accumulate_slice(make_slice(ev, 0.2), AccumulatorConfig(), SPEC)
-        held = hold_previous(carry, 0.4, SPEC, PolarityMode.RECTIFIED)
+        acc = FrameAccumulator(AccumulatorConfig(no_motion_threshold=2), SPEC)
+        ev = EventArray.from_columns([0.1, 0.15], [1, 2], [1, 1], [1, 1])
+        frame = acc.process(Slice(ev, 0.2, interval_event_count=2))
+        held = acc.process(Slice(ev, 0.4, interval_event_count=1))
+        assert frame.held is False
         assert held.held is True
         assert held.stamp == 0.4
         assert np.shares_memory(held.pixels, frame.pixels)
 
     def test_hold_before_any_frame_is_neutral(self):
-        held = hold_previous(AccumulatorCarry(), 0.1, SPEC, PolarityMode.SIGNED)
+        config = AccumulatorConfig(no_motion_threshold=1, polarity_mode=PolarityMode.SIGNED)
+        acc = FrameAccumulator(config, SPEC)
+        held = acc.process(Slice(EventArray.empty(), 0.1, interval_event_count=0))
         assert held.held is True
         assert np.all(held.pixels == 0.5)
 

@@ -8,9 +8,13 @@ import numpy as np
 import pytest
 
 from evframe import (
+    AccumulatorConfig,
     PolarityMode,
     SensorGeometry,
     SensorModel,
+    SliceMethod,
+    accumulate_stream,
+    quantize_frame,
     read_event_batches,
     read_frame_index,
     read_pgm,
@@ -204,6 +208,21 @@ class TestAccumulate:
         index = read_frame_index(out_dir / "index.csv")
         raster = read_pgm(out_dir / index[-1][1])
         assert raster.dtype == np.uint16
+        # The same config through the library, quantized at 16 bit.
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
+            window_size=360,
+            interval=0.03125,
+            contribution=0.2,
+        )
+        geometry = SensorGeometry(80, 60)
+        frames, _ = accumulate_stream(
+            read_event_batches(stream_file, geometry), config, geometry, t0=0.0
+        )
+        assert len(frames) == len(index)
+        for frame, (stamp, name, held) in zip(frames, index):
+            assert (stamp, held) == (frame.stamp, frame.held)
+            assert np.array_equal(read_pgm(out_dir / name), quantize_frame(frame, 16))
 
     def test_decay_flag_parses_each_form(self, stream_file, tmp_path):
         # Decaying buffers need disjoint slices, so drive them by time.
@@ -285,6 +304,24 @@ class TestAccumulate:
         assert capsys.readouterr().err == (
             f"evframe: error: coordinates must be integers at line 1: {shown}\n"
         )
+
+    @pytest.mark.parametrize("flags", [[], ["--slice", "time"]])
+    def test_infinite_interval_fails_with_one_line(self, tmp_path, capsys, flags):
+        path = tmp_path / "two.txt"
+        path.write_text("0.1 1 1 1\n0.2 2 2 0\n")
+        code = run("accumulate", "--input", str(path), "--geometry", "4x3",
+                   "--interval", "inf", "--out", str(tmp_path / "frames"), *flags)
+        assert code == 2
+        assert capsys.readouterr().err == "evframe: error: interval must be finite, got inf\n"
+        assert not list((tmp_path / "frames").glob("*.pgm"))
+
+    def test_infinite_linear_rate_is_a_bad_decay(self, tmp_path, capsys):
+        # Decay parameters are checked while the flags are parsed, as for linear:-1.
+        with pytest.raises(SystemExit) as exc:
+            run("accumulate", "--input", "-", "--geometry", "4x3", "--slice", "time",
+                "--interval", "0.05", "--decay", "linear:inf", "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert "argument --decay" in capsys.readouterr().err
 
     def test_rejects_bad_geometry(self, stream_file, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,8 @@
 """Validation and value semantics of the shared domain types."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -12,11 +14,11 @@ from evframe import (
     DecayKind,
     EventArray,
     EventFrame,
-    FrameSpec,
     NonMonotonicTimestamps,
     PolarityMode,
     SensorGeometry,
     SliceMethod,
+    accumulate_stream,
     neutral_value,
     quantize_frame,
     window_size_for,
@@ -145,33 +147,32 @@ class TestEventArray:
 
 
 class TestFrameTypes:
-    def test_frame_spec_max_value(self):
-        assert FrameSpec(4, 3).max_value == 255
-        assert FrameSpec(4, 3, bit_depth=16).max_value == 65535
-
-    def test_frame_spec_rejects_odd_depth(self):
-        with pytest.raises(ValueError):
-            FrameSpec(4, 3, bit_depth=12)
-
     def test_event_frame_validates_shape(self):
-        spec = FrameSpec(4, 3)
+        spec = SensorGeometry(4, 3)
         with pytest.raises(ValueError):
             EventFrame(spec=spec, pixels=np.zeros((4, 4)), stamp=0.0)
 
     def test_event_frame_validates_range(self):
-        spec = FrameSpec(4, 3)
+        spec = SensorGeometry(4, 3)
         with pytest.raises(ValueError):
             EventFrame(spec=spec, pixels=np.full((3, 4), 1.5), stamp=0.0)
 
-    @pytest.mark.parametrize("value", [1.5, -0.5])
+    @pytest.mark.parametrize("value", [1.5, -0.5, np.nan])
     def test_event_frame_validates_range_of_zero_stride_pixels(self, value):
-        spec = FrameSpec(4, 3)
+        spec = SensorGeometry(4, 3)
         pixels = np.broadcast_to(np.float64(value), (3, 4))
         with pytest.raises(ValueError):
             EventFrame(spec=spec, pixels=pixels, stamp=0.0)
 
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2), (2, 3)])
+    def test_event_frame_rejects_nan_pixels(self, at):
+        pixels = np.full((3, 4), 0.5)
+        pixels[at] = np.nan
+        with pytest.raises(ValueError, match=r"within \[0, 1\]"):
+            EventFrame(SensorGeometry(4, 3), pixels, 0.0)
+
     def test_event_frame_pixels_read_only(self):
-        spec = FrameSpec(4, 3)
+        spec = SensorGeometry(4, 3)
         frame = EventFrame(spec=spec, pixels=np.zeros((3, 4)), stamp=0.0)
         with pytest.raises(ValueError):
             frame.pixels[0, 0] = 1.0
@@ -179,27 +180,27 @@ class TestFrameTypes:
 
 class TestQuantize:
     def test_rounds_half_away_from_zero_at_8_bit(self):
-        spec = FrameSpec(2, 1)
+        spec = SensorGeometry(2, 1)
         frame = EventFrame(spec=spec, pixels=np.array([[0.5, 1.0]]), stamp=0.0)
         raster = quantize_frame(frame)
         assert raster.dtype == np.uint8
         assert raster.tolist() == [[128, 255]]
 
     def test_16_bit_output(self):
-        spec = FrameSpec(2, 1, bit_depth=16)
+        spec = SensorGeometry(2, 1)
         frame = EventFrame(spec=spec, pixels=np.array([[0.0, 1.0]]), stamp=0.0)
-        raster = quantize_frame(frame)
+        raster = quantize_frame(frame, 16)
         assert raster.dtype == np.uint16
         assert raster.tolist() == [[0, 65535]]
 
-    def test_explicit_depth_overrides_spec(self):
-        spec = FrameSpec(1, 1)
-        frame = EventFrame(spec=spec, pixels=np.array([[1.0]]), stamp=0.0)
-        assert quantize_frame(frame, bit_depth=16).tolist() == [[65535]]
+    def test_rejects_odd_depth(self):
+        frame = EventFrame(SensorGeometry(2, 1), np.array([[0.0, 1.0]]), 0.0)
+        with pytest.raises(ValueError, match="bit depth must be 8 or 16, got 12"):
+            quantize_frame(frame, 12)
 
     @given(st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
     def test_quantized_value_in_range(self, value):
-        spec = FrameSpec(1, 1)
+        spec = SensorGeometry(1, 1)
         frame = EventFrame(spec=spec, pixels=np.array([[value]]), stamp=0.0)
         raster = quantize_frame(frame)
         assert 0 <= int(raster[0, 0]) <= 255
@@ -225,6 +226,13 @@ class TestConfig:
     def test_rejects_bad_interval(self):
         with pytest.raises(ValueError):
             AccumulatorConfig(interval=0.0)
+
+    @pytest.mark.parametrize("method", [SliceMethod.BY_TIME, SliceMethod.BY_TIME_AND_NUMBER])
+    def test_rejects_infinite_interval(self, method):
+        with pytest.raises(ValueError, match="interval must be finite, got inf"):
+            AccumulatorConfig(slice_method=method, interval=math.inf)
+        # BY_NUMBER ignores the interval.
+        AccumulatorConfig(slice_method=SliceMethod.BY_NUMBER, interval=math.inf)
 
     def test_rejects_negative_no_motion_threshold(self):
         with pytest.raises(ValueError):
@@ -258,6 +266,18 @@ class TestConfig:
             Decay.linear(0.0)
         with pytest.raises(ValueError):
             Decay.exponential(-1.0)
+
+    def test_rejects_infinite_linear_rate(self):
+        with pytest.raises(ValueError, match="linear decay rate must be finite, got inf"):
+            Decay.linear(math.inf)
+
+    def test_infinite_tau_means_no_decay(self):
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=0.5, decay=Decay.exponential(math.inf)
+        )
+        events = EventArray.from_columns([0.1, 0.2, 1.2], [1, 2, 1], [1, 1, 1], [1, 1, 1])
+        frames, _ = accumulate_stream(events, config, SensorGeometry(4, 3))
+        assert [f.pixels[1, 1:3].tolist() for f in frames] == [[0.2, 0.2]] * 2 + [[0.4, 0.2]]
 
     def test_neutral_values(self):
         assert neutral_value(PolarityMode.RECTIFIED) == 0.0

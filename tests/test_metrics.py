@@ -13,7 +13,6 @@ from evframe import (
     AccumulatorConfig,
     DegenerateFrame,
     EventFrame,
-    FrameSpec,
     PolarityMode,
     SensorGeometry,
     SensorModel,
@@ -38,12 +37,12 @@ from oracles import (
     held_window_coverage_sweep,
 )
 
-SPEC = FrameSpec(8, 6)
+SPEC = SensorGeometry(8, 6)
 
 
 def frame(pixels: np.ndarray, stamp: float = 1.0) -> EventFrame:
     h, w = pixels.shape
-    return EventFrame(FrameSpec(w, h), pixels.astype(np.float64), stamp)
+    return EventFrame(SensorGeometry(w, h), pixels.astype(np.float64), stamp)
 
 
 def ramp_pixels() -> np.ndarray:

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evframe import (
+    AccumulatorConfig,
     EventArray,
+    FrameAccumulator,
+    SensorGeometry,
     Slice,
     SliceMethod,
     StreamSlicer,
-    detect_no_motion,
     slice_by_number,
     slice_by_time,
     slice_by_time_and_number,
@@ -44,20 +46,23 @@ def assert_same_slices(a: Sequence[Slice], b: Sequence[Slice]) -> None:
         assert sa.events.p.tolist() == sb.events.p.tolist()
 
 
+def held(interval_event_count: int, threshold: int) -> bool:
+    """Whether the accumulator holds a slice with this interval count."""
+    acc = FrameAccumulator(AccumulatorConfig(no_motion_threshold=threshold), SensorGeometry(8, 6))
+    slc = Slice(EventArray.empty(), 1.0, interval_event_count=interval_event_count)
+    return acc.process(slc).held
+
+
 class TestDetectNoMotion:
     def test_below_threshold_is_no_motion(self):
-        assert detect_no_motion(150, 200) is True
+        assert held(150, 200) is True
 
     def test_exact_threshold_is_motion(self):
-        assert detect_no_motion(200, 200) is False
+        assert held(200, 200) is False
 
     def test_zero_threshold_disables(self):
-        assert detect_no_motion(0, 0) is False
-        assert detect_no_motion(10 ** 9, 0) is False
-
-    def test_rejects_negative_threshold(self):
-        with pytest.raises(ValueError):
-            detect_no_motion(1, -1)
+        assert held(0, 0) is False
+        assert held(10 ** 9, 0) is False
 
 
 class TestByNumber:
@@ -359,3 +364,8 @@ class TestStreaming:
     def test_requires_interval_when_timed(self):
         with pytest.raises(ValueError):
             StreamSlicer(SliceMethod.BY_TIME)
+
+    @pytest.mark.parametrize("method", [SliceMethod.BY_TIME, SliceMethod.BY_TIME_AND_NUMBER])
+    def test_rejects_infinite_interval(self, method):
+        with pytest.raises(ValueError, match="^interval must be finite, got inf$"):
+            StreamSlicer(method, window_size=4, interval=float("inf"))
