@@ -7,134 +7,20 @@ and ships a synthetic event generator whose output is predictable in
 closed form, so the whole pipeline can be tested end to end without
 hardware.
 """
-from .accumulator import (
-    AccumulatorCarry,
-    FrameAccumulator,
-    accumulate_slice,
-    apply_decay,
-)
-from .core import (
-    AccumulatorConfig,
-    Decay,
-    DecayKind,
-    EventArray,
-    EventFrame,
-    FrameSpec,
-    NonMonotonicTimestamps,
-    OutOfBoundsEvent,
-    PolarityMode,
-    SensorGeometry,
-    SliceMethod,
-    StreamError,
-    neutral_value,
-    quantize_frame,
-    window_size_for,
-)
-from .eventio import (
-    InvalidPolarity,
-    MalformedLine,
-    read_event_batches,
-    read_frame_index,
-    read_pgm,
-    write_events,
-    write_frame_index,
-    write_pgm,
-)
-from .metrics import (
-    DegenerateFrame,
-    PairScore,
-    PolarityFlipReport,
-    SimilarityReport,
-    contribution_level_sweep,
-    distinct_levels,
-    fill_ratio,
-    ncc,
-    polarity_flip_report,
-    saturation_fraction,
-    speed_invariance_report,
-    window_coverage_sweep,
-)
-from .pipeline import PipelineStats, accumulate_stream, run_accumulation
-from .presets import UnknownPreset, preset, preset_names
-from .slicer import (
-    Slice,
-    StreamSlicer,
-    slice_by_number,
-    slice_by_time,
-    slice_by_time_and_number,
-)
-from .synth import (
-    MotionProfile,
-    SensorModel,
-    SyntheticScene,
-    add_noise,
-    bars,
-    checker,
-    expected_event_count,
-    generate_events,
-    step_edge,
-)
+from . import accumulator, core, eventio, metrics, pipeline, presets, slicer, synth
+from .accumulator import *  # noqa: F401,F403
+from .core import *  # noqa: F401,F403
+from .eventio import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .pipeline import *  # noqa: F401,F403
+from .presets import *  # noqa: F401,F403
+from .slicer import *  # noqa: F401,F403
+from .synth import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AccumulatorCarry",
-    "AccumulatorConfig",
-    "Decay",
-    "DecayKind",
-    "DegenerateFrame",
-    "EventArray",
-    "EventFrame",
-    "FrameAccumulator",
-    "FrameSpec",
-    "InvalidPolarity",
-    "MalformedLine",
-    "MotionProfile",
-    "NonMonotonicTimestamps",
-    "OutOfBoundsEvent",
-    "PairScore",
-    "PipelineStats",
-    "PolarityFlipReport",
-    "PolarityMode",
-    "SensorGeometry",
-    "SensorModel",
-    "SimilarityReport",
-    "Slice",
-    "SliceMethod",
-    "StreamError",
-    "StreamSlicer",
-    "SyntheticScene",
-    "UnknownPreset",
-    "accumulate_slice",
-    "accumulate_stream",
-    "add_noise",
-    "apply_decay",
-    "bars",
-    "checker",
-    "contribution_level_sweep",
-    "distinct_levels",
-    "expected_event_count",
-    "fill_ratio",
-    "generate_events",
-    "ncc",
-    "neutral_value",
-    "polarity_flip_report",
-    "preset",
-    "preset_names",
-    "quantize_frame",
-    "read_event_batches",
-    "read_frame_index",
-    "read_pgm",
-    "run_accumulation",
-    "saturation_fraction",
-    "slice_by_number",
-    "slice_by_time",
-    "slice_by_time_and_number",
-    "speed_invariance_report",
-    "step_edge",
-    "window_coverage_sweep",
-    "window_size_for",
-    "write_events",
-    "write_frame_index",
-    "write_pgm",
-]
+__all__ = sorted(
+    name
+    for module in (accumulator, core, eventio, metrics, pipeline, presets, slicer, synth)
+    for name in module.__all__
+)

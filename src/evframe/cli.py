@@ -29,7 +29,6 @@ import numpy as np
 from .core import (
     AccumulatorConfig,
     Decay,
-    EventArray,
     EventFrame,
     PolarityMode,
     SensorGeometry,
@@ -79,10 +78,14 @@ def _parse_decay(text: str) -> Decay:
         number = float(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad decay parameter {value!r}") from None
-    if name == "linear":
-        return Decay.linear(number)
-    if name == "exp":
-        return Decay.exponential(number)
+    try:
+        if name == "linear":
+            return Decay.linear(number)
+        if name == "exp":
+            return Decay.exponential(number)
+    except ValueError as exc:
+        # Keep Decay's reason; argparse shows only the type's name otherwise.
+        raise argparse.ArgumentTypeError(str(exc)) from None
     raise argparse.ArgumentTypeError(f"unknown decay {name!r} (use step, linear:RATE, exp:TAU)")
 
 
@@ -349,18 +352,14 @@ def _cmd_eval_speed_invariance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_events(path: str, geometry: SensorGeometry) -> EventArray:
-    return EventArray.concatenate(list(read_event_batches(path, geometry)))
-
-
 def _cmd_eval_window_sweep(args: argparse.Namespace) -> int:
-    events = _load_events(args.input, args.geometry)
     config = AccumulatorConfig(
         interval=args.interval,
         contribution=args.contribution,
         polarity_mode=PolarityMode(args.polarity),
     )
-    rows = window_coverage_sweep(events, args.geometry, config, args.windows, t0=args.t0)
+    batches = read_event_batches(args.input, args.geometry)
+    rows = window_coverage_sweep(batches, args.geometry, config, args.windows, t0=args.t0)
     _write_csv(
         Path(args.out) / "window_sweep.csv",
         "window_size,fill_ratio,saturation_fraction",
@@ -372,10 +371,10 @@ def _cmd_eval_window_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_contribution_sweep(args: argparse.Namespace) -> int:
-    events = _load_events(args.input, args.geometry)
     config = AccumulatorConfig(interval=args.interval, window_size=args.window_size)
+    batches = read_event_batches(args.input, args.geometry)
     rows = contribution_level_sweep(
-        events, args.geometry, config, args.contributions, t0=args.t0
+        batches, args.geometry, config, args.contributions, t0=args.t0
     )
     _write_csv(
         Path(args.out) / "contribution_sweep.csv",

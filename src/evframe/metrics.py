@@ -12,17 +12,20 @@ accumulator to quantify the claims the toolkit is built around: frame
 appearance should not depend on scene speed when slicing by time and
 number, rectified frames should survive a motion reversal, and fill,
 saturation and gray-level depth should track window size and event
-contribution.  Each report builds its frames one at a time and scores
-them as they arrive, so it holds O(speeds) frames (the polarity flip at
-most one frame per interval before the reversal), however long the
-sweeps run.
+contribution.  Each report hands its slices straight to
+:meth:`FrameAccumulator.process` and scores the frames as they arrive,
+so it holds O(speeds) frames (the polarity flip at most one frame per
+interval before the reversal), however long the sweeps run.  The window
+and contribution sweeps read their input once, as an event batch or an
+iterable of batches, slice it as it streams and keep only each run's
+latest frame, so their memory does not grow with the recording.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice, zip_longest
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from itertools import tee, zip_longest
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .core import (
     neutral_value,
     quantize_frame,
 )
-from .slicer import Slice, slice_by_time, slice_by_time_and_number
+from .slicer import Slice, Source, StreamSlicer, slice_by_time, slice_by_time_and_number
 from .synth import MotionProfile, SensorModel, SyntheticScene, generate_events
 
 __all__ = [
@@ -157,15 +160,6 @@ class SimilarityReport:
 _STEP_PX = 0.25  # scene displacement per simulation step, in pixels
 
 
-def _frames(
-    slices: Iterable[Slice], config: AccumulatorConfig, geometry: SensorGeometry
-) -> Iterator[EventFrame]:
-    """Accumulate slices in order, yielding each frame as it is built."""
-    acc = FrameAccumulator(config, geometry)
-    for s in slices:
-        yield acc.process(s)
-
-
 class _AlignedScores:
     """NCC of aligned frame pairs, gathered per speed pair as frames arrive."""
 
@@ -197,7 +191,7 @@ def _check_speed(speed: float) -> None:
         raise ValueError(f"speed must be a finite number > 0 px/s, got {speed:g}")
 
 
-_Run = Tuple[List[Slice], AccumulatorConfig]  # one sweep's slices and its config
+_Run = Tuple[List[Slice], FrameAccumulator]  # one sweep's slices and their accumulator
 
 
 def _speed_runs(
@@ -211,10 +205,10 @@ def _speed_runs(
 ) -> Tuple[Dict[float, _Run], Dict[float, _Run]]:
     """Slice every distinct speed with both slicers over equal displacement.
 
-    Returns ({speed: (slices, config)} for the fixed-interval by-time
-    runs, then the same for by-time-and-number runs whose interval is
-    scaled inversely with speed).  Frames are left to the caller to
-    build, one at a time.
+    Returns ({speed: (slices, accumulator)} for the fixed-interval
+    by-time runs, then the same for by-time-and-number runs whose
+    interval is scaled inversely with speed).  Frames are left to the
+    caller to build, one at a time.
     """
     s_ref = float(min(speeds))
     btn_runs: Dict[float, _Run] = {}
@@ -234,8 +228,9 @@ def _speed_runs(
             contribution=contribution,
         )
         btn_slices = slice_by_time_and_number(stream, btn_cfg.interval, window_size, t0=0.0)
-        btn_runs[s] = (btn_slices, btn_cfg)
-        time_runs[s] = (slice_by_time(stream, interval, t0=0.0), time_cfg)
+        btn_runs[s] = (btn_slices, FrameAccumulator(btn_cfg, scene.geometry))
+        time_slices = slice_by_time(stream, interval, t0=0.0)
+        time_runs[s] = (time_slices, FrameAccumulator(time_cfg, scene.geometry))
     return time_runs, btn_runs
 
 
@@ -281,7 +276,6 @@ def speed_invariance_report(
     time_runs, btn_runs = _speed_runs(
         scene, speeds, interval, window_size, sensor, travel, contribution
     )
-    geometry = scene.geometry
     ordered = sorted(float(s) for s in speeds)
     pairs = [(sa, sb) for i, sa in enumerate(ordered) for sb in ordered[i + 1 :]]
     extreme = len(ordered) - 2  # (slowest, fastest), the pair the panels show
@@ -289,11 +283,13 @@ def speed_invariance_report(
     by_time = _AlignedScores(pairs, extreme)
 
     # By time and number: frame k of every speed covers the same displacement.
-    btn_frames = {
-        s: zip(slices, _frames(slices, cfg, geometry)) for s, (slices, cfg) in btn_runs.items()
-    }
-    for row in zip_longest(*btn_frames.values()):
-        full = {s: item[1] for s, item in zip(btn_frames, row) if item and not item[0].partial}
+    for row in zip_longest(*(slices for slices, _ in btn_runs.values())):
+        full: Dict[float, EventFrame] = {}
+        for (s, (_, acc)), slc in zip(btn_runs.items(), row):
+            if slc is not None:
+                frame = acc.process(slc)
+                if not slc.partial:
+                    full[s] = frame
         for i, (sa, sb) in enumerate(pairs):
             if sa in full and sb in full:
                 btn.add(i, full[sa], full[sb])
@@ -301,7 +297,6 @@ def speed_invariance_report(
     # By time: frame k at speed s has swept (k + 1) * interval * s pixels.
     # Building frames in that order, each pair is scored when its later
     # frame arrives, while the earlier one is still its run's latest.
-    time_frames = {s: _frames(slices, cfg, geometry) for s, (slices, cfg) in time_runs.items()}
     swept = sorted(
         ((k + 1) * interval * s, s, k)
         for s, (slices, _) in time_runs.items()
@@ -309,7 +304,8 @@ def speed_invariance_report(
     )
     latest: Dict[float, Tuple[int, EventFrame]] = {}
     for _, s, k in swept:
-        latest[s] = (k, next(time_frames[s]))
+        slices, acc = time_runs[s]
+        latest[s] = (k, acc.process(slices[k]))
         for i, (sa, sb) in enumerate(pairs):
             if s not in (sa, sb) or sa not in latest or sb not in latest:
                 continue
@@ -379,8 +375,8 @@ def _reversal_runs(
     half_duration: float,
     sensor: SensorModel,
     contribution: float,
-) -> Tuple[List[Slice], Iterator[EventFrame], Iterator[EventFrame]]:
-    """Slice an out-and-back sweep; returns its slices and the signed and rectified frames."""
+) -> Tuple[List[Slice], FrameAccumulator, FrameAccumulator]:
+    """Slice an out-and-back sweep; returns its slices and a signed and a rectified accumulator."""
     motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
     stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
     slices = slice_by_time_and_number(stream, interval, window_size, t0=0.0)
@@ -391,7 +387,7 @@ def _reversal_runs(
         contribution=contribution,
     )
     signed, rectified = (
-        _frames(slices, replace(config, polarity_mode=mode), scene.geometry)
+        FrameAccumulator(replace(config, polarity_mode=mode), scene.geometry)
         for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
     )
     return slices, signed, rectified
@@ -436,7 +432,8 @@ def polarity_flip_report(
     degenerate = 0
     panels: Dict[PolarityMode, Tuple[EventFrame, EventFrame]] = {}
     signed_prev = None
-    for k, (slc, signed_k, rect_k) in enumerate(zip(slices, signed, rectified)):
+    for k, slc in enumerate(slices):
+        signed_k, rect_k = signed.process(slc), rectified.process(slc)
         if k < m:
             signed_means.append(_active_mean(signed_k, 0.5))
             rect_before.append(rect_k)
@@ -463,24 +460,26 @@ def polarity_flip_report(
     )
 
 
-def _frame_at(
-    k: int, slices: Sequence[Slice], config: AccumulatorConfig, geometry: SensorGeometry
-) -> EventFrame:
-    """Frame k of a run, building the frames before it and holding none of them."""
-    return next(islice(_frames(slices, config, geometry), k, None))
+def _last_frames(
+    rows: Iterable[Sequence[Slice]], accumulators: Sequence[FrameAccumulator]
+) -> List[EventFrame]:
+    """Accumulate each row's slices, one per accumulator, and return the last frames.
 
-
-def _common_full_index(slice_runs: Sequence[Sequence[Slice]]) -> int:
-    """Latest frame index at which every run has a non-partial slice."""
-    limit = min(len(run) for run in slice_runs)
-    for k in range(limit - 1, -1, -1):
-        if all(not run[k].partial for run in slice_runs):
-            return k
-    raise ValueError("no frame index is non-partial across all runs")
+    Time-and-number runs over one stream publish at the same ticks, and
+    a run's partial slices all come before its first full one.  So the
+    last tick is the latest at which every run is full, unless some run
+    is never full.
+    """
+    last: Optional[List[Tuple[Slice, EventFrame]]] = None
+    for row in rows:
+        last = [(slc, acc.process(slc)) for slc, acc in zip(row, accumulators)]
+    if last is None or any(slc.partial for slc, _ in last):
+        raise ValueError("no frame index is non-partial across all runs")
+    return [frame for _, frame in last]
 
 
 def window_coverage_sweep(
-    events: EventArray,
+    events: Source,
     geometry: SensorGeometry,
     config: AccumulatorConfig,
     window_sizes: Sequence[int],
@@ -491,23 +490,31 @@ def window_coverage_sweep(
 
     Runs the same stream through the time-and-number slicer at each
     window size and measures the latest frame index that is non-partial
-    everywhere, so the comparison sees identical scene state.
+    everywhere, so the comparison sees identical scene state.  `events`
+    is one batch or an iterable of batches; it is read once, and the
+    runs take each batch in lockstep.
     Returns rows of (window_size, fill_ratio, saturation_fraction).
     """
     neutral = neutral_value(config.polarity_mode)
+    batches = (events,) if isinstance(events, EventArray) else events
     runs = [
-        slice_by_time_and_number(events, config.interval, n, t0=t0) for n in window_sizes
+        StreamSlicer(
+            SliceMethod.BY_TIME_AND_NUMBER, window_size=n, interval=config.interval, t0=t0
+        ).slices(branch)
+        for n, branch in zip(window_sizes, tee(batches, len(window_sizes)))
     ]
-    k = _common_full_index(runs)
-    rows: List[Tuple[int, float, float]] = []
-    for n, slices in zip(window_sizes, runs):
-        frame = _frame_at(k, slices, replace(config, window_size=int(n)), geometry)
-        rows.append((int(n), fill_ratio(frame, neutral), saturation_fraction(frame, neutral)))
-    return rows
+    accumulators = [
+        FrameAccumulator(replace(config, window_size=int(n)), geometry) for n in window_sizes
+    ]
+    frames = _last_frames(zip(*runs), accumulators)
+    return [
+        (int(n), fill_ratio(frame, neutral), saturation_fraction(frame, neutral))
+        for n, frame in zip(window_sizes, frames)
+    ]
 
 
 def contribution_level_sweep(
-    events: EventArray,
+    events: Source,
     geometry: SensorGeometry,
     config: AccumulatorConfig,
     contributions: Sequence[float],
@@ -516,13 +523,20 @@ def contribution_level_sweep(
 ) -> List[Tuple[float, int]]:
     """Distinct quantized levels of one aligned frame per contribution.
 
+    `events` is one batch or an iterable of batches; it is sliced once
+    and every slice goes to one accumulator per contribution.
     Returns rows of (contribution, distinct_levels) for the same
     publish index under each contribution value.
     """
-    slices = slice_by_time_and_number(events, config.interval, config.window_size, t0=t0)
-    k = _common_full_index([slices])
-    rows: List[Tuple[float, int]] = []
-    for c in contributions:
-        frame = _frame_at(k, slices, replace(config, contribution=float(c)), geometry)
-        rows.append((float(c), distinct_levels(frame)))
-    return rows
+    slicer = StreamSlicer(
+        SliceMethod.BY_TIME_AND_NUMBER,
+        window_size=config.window_size,
+        interval=config.interval,
+        t0=t0,
+    )
+    accumulators = [
+        FrameAccumulator(replace(config, contribution=float(c)), geometry) for c in contributions
+    ]
+    rows = ((slc,) * len(accumulators) for slc in slicer.slices(events))
+    frames = _last_frames(rows, accumulators)
+    return [(float(c), distinct_levels(frame)) for c, frame in zip(contributions, frames)]

@@ -9,16 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .accumulator import FrameAccumulator
 from .core import AccumulatorConfig, EventArray, EventFrame, SensorGeometry
-from .slicer import StreamSlicer
+from .slicer import Source, StreamSlicer
 
 __all__ = ["PipelineStats", "run_accumulation", "accumulate_stream"]
 
 FrameSink = Callable[[EventFrame], None]
-Source = Union[EventArray, Iterable[EventArray]]
 
 
 @dataclass

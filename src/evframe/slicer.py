@@ -18,7 +18,8 @@ Three methods are supported:
 
 :class:`StreamSlicer` is a single-owner state machine fed in timestamp
 order in :class:`EventArray` batches of any size, down to one event.
-The module functions wrap it for whole-stream use.
+:meth:`StreamSlicer.slices` runs it over a whole stream, and the module
+functions wrap that for one in-memory batch.
 
 Slices also carry the number of events that arrived in their publish
 interval (t_{k-1}, t_k], which feeds the no-motion hold decision.  The
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Iterable, Iterator, List, Optional, Union
 
 import numpy as np
 
@@ -42,6 +43,9 @@ __all__ = [
     "slice_by_time",
     "slice_by_time_and_number",
 ]
+
+# One event batch, or an iterable of batches in time order.
+Source = Union[EventArray, Iterable[EventArray]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,6 +98,8 @@ class StreamSlicer:
                 raise ValueError(f"interval must be > 0, got {interval}")
             if interval == math.inf:
                 raise ValueError(f"interval must be finite, got {interval}")
+        if t0 is not None and not math.isfinite(t0):
+            raise ValueError(f"t0 must be finite, got {t0}")
         self._method = method
         self._n = int(window_size) if window_size is not None else 0
         self._dt = float(interval) if interval is not None else 0.0
@@ -137,6 +143,12 @@ class StreamSlicer:
         if self._method is SliceMethod.BY_TIME:
             return self._push_by_time(events)
         return self._push_by_time_and_number(events)
+
+    def slices(self, source: Source) -> Iterator[Slice]:
+        """Push every batch of `source`, then flush, yielding each slice as it is cut."""
+        for batch in (source,) if isinstance(source, EventArray) else source:
+            yield from self.push_batch(batch)
+        yield from self.flush()
 
     def flush(self) -> List[Slice]:
         """Publish the remaining ticks and seal the slicer."""
@@ -267,10 +279,7 @@ def slice_by_number(stream: EventArray, window_size: int) -> List[Slice]:
     A trailing remainder shorter than the window is withheld, not
     emitted; use :class:`StreamSlicer` directly when you need it.
     """
-    s = StreamSlicer(SliceMethod.BY_NUMBER, window_size=window_size)
-    out = s.push_batch(stream)
-    out.extend(s.flush())
-    return out
+    return list(StreamSlicer(SliceMethod.BY_NUMBER, window_size=window_size).slices(stream))
 
 
 def slice_by_time(
@@ -284,10 +293,7 @@ def slice_by_time(
     events still produce (empty) slices, so the slices tile the stream's
     span with no gaps.
     """
-    s = StreamSlicer(SliceMethod.BY_TIME, interval=interval, t0=t0)
-    out = s.push_batch(stream)
-    out.extend(s.flush())
-    return out
+    return list(StreamSlicer(SliceMethod.BY_TIME, interval=interval, t0=t0).slices(stream))
 
 
 def slice_by_time_and_number(
@@ -302,12 +308,7 @@ def slice_by_time_and_number(
     recent `window_size` events strictly before t_k.  `t0` defaults to
     the first event's timestamp.
     """
-    s = StreamSlicer(
-        SliceMethod.BY_TIME_AND_NUMBER,
-        interval=interval,
-        window_size=window_size,
-        t0=t0,
+    slicer = StreamSlicer(
+        SliceMethod.BY_TIME_AND_NUMBER, interval=interval, window_size=window_size, t0=t0
     )
-    out = s.push_batch(stream)
-    out.extend(s.flush())
-    return out
+    return list(slicer.slices(stream))

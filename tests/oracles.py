@@ -42,7 +42,7 @@ from evframe import (
     slice_by_time,
     slice_by_time_and_number,
 )
-from evframe.metrics import _STEP_PX, _active_mean, _check_speed, _common_full_index
+from evframe.metrics import _STEP_PX, _active_mean, _check_speed
 from evframe.synth import _THRESHOLD_SLACK, _sample
 
 
@@ -411,6 +411,15 @@ def held_polarity_flip_report(
     return PolarityFlipReport(
         tuple(before_means), tuple(after_means), tuple(rect_scores), degenerate, panels
     )
+
+
+def _common_full_index(slice_runs: Sequence[Sequence[Slice]]) -> int:
+    """Latest frame index at which every run has a non-partial slice."""
+    limit = min(len(run) for run in slice_runs)
+    for k in range(limit - 1, -1, -1):
+        if all(not run[k].partial for run in slice_runs):
+            return k
+    raise ValueError("no frame index is non-partial across all runs")
 
 
 def held_window_coverage_sweep(

@@ -323,6 +323,35 @@ class TestAccumulate:
         assert exc.value.code == 2
         assert "argument --decay" in capsys.readouterr().err
 
+    # -inf is left to test_slicer.py: without the check its ticks never
+    # pass the first event, so the run would not end.
+    @pytest.mark.parametrize("t0", ["nan", "inf"])
+    def test_non_finite_origin_fails_with_one_line(self, tmp_path, capsys, t0):
+        path = tmp_path / "two.txt"
+        path.write_text("0.1 1 1 1\n0.2 2 2 0\n")
+        code = run("accumulate", "--input", str(path), "--geometry", "4x3",
+                   f"--t0={t0}", "--out", str(tmp_path / "frames"))
+        assert code == 2
+        assert capsys.readouterr().err == f"evframe: error: t0 must be finite, got {t0}\n"
+        assert not list((tmp_path / "frames").glob("*.pgm"))
+
+    @pytest.mark.parametrize(
+        "flag, reason",
+        [
+            ("linear:-1", "linear decay rate must be > 0, got -1.0"),
+            ("linear:inf", "linear decay rate must be finite, got inf"),
+            ("exp:0", "exponential decay tau must be > 0, got 0.0"),
+        ],
+    )
+    def test_bad_decay_parameter_keeps_its_reason(self, tmp_path, capsys, flag, reason):
+        with pytest.raises(SystemExit) as exc:
+            run("accumulate", "--input", "-", "--geometry", "4x3", "--slice", "time",
+                "--decay", flag, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --decay: {reason}\n")
+        assert "_parse_decay" not in err
+
     def test_rejects_bad_geometry(self, stream_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run("accumulate", "--input", str(stream_file), "--geometry", "80by60",
@@ -400,6 +429,22 @@ class TestEval:
         assert (tmp_path / "panel_signed.pgm").exists()
         assert (tmp_path / "panel_rectified.pgm").exists()
 
+
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["window-sweep", "--windows", "180,720"], "window_sweep.csv"),
+            (["contribution-sweep", "--contributions", "0.1,0.5"], "contribution_sweep.csv"),
+        ],
+    )
+    def test_sweep_with_infinite_origin_fails_with_one_line(
+        self, stream_file, tmp_path, capsys, argv, written
+    ):
+        code = run("eval", *argv, "--input", str(stream_file), "--geometry", "80x60",
+                   "--t0", "inf", "--out", str(tmp_path))
+        assert code == 2
+        assert capsys.readouterr().err == "evframe: error: t0 must be finite, got inf\n"
+        assert not (tmp_path / written).exists()
 
     @pytest.mark.parametrize(
         "argv",

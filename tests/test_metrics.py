@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 from evframe import (
     AccumulatorConfig,
     DegenerateFrame,
+    EventArray,
     EventFrame,
     PolarityMode,
     SensorGeometry,
     SensorModel,
     SliceMethod,
+    add_noise,
     contribution_level_sweep,
     distinct_levels,
     fill_ratio,
@@ -143,6 +145,22 @@ def sweep_events():
     return generate_events(SCENE, motion, SensorModel(0.2), 0.25 / 64.0)
 
 
+def noise(duration: float, seed: int = 3) -> EventArray:
+    """Background activity only, about 96k events per second on SCENE's sensor."""
+    return add_noise(
+        EventArray.empty(), SensorModel(0.2, noise_rate=20, seed=seed), SCENE.geometry, duration
+    )
+
+
+@pytest.fixture(scope="module")
+def noise_events():
+    return noise(1.0)
+
+
+def batches_of(events: EventArray, size: int):
+    return (events[i : i + size] for i in range(0, len(events), size))
+
+
 class TestSpeedInvarianceReport:
     def test_matched_windows_reach_perfect_score(self, reports):
         _, btn = reports
@@ -229,6 +247,55 @@ class TestSweeps:
         assert levels[0.1] >= levels[0.5] >= levels[1.0]
         assert levels[1.0] == 2
 
+    def test_contribution_sweep_tells_contributions_apart(self, noise_events):
+        rows = contribution_level_sweep(
+            noise_events, SCENE.geometry, self.base_config(window_size=4000), (0.1, 0.25, 0.5, 1.0)
+        )
+        assert rows == [(0.1, 7), (0.25, 5), (0.5, 3), (1.0, 2)]
+
+    def test_sweeps_take_batches(self, noise_events):
+        config = self.base_config(window_size=4000)
+        for sweep, values in (
+            (window_coverage_sweep, (180, 720, 2880)),
+            (contribution_level_sweep, (0.1, 0.25, 0.5, 1.0)),
+        ):
+            whole = sweep(noise_events, SCENE.geometry, config, values)
+            for size in (1000, 4096, 70_000):
+                batches = batches_of(noise_events, size)
+                assert sweep(batches, SCENE.geometry, config, values) == whole
+
+    def test_window_never_full_raises(self, noise_events):
+        # About 3k events arrive per interval, so a 100k window is never full.
+        config = self.base_config()
+        args = (noise_events, SCENE.geometry, config, (180, 720, 100_000))
+        for sweep in (window_coverage_sweep, held_window_coverage_sweep):
+            with pytest.raises(ValueError, match="no frame index is non-partial"):
+                sweep(*args)
+        args = (noise_events, SCENE.geometry, replace(config, window_size=100_000), (0.1, 1.0))
+        for sweep in (contribution_level_sweep, held_contribution_level_sweep):
+            with pytest.raises(ValueError, match="no frame index is non-partial"):
+                sweep(*args)
+
+    @pytest.mark.parametrize("sweep", [window_coverage_sweep, contribution_level_sweep])
+    def test_memory_does_not_grow_with_the_input(self, sweep):
+        events = noise(2.0, seed=4)
+        assert len(events) > 190_000
+        config = self.base_config(window_size=4000)
+        values = (180, 720, 2880) if sweep is window_coverage_sweep else (0.1, 0.5, 1.0)
+
+        def traced_peak(n: int) -> int:
+            batches = batches_of(events[:n], 4096)
+            tracemalloc.start()
+            try:
+                sweep(batches, SCENE.geometry, config, values)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        quarter = len(events) // 4
+        traced_peak(quarter)  # a first run also traces numpy's lazy imports
+        assert traced_peak(len(events)) < 1.25 * traced_peak(quarter)
+
 
 def assert_same_frames(new, old):
     assert (new is None) == (old is None)
@@ -285,14 +352,21 @@ class TestStreamedReports:
         report = polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 2000, 0.3125)
         assert 0 < len(report.rectified_scores) < int(0.3125 * 32)
 
-    def test_sweeps_equal_oracle(self, sweep_events):
+    def test_sweeps_equal_oracle(self, sweep_events, noise_events):
         config = TestSweeps().base_config()
-        for polarity in PolarityMode:
-            cfg = replace(config, polarity_mode=polarity)
-            args = (sweep_events, SCENE.geometry, cfg, (180, 720, 2880))
-            assert window_coverage_sweep(*args) == held_window_coverage_sweep(*args)
-        args = (sweep_events, SCENE.geometry, replace(config, window_size=720), (0.1, 0.5, 1.0))
-        assert contribution_level_sweep(*args) == held_contribution_level_sweep(*args)
+        # The step edge gives two gray levels at every contribution; the
+        # noise gives a different count at each one.
+        for events, window_size, contributions in (
+            (sweep_events, 720, (0.1, 0.5, 1.0)),
+            (noise_events, 4000, (0.1, 0.25, 0.5, 1.0)),
+        ):
+            for polarity in PolarityMode:
+                cfg = replace(config, polarity_mode=polarity)
+                args = (events, SCENE.geometry, cfg, (180, 720, 2880))
+                assert window_coverage_sweep(*args) == held_window_coverage_sweep(*args)
+            cfg = replace(config, window_size=window_size)
+            args = (events, SCENE.geometry, cfg, contributions)
+            assert contribution_level_sweep(*args) == held_contribution_level_sweep(*args)
 
     def test_speed_invariance_memory_does_not_grow_with_the_sweep(self):
         scene = step_edge(SensorGeometry(240, 180), 0.6)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import evframe
 from evframe import (
     AccumulatorConfig,
     EventArray,
@@ -149,3 +150,23 @@ def test_frame_spec_alias_serves_the_benchmark_calls():
         assert frame.spec == SMALL_GEOMETRY
         rebuilt = EventFrame(frame.spec, frame.pixels.copy(), frame.stamp)
         assert np.array_equal(rebuilt.pixels, frame.pixels)
+
+
+def test_package_exports():
+    assert evframe.__all__ == [
+        "AccumulatorCarry", "AccumulatorConfig", "Decay", "DecayKind", "DegenerateFrame",
+        "EventArray", "EventFrame", "FrameAccumulator", "FrameSpec", "InvalidPolarity",
+        "MalformedLine", "MotionProfile", "NonMonotonicTimestamps", "OutOfBoundsEvent",
+        "PairScore", "PipelineStats", "PolarityFlipReport", "PolarityMode", "SensorGeometry",
+        "SensorModel", "SimilarityReport", "Slice", "SliceMethod", "StreamError",
+        "StreamSlicer", "SyntheticScene", "UnknownPreset", "accumulate_slice",
+        "accumulate_stream", "add_noise", "apply_decay", "bars", "checker",
+        "contribution_level_sweep", "distinct_levels", "expected_event_count", "fill_ratio",
+        "generate_events", "ncc", "neutral_value", "polarity_flip_report", "preset",
+        "preset_names", "quantize_frame", "read_event_batches", "read_frame_index", "read_pgm",
+        "run_accumulation", "saturation_fraction", "slice_by_number", "slice_by_time",
+        "slice_by_time_and_number", "speed_invariance_report", "step_edge",
+        "window_coverage_sweep", "window_size_for", "write_events", "write_frame_index",
+        "write_pgm",
+    ]
+    assert all(hasattr(evframe, name) for name in evframe.__all__)

@@ -369,3 +369,32 @@ class TestStreaming:
     def test_rejects_infinite_interval(self, method):
         with pytest.raises(ValueError, match="^interval must be finite, got inf$"):
             StreamSlicer(method, window_size=4, interval=float("inf"))
+
+    @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("method", list(SliceMethod))
+    def test_rejects_non_finite_origin(self, method, t0):
+        with pytest.raises(ValueError, match=f"^t0 must be finite, got {t0}$"):
+            StreamSlicer(method, window_size=4, interval=0.1, t0=float(t0))
+
+    @pytest.mark.parametrize("method", list(SliceMethod))
+    def test_slices_pull_batches_as_they_are_needed(self, method):
+        ev = stream([0.05, 0.1, 0.1, 0.25, 0.31, 0.5, 0.5, 0.72])
+        pulled: List[int] = []
+
+        def batches():
+            for i in range(len(ev)):
+                pulled.append(i)
+                yield ev[i : i + 1]
+
+        def build() -> StreamSlicer:
+            return StreamSlicer(method, window_size=2, interval=0.1, t0=0.0)
+
+        lazy = build().slices(batches())
+        first = next(lazy)
+        # Two events fill a group and close [0, 0.1); a time-and-number
+        # tick stays open to events exactly at 0.1 until 0.25 arrives.
+        assert len(pulled) == (4 if method is SliceMethod.BY_TIME_AND_NUMBER else 2)
+        reference = build()
+        whole = reference.push_batch(ev) + reference.flush()
+        assert_same_slices([first, *lazy], whole)
+        assert_same_slices(list(build().slices(ev)), whole)
