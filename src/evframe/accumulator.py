@@ -11,7 +11,10 @@ every slice, so a frame is exactly its slice and nothing older.  LINEAR
 and EXPONENTIAL keep a persistent pixel buffer that relaxes toward
 neutral as event time advances; integration interleaves decay up to
 each event's timestamp with the event's contribution, then decays the
-whole buffer to the publish stamp.
+whole buffer to the publish stamp.  A slice's cost follows its events:
+every pixel the slice leaves untouched decays by the one interval
+since the buffer's stamp, and only the touched pixels are integrated,
+each then decayed from its own last event.
 
 Decay acts on each pixel alone, so a slice is integrated pixel by
 pixel: its events are grouped by pixel in time order, and each event,
@@ -28,8 +31,10 @@ x -> clip(a*x + b, lo, hi) with a > 0:
 That family is closed under composition, so `_compose_runs` reduces
 each pixel's maps to one in ceil(log2 n) vectorized passes for a pixel
 with n events, and the pixel's value is that map applied to its
-carried value.  Rectified STEP is a clipped per-pixel count, and an
-empty STEP slice publishes one shared read-only neutral buffer.
+carried value.  Rectified STEP is a clipped per-pixel count, and so is
+signed STEP on a pixel whose events share one sign, which is monotone;
+only mixed-sign pixels that could reach a bound are composed.  An empty
+STEP slice publishes one shared read-only neutral buffer.
 
 Signed linear decay is a soft threshold toward 0.5, which is not in the
 family.  While many pixels share an event rank it runs one vectorized
@@ -46,12 +51,13 @@ while the checks pass, a cost budget bounds the failed rounds, and rank
 passes finish what speculation leaves.  Only the run depths in the
 slice choose between passes and scans.
 
-Rounding: where no ordering of a pixel's events could reach a clamp,
-STEP computes count*c, one rounding, the float closest to the exact
-value.  Elsewhere the composed maps, speculated signed linear runs
-included, round in a different order than event-by-event integration
-and agree with it to within 1e-12; with a power-of-two c every partial
-sum is exact and signed STEP matches it bit for bit.
+Rounding: where a pixel's events share one sign, or where no ordering
+of them could reach a clamp, STEP computes count*c, one rounding, the
+float closest to the exact value.  Elsewhere the composed maps,
+speculated signed linear runs included, round in a different order
+than event-by-event integration and agree with it to within 1e-12;
+with a power-of-two c every partial sum is exact and signed STEP
+matches it bit for bit.
 
 When too few events arrived in a publish interval the previous frame is
 republished unchanged (a "hold"), which keeps downstream consumers fed
@@ -60,6 +66,7 @@ during motion pauses instead of handing them an empty frame.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -101,14 +108,14 @@ class AccumulatorCarry:
     buffer_time: Optional[float] = None
 
 
-# One read-only value per polarity mode; every neutral frame of every
-# geometry is a zero-stride view of it, so idle gaps allocate no pixels.
-_NEUTRAL = {mode: np.broadcast_to(neutral_value(mode), ()) for mode in PolarityMode}
-
-
+@lru_cache(maxsize=16)
 def _neutral_pixels(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:
-    """Read-only neutral pixels of `geometry`'s shape, sharing one buffer."""
-    return np.broadcast_to(_NEUTRAL[polarity_mode], (geometry.height, geometry.width))
+    """Read-only neutral pixels of `geometry`'s shape, one view per mode.
+
+    The view has zero strides and every idle frame shares it, so idle
+    gaps allocate no pixels.
+    """
+    return np.broadcast_to(neutral_value(polarity_mode), (geometry.height, geometry.width))
 
 
 def apply_decay(
@@ -136,10 +143,15 @@ def _decay_values(pixels: np.ndarray, dt, decay: Decay, neutral: float) -> np.nd
     """Decay with scalar or per-pixel dt (array dt used by lazy updates)."""
     d = pixels - neutral
     if decay.kind is DecayKind.LINEAR:
-        mag = np.abs(d) - decay.rate * dt
+        mag = np.abs(d)
+        mag -= decay.rate * dt
         np.maximum(mag, 0.0, out=mag)
-        return neutral + np.sign(d) * mag
-    return neutral + d * np.exp(-np.asarray(dt) / decay.tau)
+        np.sign(d, out=d)
+        d *= mag
+    else:
+        d *= np.exp(-np.asarray(dt) / decay.tau)
+    d += neutral
+    return d
 
 
 def _validate_slice_events(slc: Slice, geometry: SensorGeometry) -> None:
@@ -147,12 +159,12 @@ def _validate_slice_events(slc: Slice, geometry: SensorGeometry) -> None:
     if len(ev) == 0:
         return
     w, h = geometry.width, geometry.height
-    if np.any(ev.x >= w) or np.any(ev.y >= h):
+    if ev.x.max() >= w or ev.y.max() >= h:
         bad = int(np.argmax((ev.x >= w) | (ev.y >= h)))
         raise OutOfBoundsEvent(
             f"event at ({int(ev.x[bad])}, {int(ev.y[bad])}) outside {w}x{h} frame"
         )
-    if np.any(np.diff(ev.t) < 0.0):
+    if (ev.t[1:] < ev.t[:-1]).any():
         raise NonMonotonicTimestamps("slice events are not in time order")
 
 
@@ -186,9 +198,16 @@ def _pixel_runs(idx: np.ndarray):
     first = np.ones(n, dtype=bool)
     np.not_equal(pix[1:], pix[:-1], out=first[1:])
     starts = np.flatnonzero(first)
-    lengths = np.diff(starts, append=n)
-    rank = np.arange(n) - np.repeat(starts, lengths)
+    rank = np.arange(n) - np.repeat(starts, _run_lengths(starts, n))
     return order, pix, starts, rank
+
+
+def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
+    """Length of each run of a sequence of `n` items, given the run starts."""
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = n - starts[-1]
+    return lengths
 
 
 def _compose_runs(a, b, lo, hi, starts, rank):
@@ -202,20 +221,22 @@ def _compose_runs(a, b, lo, hi, starts, rank):
     move through the affine step.  The arrays are overwritten.  Returns
     the composed (a, b, lo, hi) of each run, in run order.
     """
-    lengths = np.diff(starts, append=len(a))
+    lengths = _run_lengths(starts, len(a))
     ends = starts + lengths - 1
     to_end = np.repeat(ends, lengths) - np.arange(len(a))
     j = np.arange(len(a))
     stride = 1
     longest = lengths.max()
     while stride < longest:
-        j = j[(to_end[j] % (2 * stride) == 0) & (rank[j] >= stride)]
+        # stride is a power of two, so the mask tests divisibility by 2*stride.
+        j = j[(to_end[j] & (2 * stride - 1) == 0) & (rank[j] >= stride)]
         i = j - stride
         a2, b2, lo2, hi2 = a[j], b[j], lo[j], hi[j]
         a[j] = a2 * a[i]
         b[j] = a2 * b[i] + b2
-        lo[j] = np.clip(a2 * lo[i] + b2, lo2, hi2)
-        hi[j] = np.clip(a2 * hi[i] + b2, lo2, hi2)
+        # Composed maps keep lo <= hi, so min(max()) is the clip.
+        lo[j] = np.minimum(np.maximum(a2 * lo[i] + b2, lo2), hi2)
+        hi[j] = np.minimum(np.maximum(a2 * hi[i] + b2, lo2), hi2)
         stride *= 2
     return a[ends], b[ends], lo[ends], hi[ends]
 
@@ -223,10 +244,11 @@ def _compose_runs(a, b, lo, hi, starts, rank):
 def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeometry) -> np.ndarray:
     """Vectorized from-reset integration for STEP decay.
 
-    Per-pixel counting is exact for RECTIFIED (the running value is
-    monotone, so clamping commutes with summing).  For SIGNED the net
-    sum is only used where no ordering of the pixel's events could have
-    touched a clamp; the pixels that could are composed in order by
+    Per-pixel counting is exact wherever the running value is monotone,
+    so clamping commutes with summing: every RECTIFIED pixel, and every
+    SIGNED pixel whose events share one sign.  A mixed SIGNED pixel also
+    takes its net sum where no ordering of its events could have touched
+    a clamp; the mixed pixels that could are composed in order by
     `_compose_runs`.  Counting rounds once (count * c) instead of once
     per event, which is the closest float64 to the real-arithmetic
     pixel value.  An empty slice gets the shared read-only neutral
@@ -242,18 +264,25 @@ def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeome
         counts = np.bincount(idx, minlength=h * w)
         return np.minimum(counts.reshape(h, w) * c, 1.0)
 
-    pos = np.bincount(idx[ev.p > 0], minlength=h * w)
-    neg = np.bincount(idx[ev.p < 0], minlength=h * w)
-    # Worst-case prefix excursion per pixel: all of one sign first.
-    clampable = (0.5 + c * pos > 1.0) | (0.5 - c * neg < 0.0)
-    flat = np.clip(0.5 + c * (pos.astype(np.float64) - neg), 0.0, 1.0)
+    order, pix, starts, rank = _pixel_runs(idx)
+    lengths = _run_lengths(starts, len(idx))
+    up = ev.p[order] > 0
+    pos = np.add.reduceat(up, starts, dtype=np.intp)
+    neg = lengths - pos
+    values = np.minimum(np.maximum(0.5 + c * (pos - neg), 0.0), 1.0)
+    # Worst-case prefix excursion of a mixed pixel: all of one sign first.
+    clampable = (pos > 0) & (neg > 0) & ((0.5 + c * pos > 1.0) | (0.5 - c * neg < 0.0))
     if clampable.any():
-        replay = clampable[idx]
-        order, pix, starts, rank = _pixel_runs(idx[replay])
-        b = np.where(ev.p[replay][order] > 0, c, -c)
+        replay = np.repeat(clampable, lengths)
+        b = np.where(up[replay], c, -c)
         n = len(b)
-        a, b, lo, hi = _compose_runs(np.ones(n), b, np.zeros(n), np.ones(n), starts, rank)
-        flat[pix[starts]] = np.clip(a * 0.5 + b, lo, hi)
+        runs = lengths[clampable]
+        a, b, lo, hi = _compose_runs(
+            np.ones(n), b, np.zeros(n), np.ones(n), np.cumsum(runs) - runs, rank[replay]
+        )
+        values[clampable] = np.minimum(np.maximum(a * 0.5 + b, lo), hi)
+    flat = np.full(h * w, 0.5)
+    flat[pix[starts]] = values
     return flat.reshape(h, w)
 
 
@@ -395,22 +424,21 @@ def _speculate(u, runs, first, count, width, signs, c: float) -> None:
         _rank_passes(u, np.repeat(runs[left], n), rank, width[events], signs[events])
 
 
-def _integrate_signed_linear(flat, pix, starts, rank, dt, signs, rate: float, c: float) -> None:
-    """Signed LINEAR integration in place.
+def _integrate_signed_linear(x, starts, rank, dt, signs, rate: float, c: float) -> np.ndarray:
+    """Signed LINEAR integration of each run's pixel from its value `x`.
 
     Linear decay toward 0.5 is a soft threshold, which is not of the
     form clip(a*x + b, lo, hi), so these events cannot be composed as
     they come.  Ranks shared by many pixels run one pass per rank; the
     deep tails, where a pass would integrate only a few pixels, are
     speculated (`_speculate`).  The choice depends only on the run
-    depths in the slice.
+    depths in the slice.  Returns the integrated values, run by run.
     """
-    touched = pix[starts]
-    lengths = np.diff(starts, append=len(pix))
+    lengths = _run_lengths(starts, len(rank))
     run = np.repeat(np.arange(len(starts)), lengths)
     width = rate * dt
     # Signed distance of each touched pixel from neutral.
-    u = flat[touched] - 0.5
+    u = x - 0.5
     # At least _SHARED_RANK pixels reach rank r iff the run that many
     # places from the longest is longer than r.
     shared = 0
@@ -424,7 +452,7 @@ def _integrate_signed_linear(flat, pix, starts, rank, dt, signs, rate: float, c:
         head = rank < shared
         _rank_passes(u, run[head], rank[head], width[head], signs[head])
         _speculate(u, deep, starts[deep] + shared, lengths[deep] - shared, width, signs, c)
-    flat[touched] = u + 0.5
+    return u + 0.5
 
 
 def _integrate_decaying(
@@ -438,39 +466,49 @@ def _integrate_decaying(
     Decay acts on each pixel independently, so it can be applied
     lazily: each pixel is decayed from its own last touch to the event
     (or publish) timestamp, which matches advancing the whole frame to
-    every event time in order.  Each event is then one map
-    x -> clip(a*x + b, lo, hi) of its pixel, and each pixel's maps are
-    composed by `_compose_runs`; signed LINEAR, outside that family,
-    goes through `_integrate_signed_linear`.
+    every event time in order.  The whole buffer is first decayed to
+    the publish stamp by the one interval since its own stamp; the
+    pixels the slice touches are then overwritten.  Each event is one
+    map x -> clip(a*x + b, lo, hi) of its pixel, and each pixel's maps
+    are composed by `_compose_runs`; signed LINEAR, outside that family,
+    goes through `_integrate_signed_linear`.  A touched pixel finally
+    decays from its own last event to the publish stamp.
     """
     ev = slc.events
+    stamp = slc.publish_stamp
     neutral = neutral_value(config.polarity_mode)
     if carry.buffer is not None:
-        flat = carry.buffer.ravel().copy()
+        buffer = carry.buffer.ravel()
         start = carry.buffer_time
     else:
-        flat = np.full(geometry.pixel_count, neutral)
-        start = float(ev.t[0]) if len(ev) else slc.publish_stamp
+        buffer = np.full(geometry.pixel_count, neutral)
+        start = float(ev.t[0]) if len(ev) else stamp
     if len(ev) and float(ev.t[0]) < start:
         raise ValueError(
             "slice reaches back before the accumulated buffer; overlapping "
             "windows cannot be combined with a decaying buffer"
         )
+    # Events are in time order and start no earlier than `start`.
+    if stamp < (float(ev.t[-1]) if len(ev) else start):
+        raise ValueError("slice events run past the publish stamp")
     c = config.contribution
     decay = config.decay
-    last_touch = np.full(flat.shape, start)
+    out = _decay_values(buffer, stamp - start, decay, neutral)
     if len(ev):
         idx = ev.y.astype(np.intp) * geometry.width + ev.x.astype(np.intp)
         order, pix, starts, rank = _pixel_runs(idx)
         t = ev.t[order]
-        dt = np.diff(t, prepend=start)
+        dt = np.empty(len(t))
+        np.subtract(t[1:], t[:-1], out=dt[1:])
         dt[starts] = t[starts] - start
+        touched = pix[starts]
+        x = buffer[touched]
         if config.polarity_mode is PolarityMode.SIGNED:
             s = np.where(ev.p[order] > 0, c, -c)
         else:
             s = np.full(len(t), c)
         if config.polarity_mode is PolarityMode.SIGNED and decay.kind is DecayKind.LINEAR:
-            _integrate_signed_linear(flat, pix, starts, rank, dt, s, decay.rate, c)
+            x = _integrate_signed_linear(x, starts, rank, dt, s, decay.rate, c)
         else:
             if decay.kind is DecayKind.LINEAR:
                 # Rectified: x -> min(max(x - r*dt, 0) + c, 1).
@@ -482,14 +520,10 @@ def _integrate_decaying(
                 b = neutral * (1.0 - a) + s
                 lo = np.zeros(len(t))
             a, b, lo, hi = _compose_runs(a, b, lo, np.ones(len(t)), starts, rank)
-            touched = pix[starts]
-            flat[touched] = np.clip(a * flat[touched] + b, lo, hi)
-        ends = np.append(starts[1:], len(t)) - 1
-        last_touch[pix[ends]] = t[ends]
-    remaining = slc.publish_stamp - last_touch
-    if float(remaining.min()) < 0.0:
-        raise ValueError("slice events run past the publish stamp")
-    return _decay_values(flat, remaining, decay, neutral).reshape(geometry.height, geometry.width)
+            x = np.minimum(np.maximum(a * x + b, lo), hi)
+        last = t[starts + _run_lengths(starts, len(t)) - 1]
+        out[touched] = _decay_values(x, stamp - last, decay, neutral)
+    return out.reshape(geometry.height, geometry.width)
 
 
 def accumulate_slice(
@@ -514,8 +548,8 @@ def accumulate_slice(
         buffer_time = carry.buffer_time
     else:
         pixels = _integrate_decaying(slc, config, geometry, carry)
-        # The frame makes its pixels read-only and the next slice copies
-        # the buffer before writing, so the two can share memory.
+        # The frame makes its pixels read-only and the next slice only
+        # reads the buffer, so the two can share memory.
         buffer = pixels
         buffer_time = slc.publish_stamp
     frame = EventFrame(spec=geometry, pixels=pixels, stamp=slc.publish_stamp, held=False)

@@ -22,13 +22,14 @@ from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from time import perf_counter
-from typing import IO, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import (
     AccumulatorConfig,
     Decay,
+    EventArray,
     EventFrame,
     PolarityMode,
     SensorGeometry,
@@ -166,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write side-by-side PGM comparison panels")
     # Flags shared by the sweeps over a recorded event file.
     recorded = argparse.ArgumentParser(add_help=False)
-    recorded.add_argument("--input", required=True, help="event text file")
+    recorded.add_argument("--input", required=True, help="event text file, or - for stdin")
     recorded.add_argument("--geometry", type=_parse_geometry, required=True, metavar="WxH")
     recorded.add_argument("--interval", type=float, default=1.0 / 30.0)
     recorded.add_argument("--t0", type=float, default=0.0)
@@ -226,6 +227,11 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
     return replace(config, **overrides)
 
 
+def _read_input(args: argparse.Namespace) -> Iterator[EventArray]:
+    """Event batches from `--input`: a text file, or stdin for -."""
+    return read_event_batches(sys.stdin if args.input == "-" else args.input, args.geometry)
+
+
 def _cmd_accumulate(args: argparse.Namespace) -> int:
     started = perf_counter()
     config = _config_from_args(args)
@@ -234,12 +240,7 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     names = (f"frame_{i:06d}.pgm" for i in count())
-    source: IO[str] | str
-    if args.input == "-":
-        source = sys.stdin
-    else:
-        source = args.input
-    batches = read_event_batches(source, geometry)
+    batches = _read_input(args)
     # Each row is written as its frame is, so a run that fails part-way
     # still leaves an index of every frame it wrote.
     with open(out_dir / "index.csv", "w", encoding="ascii", buffering=1) as index:
@@ -358,7 +359,7 @@ def _cmd_eval_window_sweep(args: argparse.Namespace) -> int:
         contribution=args.contribution,
         polarity_mode=PolarityMode(args.polarity),
     )
-    batches = read_event_batches(args.input, args.geometry)
+    batches = _read_input(args)
     rows = window_coverage_sweep(batches, args.geometry, config, args.windows, t0=args.t0)
     _write_csv(
         Path(args.out) / "window_sweep.csv",
@@ -372,7 +373,7 @@ def _cmd_eval_window_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_eval_contribution_sweep(args: argparse.Namespace) -> int:
     config = AccumulatorConfig(interval=args.interval, window_size=args.window_size)
-    batches = read_event_batches(args.input, args.geometry)
+    batches = _read_input(args)
     rows = contribution_level_sweep(
         batches, args.geometry, config, args.contributions, t0=args.t0
     )

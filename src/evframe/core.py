@@ -135,7 +135,8 @@ class EventArray:
 
     @classmethod
     def empty(cls) -> "EventArray":
-        return cls.from_columns([], [], [], [])
+        """The empty batch: one shared instance, as its columns are read-only."""
+        return _EMPTY_EVENTS
 
     @classmethod
     def concatenate(cls, parts: Iterable["EventArray"]) -> "EventArray":
@@ -167,6 +168,9 @@ class EventArray:
         if not isinstance(key, slice):
             raise TypeError(f"EventArray takes slices only, got {type(key).__name__}")
         return EventArray(self.t[key], self.x[key], self.y[key], self.p[key])
+
+
+_EMPTY_EVENTS = EventArray.from_columns([], [], [], [])
 
 
 @dataclass(frozen=True, eq=False)

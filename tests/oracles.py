@@ -123,6 +123,38 @@ def integrate_event(
     return pixels
 
 
+def compose_runs(a, b, lo, hi, starts, rank):
+    """Compose each run of maps x -> clip(a*x + b, lo, hi), earliest first.
+
+    The segmented up-sweep as `accumulator._compose_runs` first wrote it,
+    with a `%` filter and `np.clip`; the kernel must equal it bit for bit.
+
+    This is the up-sweep of a segmented prefix scan (Blelloch 1990): at
+    stride s every element whose distance to its run's end is a multiple
+    of 2s absorbs the element s places earlier, so after ceil(log2 L)
+    passes the last element of a run of length L holds the whole run.
+    The family is closed under composition because a > 0 lets a clamp
+    move through the affine step.  The arrays are overwritten.  Returns
+    the composed (a, b, lo, hi) of each run, in run order.
+    """
+    lengths = np.diff(starts, append=len(a))
+    ends = starts + lengths - 1
+    to_end = np.repeat(ends, lengths) - np.arange(len(a))
+    j = np.arange(len(a))
+    stride = 1
+    longest = lengths.max()
+    while stride < longest:
+        j = j[(to_end[j] % (2 * stride) == 0) & (rank[j] >= stride)]
+        i = j - stride
+        a2, b2, lo2, hi2 = a[j], b[j], lo[j], hi[j]
+        a[j] = a2 * a[i]
+        b[j] = a2 * b[i] + b2
+        lo[j] = np.clip(a2 * lo[i] + b2, lo2, hi2)
+        hi[j] = np.clip(a2 * hi[i] + b2, lo2, hi2)
+        stride *= 2
+    return a[ends], b[ends], lo[ends], hi[ends]
+
+
 def dense_generate_events(
     scene: SyntheticScene,
     motion: MotionProfile,

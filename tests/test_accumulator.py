@@ -26,8 +26,8 @@ from evframe import (
 )
 from evframe import accumulator
 
-from conftest import SMALL_GEOMETRY, event_arrays
-from oracles import Event, events_of, integrate_event, reset_frame
+from conftest import SMALL_GEOMETRY, event_arrays, uniform_events
+from oracles import Event, compose_runs, events_of, integrate_event, reset_frame
 
 SPEC = SensorGeometry(SMALL_GEOMETRY.width, SMALL_GEOMETRY.height)
 
@@ -616,3 +616,191 @@ class TestGrouping:
         order, _, _, rank = accumulator._pixel_runs(idx)
         assert order.tolist() == np.argsort(idx * n + np.arange(n)).tolist()
         assert accumulator._stable_order(rank).tolist() == np.argsort(rank, kind="stable").tolist()
+
+
+def _column_events(cells, rng) -> EventArray:
+    """Events on (x, y, p) cells at sorted random times, one per cell entry."""
+    x, y, p = np.array(cells, dtype=np.int64).reshape(-1, 3).T
+    order = rng.permutation(len(x))
+    t = np.sort(rng.uniform(0.0, 1.0, len(x)))
+    return EventArray.from_columns(t, x[order], y[order], p[order])
+
+
+class TestSignedStepCounts:
+    """Signed STEP: one-sign pixels are counted, mixed ones composed where they can clamp."""
+
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.25, 0.3, 0.33])
+    def test_one_sign_pixel_publishes_the_clipped_count(self, c):
+        # Row 0 holds 1, 3, ..., 15 positive events per pixel and row 1 as
+        # many negative ones, most of them far past the clamp; rows 2-3 mix
+        # signs deeply enough to run the composing path in the same slice.
+        rng = np.random.default_rng(11)
+        counts = 2 * np.arange(SPEC.width) + 1
+        cells = [(x, 0, 1) for x in range(SPEC.width) for _ in range(counts[x])]
+        cells += [(x, 1, -1) for x in range(SPEC.width) for _ in range(counts[x])]
+        signs = rng.choice([-1, 1], (SPEC.width, 12))
+        cells += [(x, 2 + x % 2, int(p)) for x in range(SPEC.width) for p in signs[x]]
+        ev = _column_events(cells, rng)
+        config = AccumulatorConfig(contribution=c, polarity_mode=PolarityMode.SIGNED)
+        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        assert frame.pixels[0].tolist() == np.clip(0.5 + c * counts, 0.0, 1.0).tolist()
+        assert frame.pixels[1].tolist() == np.clip(0.5 - c * counts, 0.0, 1.0).tolist()
+        assert frame.pixels[0, -1] == 1.0 and frame.pixels[1, -1] == 0.0
+        expected = reference_step_pixels(ev, config, SPEC)
+        assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
+
+    def test_one_sign_pixels_are_not_composed(self, monkeypatch):
+        composed = []
+        compose = accumulator._compose_runs
+
+        def spy(a, *rest):
+            composed.append(len(a))
+            return compose(a, *rest)
+
+        monkeypatch.setattr(accumulator, "_compose_runs", spy)
+        rng = np.random.default_rng(12)
+        # Nine events of one sign on each pixel of rows 0 (positive) and 1.
+        deep = [(x, y, 1 - 2 * y) for x in range(SPEC.width) for y in range(2) for _ in range(9)]
+        mixed = [(0, 2, 1)] * 4 + [(0, 2, -1)] * 3
+        config = AccumulatorConfig(contribution=0.2, polarity_mode=PolarityMode.SIGNED)
+        accumulate_slice(make_slice(_column_events(deep, rng)), config, SPEC)
+        assert composed == []
+        accumulate_slice(make_slice(_column_events(deep + mixed, rng)), config, SPEC)
+        assert composed == [len(mixed)]
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2), st.sampled_from([-1, 1])), min_size=1, max_size=240),
+        st.sampled_from([0.2, 0.25, 0.33]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_mixed_pixels_match_the_per_event_reference(self, cells, c):
+        # Three pixels take every event, so runs are deep and clamps likely.
+        ev = EventArray.from_columns(
+            np.linspace(0.0, 1.0, len(cells)),
+            [x for x, _ in cells],
+            np.zeros(len(cells), dtype=np.int32),
+            [p for _, p in cells],
+        )
+        config = AccumulatorConfig(contribution=c, polarity_mode=PolarityMode.SIGNED)
+        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        expected = reference_step_pixels(ev, config, SPEC)
+        if c == 0.25:
+            assert np.array_equal(frame.pixels, expected)
+        else:
+            assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
+
+
+DECAYS = pytest.mark.parametrize(
+    "decay", [Decay.linear(1.0), Decay.exponential(0.3)], ids=["linear", "exp"]
+)
+MODES = pytest.mark.parametrize("mode", [PolarityMode.RECTIFIED, PolarityMode.SIGNED])
+
+
+class TestDecayingSlices:
+    """A decaying slice integrates its touched pixels and decays the rest by one interval."""
+
+    @staticmethod
+    def carried(mode, decay):
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, decay=decay, contribution=0.2, polarity_mode=mode
+        )
+        first = uniform_events(300, SPEC, t_end=1.0, seed=3)
+        _, carry = accumulate_slice(make_slice(first, 1.0), config, SPEC)
+        assert len(np.unique(carry.buffer)) > 10
+        return config, carry
+
+    @DECAYS
+    @MODES
+    def test_untouched_pixels_decay_by_one_interval(self, mode, decay):
+        config, carry = self.carried(mode, decay)
+        later = EventArray.from_columns([1.2, 1.3, 1.3], [1, 1, 4], [2, 2, 3], [1, -1, 1])
+        frame, _ = accumulate_slice(make_slice(later, 1.5), config, SPEC, carry)
+        expected = apply_decay(carry.buffer, 1.5 - carry.buffer_time, decay, neutral_value(mode))
+        untouched = np.ones(frame.pixels.shape, dtype=bool)
+        untouched[2, 1] = untouched[3, 4] = False
+        assert frame.pixels[untouched].tobytes() == expected[untouched].tobytes()
+        reference = reference_decaying_pixels(later, 1.5, config, SPEC, carry)
+        assert np.allclose(frame.pixels, reference, atol=1e-12, rtol=0.0)
+
+    @DECAYS
+    @MODES
+    def test_empty_slice_decays_the_whole_buffer(self, mode, decay):
+        config, carry = self.carried(mode, decay)
+        frame, _ = accumulate_slice(make_slice(EventArray.empty(), 1.25), config, SPEC, carry)
+        expected = apply_decay(carry.buffer, 0.25, decay, neutral_value(mode))
+        assert frame.pixels.tobytes() == expected.tobytes()
+
+    @DECAYS
+    def test_rejects_a_slice_before_the_buffer(self, decay):
+        config, carry = self.carried(PolarityMode.SIGNED, decay)
+        early = EventArray.from_columns([0.75], [1], [1], [1])
+        with pytest.raises(ValueError, match="reaches back before the accumulated buffer"):
+            accumulate_slice(make_slice(early, 1.5), config, SPEC, carry)
+
+    @DECAYS
+    def test_rejects_events_past_the_stamp(self, decay):
+        config, carry = self.carried(PolarityMode.SIGNED, decay)
+        late = EventArray.from_columns([1.2, 2.0], [1, 2], [1, 1], [1, 1])
+        with pytest.raises(ValueError, match="run past the publish stamp"):
+            accumulate_slice(make_slice(late, 1.5), config, SPEC, carry)
+        with pytest.raises(ValueError, match="run past the publish stamp"):
+            accumulate_slice(make_slice(late, 1.5), config, SPEC)
+
+    @DECAYS
+    def test_rejects_an_empty_slice_stamped_before_the_buffer(self, decay):
+        config, carry = self.carried(PolarityMode.RECTIFIED, decay)
+        with pytest.raises(ValueError, match="run past the publish stamp"):
+            accumulate_slice(make_slice(EventArray.empty(), 0.5), config, SPEC, carry)
+
+
+def map_runs(lengths, family: str, seed: int):
+    """Runs of per-event maps (a, b, lo, hi) as a decaying or STEP slice builds them.
+
+    Gaps mix equal stamps and short spacing, so long runs keep a long
+    memory, with two huge idle spells whose exp underflows to a = 0.0.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = np.asarray(lengths)
+    n = int(lengths.sum())
+    starts = np.cumsum(lengths) - lengths
+    rank = np.arange(n) - np.repeat(starts, lengths)
+    c = float(rng.choice([0.01, 0.1, 0.2, 0.25, 0.33]))
+    s = c * rng.choice([-1.0, 1.0], n)
+    dt = rng.choice([0.0, 1e-4, 1e-3], n) * rng.random(n)
+    dt[rng.integers(0, n, 2)] = 1e6
+    lo, hi = np.zeros(n), np.ones(n)
+    if family == "exp":
+        a = np.exp(-dt / 0.05)
+        b = float(rng.choice([0.0, 0.5])) * (1.0 - a) + s
+    elif family == "step":
+        a, b = np.ones(n), s
+    else:  # rectified linear
+        a, b, lo = np.ones(n), c - 5.0 * dt, np.full(n, c)
+    return (a, b, lo, hi), starts, rank
+
+
+class TestComposeRuns:
+    """The composition kernel against the up-sweep it replaced, bit for bit."""
+
+    @staticmethod
+    def assert_same(maps, starts, rank):
+        got = accumulator._compose_runs(*(m.copy() for m in maps), starts, rank)
+        want = compose_runs(*(m.copy() for m in maps), starts, rank)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @given(
+        st.lists(st.integers(1, 3000), min_size=1, max_size=4),
+        st.sampled_from(["exp", "step", "linear"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_first_kernel(self, lengths, family, seed):
+        self.assert_same(*map_runs(lengths, family, seed))
+
+    @pytest.mark.parametrize("family", ["exp", "step", "linear"])
+    def test_equals_the_first_kernel_on_every_short_run(self, family):
+        maps, starts, rank = map_runs(list(range(1, 70)) + [1000, 3000], family, 7)
+        if family == "exp":
+            assert (maps[0] == 0.0).sum() == 2
+        self.assert_same(maps, starts, rank)

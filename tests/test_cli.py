@@ -419,6 +419,24 @@ class TestEval:
         levels = [int(row.split(",")[1]) for row in lines[1:]]
         assert levels == sorted(levels, reverse=True)
 
+    @pytest.mark.parametrize(
+        "argv, written",
+        [
+            (["window-sweep", "--windows", "180,720,2880"], "window_sweep.csv"),
+            (["contribution-sweep", "--contributions", "0.1,0.5,1.0", "--window-size", "720"],
+             "contribution_sweep.csv"),
+        ],
+    )
+    def test_sweep_reads_stdin_when_input_is_dash(
+        self, stream_file, tmp_path, monkeypatch, argv, written
+    ):
+        argv = ["eval", *argv, "--geometry", "80x60", "--interval", "0.03125"]
+        from_file, piped = tmp_path / "file", tmp_path / "piped"
+        assert run(*argv, "--input", str(stream_file), "--out", str(from_file)) == 0
+        monkeypatch.setattr("sys.stdin", io.StringIO(stream_file.read_text()))
+        assert run(*argv, "--input", "-", "--out", str(piped)) == 0
+        assert (piped / written).read_bytes() == (from_file / written).read_bytes()
+
     def test_polarity_flip_csv_and_panels(self, tmp_path, capsys):
         code = run("eval", "polarity-flip", "--out", str(tmp_path), "--panels")
         assert code == 0

@@ -13,6 +13,7 @@ from evframe import (
     AccumulatorConfig,
     EventArray,
     EventFrame,
+    FrameAccumulator,
     FrameSpec,
     PipelineStats,
     PolarityMode,
@@ -21,6 +22,7 @@ from evframe import (
     accumulate_stream,
     neutral_value,
     run_accumulation,
+    slice_by_time,
     slice_by_time_and_number,
 )
 
@@ -136,6 +138,27 @@ class TestRunAccumulation:
         assert len(idle) == 49
         assert all(np.shares_memory(f.pixels, idle[0].pixels) for f in idle)
         assert not any(f.pixels.flags.writeable for f in idle)
+
+    @pytest.mark.parametrize("mode", [PolarityMode.RECTIFIED, PolarityMode.SIGNED])
+    def test_idle_ticks_share_their_empty_objects(self, mode):
+        # One empty EventArray serves every idle slice, and one neutral
+        # view serves every idle frame of a geometry and mode.
+        ev = EventArray.from_columns([0.0005, 0.0505], [1, 2], [1, 1], [1, -1])
+        slices = slice_by_time(ev, 1e-3)
+        idle = [s for s in slices if len(s) == 0]
+        assert len(idle) == 49
+        assert all(s.events is EventArray.empty() for s in idle)
+        assert EventArray.concatenate([]) is EventArray.empty()
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=1e-3, polarity_mode=mode
+        )
+        for geometry in (SensorGeometry(240, 180), SPEC):
+            acc = FrameAccumulator(config, geometry)
+            pixels = {id(acc.process(s).pixels) for s in idle}
+            assert len(pixels) == 1
+            frames, _ = accumulate_stream(ev, config, geometry)
+            assert len(frames) == len(slices)
+            assert {id(f.pixels) for f, s in zip(frames, slices) if len(s) == 0} == pixels
 
 
 def test_frame_spec_alias_serves_the_benchmark_calls():
