@@ -51,13 +51,30 @@ while the checks pass, a cost budget bounds the failed rounds, and rank
 passes finish what speculation leaves.  Only the run depths in the
 slice choose between passes and scans.
 
+A saturated pixel forgets its past.  Every event map is monotone and
+clamps to [0, 1], so once some stretch of a pixel's events sends every
+starting value to one value (the pixel clamped within it, or linear
+decay stopped it at neutral), nothing before that stretch reaches the
+frame.  A hot pixel clamps all the time, so a run longer than W =
+`_SUFFIX` events is first integrated over its last W events alone.
+Composed runs build the same end-aligned pairwise tree over those W
+maps that `_compose_runs` would build; where it is a constant L (lo ==
+hi), every later combination of the whole run keeps lo = hi = L
+exactly, so L is bit for bit the full composition's value.  Signed
+linear runs the last W events from both ends of the state range, u =
+-1/2 and u = +1/2; each event is monotone in floating point, so the
+pixel's own orbit stays between the two and ends where they end equal.
+That is the event-by-event value, with no speculation.  Runs whose
+last W events do not decide them take the paths above unchanged.
+
 Rounding: where a pixel's events share one sign, or where no ordering
 of them could reach a clamp, STEP computes count*c, one rounding, the
-float closest to the exact value.  Elsewhere the composed maps,
-speculated signed linear runs included, round in a different order
-than event-by-event integration and agree with it to within 1e-12;
-with a power-of-two c every partial sum is exact and signed STEP
-matches it bit for bit.
+float closest to the exact value.  A signed linear run that its last
+W events decide is rounded as the rank passes round it.  Elsewhere the
+composed maps, speculated signed linear runs included, round in a
+different order than event-by-event integration and agree with it to
+within 1e-12; with a power-of-two c every partial sum is exact and
+signed STEP matches it bit for bit.
 
 When too few events arrived in a publish interval the previous frame is
 republished unchanged (a "hold"), which keeps downstream consumers fed
@@ -143,11 +160,9 @@ def _decay_values(pixels: np.ndarray, dt, decay: Decay, neutral: float) -> np.nd
     """Decay with scalar or per-pixel dt (array dt used by lazy updates)."""
     d = pixels - neutral
     if decay.kind is DecayKind.LINEAR:
-        mag = np.abs(d)
-        mag -= decay.rate * dt
-        np.maximum(mag, 0.0, out=mag)
-        np.sign(d, out=d)
-        d *= mag
+        # d - clip(d, -w, w) moves d toward 0 by w and stops at 0.
+        w = decay.rate * dt
+        d -= np.clip(d, -w, w)
     else:
         d *= np.exp(-np.asarray(dt) / decay.tau)
     d += neutral
@@ -241,6 +256,57 @@ def _compose_runs(a, b, lo, hi, starts, rank):
     return a[ends], b[ends], lo[ends], hi[ends]
 
 
+def _suffix_bounds(a, b, lo, hi, ends):
+    """Bounds of the composition of the last _SUFFIX maps of each run.
+
+    The runs end at `ends` and are longer than _SUFFIX.  Neighbouring
+    pairs are composed, later after earlier, until one map is left:
+    with a power-of-two window that is the end-aligned tree of
+    `_compose_runs`, so the bounds equal, bit for bit, the ones it holds
+    at each run's end after log2(_SUFFIX) passes.
+    """
+    cols = ends[:, None] - np.arange(_SUFFIX - 1, -1, -1)
+    a, b, lo, hi = a[cols], b[cols], lo[cols], hi[cols]
+    while a.shape[1] > 1:
+        a1, b1, lo1, hi1 = a[:, 0::2], b[:, 0::2], lo[:, 0::2], hi[:, 0::2]
+        a2, b2, lo2, hi2 = a[:, 1::2], b[:, 1::2], lo[:, 1::2], hi[:, 1::2]
+        lo = np.minimum(np.maximum(a2 * lo1 + b2, lo2), hi2)
+        hi = np.minimum(np.maximum(a2 * hi1 + b2, lo2), hi2)
+        b = a2 * b1 + b2
+        a = a2 * a1
+    return lo[:, 0], hi[:, 0]
+
+
+def _run_values(x, a, b, lo, hi, starts, rank):
+    """Each run's maps x -> clip(a*x + b, lo, hi) applied in order to its x.
+
+    A run longer than _SUFFIX whose last _SUFFIX maps compose to a
+    constant (lo == hi) has that constant as its value: every later
+    combination in `_compose_runs` keeps the end's lo = hi, so its
+    clip(A*x + B, LO, HI) returns it too.  The other runs are composed
+    whole.  The arrays may be overwritten.
+    """
+    lengths = _run_lengths(starts, len(a))
+    values = np.empty(len(starts))
+    rest = np.ones(len(starts), dtype=bool)
+    deep = np.flatnonzero(lengths > _SUFFIX)
+    if deep.size:
+        low, high = _suffix_bounds(a, b, lo, hi, (starts + lengths - 1)[deep])
+        constant = low == high
+        values[deep[constant]] = low[constant]
+        rest[deep[constant]] = False
+        if not rest.any():
+            return values
+    if not rest.all():
+        keep = np.repeat(rest, lengths)
+        a, b, lo, hi, rank = a[keep], b[keep], lo[keep], hi[keep], rank[keep]
+        x, lengths = x[rest], lengths[rest]
+        starts = np.cumsum(lengths) - lengths
+    a, b, lo, hi = _compose_runs(a, b, lo, hi, starts, rank)
+    values[rest] = np.minimum(np.maximum(a * x + b, lo), hi)
+    return values
+
+
 def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeometry) -> np.ndarray:
     """Vectorized from-reset integration for STEP decay.
 
@@ -277,14 +343,22 @@ def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeome
         b = np.where(up[replay], c, -c)
         n = len(b)
         runs = lengths[clampable]
-        a, b, lo, hi = _compose_runs(
-            np.ones(n), b, np.zeros(n), np.ones(n), np.cumsum(runs) - runs, rank[replay]
+        values[clampable] = _run_values(
+            np.full(len(runs), 0.5),
+            np.ones(n), b, np.zeros(n), np.ones(n), np.cumsum(runs) - runs, rank[replay],
         )
-        values[clampable] = np.minimum(np.maximum(a * 0.5 + b, lo), hi)
     flat = np.full(h * w, 0.5)
     flat[pix[starts]] = values
     return flat.reshape(h, w)
 
+
+# A run longer than _SUFFIX events is first integrated over its last
+# _SUFFIX events alone (`_run_values`, `_speculate`): a pixel that
+# clamped within them has forgotten every earlier event.  On the
+# benchmark's hot pixels the last 5-42 events decide every run.
+# _SUFFIX must be a power of two, so that its pairwise tree is the
+# end-aligned one of `_compose_runs`.
+_SUFFIX = 64
 
 # Signed LINEAR integration runs one vectorized pass per event rank
 # while at least _SHARED_RANK pixels reach that rank.  Fewer pixels make
@@ -354,10 +428,39 @@ def _prior_states(x, b, lo, hi):
     return np.concatenate([x[:, None], lo[:, :-1]], axis=1)
 
 
+def _settle_suffixes(x, pos, first, count, width, signs) -> None:
+    """Settle the runs that their last _SUFFIX events decide, in place.
+
+    Each event u -> clip(soft(u, w) + s, -1/2, 1/2) is monotone in
+    floating point, so the orbits of a run's last _SUFFIX events from
+    u = -1/2 and from u = +1/2 enclose its orbit from any state.  Where
+    the two end equal, that is the run's value: `x` takes it and `pos`
+    moves to the run's end.
+    """
+    deep = np.flatnonzero(count > _SUFFIX)
+    if not deep.size:
+        return
+    end = first[deep] + count[deep]
+    events = end - np.arange(_SUFFIX, 0, -1)[:, None]
+    w, s = width[events], signs[events]
+    orbit = np.empty((2, len(deep)))
+    orbit[0], orbit[1] = -0.5, 0.5
+    neg_w = -w
+    for k in range(_SUFFIX):
+        orbit -= np.maximum(np.minimum(orbit, w[k]), neg_w[k])
+        orbit += s[k]
+        np.minimum(np.maximum(orbit, -0.5, out=orbit), 0.5, out=orbit)
+    settled = orbit[0] == orbit[1]
+    x[deep[settled]] = orbit[0, settled]
+    pos[deep[settled]] = count[deep[settled]]
+
+
 def _speculate(u, runs, first, count, width, signs, c: float) -> None:
     """Integrate deep run tails by speculative scans, in place.
 
-    Run `runs[r]` has `count[r]` events left from index `first[r]`.  With
+    Run `runs[r]` has `count[r]` events left from index `first[r]`.  The
+    runs that their last _SUFFIX events decide are settled first
+    (`_settle_suffixes`); the others are speculated.  With
     w = rate*dt, an event is u -> clip(soft(u, w) + s, -1/2, 1/2), which
     equals P(u) = clip(u + s - w, clip(s), 1/2) wherever u >= -w and
     N(u) = clip(u + s + w, -1/2, clip(s)) wherever u <= w.  Each round
@@ -373,9 +476,10 @@ def _speculate(u, runs, first, count, width, signs, c: float) -> None:
     """
     x = u[runs]
     pos = np.zeros(len(runs), dtype=np.intp)
+    _settle_suffixes(x, pos, first, count, width, signs)
     window = np.full(len(runs), _FIRST_WINDOW)
     budget = np.zeros(len(runs))
-    live = np.arange(len(runs))
+    live = np.flatnonzero(pos < count)
     while live.size:
         size = np.minimum(window[live], count[live] - pos[live])
         cols = np.arange(int(size.max()))
@@ -519,8 +623,7 @@ def _integrate_decaying(
                 a = np.exp(-dt / decay.tau)
                 b = neutral * (1.0 - a) + s
                 lo = np.zeros(len(t))
-            a, b, lo, hi = _compose_runs(a, b, lo, np.ones(len(t)), starts, rank)
-            x = np.minimum(np.maximum(a * x + b, lo), hi)
+            x = _run_values(x, a, b, lo, np.ones(len(t)), starts, rank)
         last = t[starts + _run_lengths(starts, len(t)) - 1]
         out[touched] = _decay_values(x, stamp - last, decay, neutral)
     return out.reshape(geometry.height, geometry.width)

@@ -155,6 +155,22 @@ def compose_runs(a, b, lo, hi, starts, rank):
     return a[ends], b[ends], lo[ends], hi[ends]
 
 
+def linear_decay_values(pixels: np.ndarray, dt, rate: float, neutral: float) -> np.ndarray:
+    """Linear decay as `accumulator._decay_values` first wrote it.
+
+    sign(d) * max(|d| - rate*dt, 0) around `neutral`, for a scalar or a
+    per-pixel dt; the kernel must equal it bit for bit.
+    """
+    d = pixels - neutral
+    mag = np.abs(d)
+    mag -= rate * dt
+    np.maximum(mag, 0.0, out=mag)
+    np.sign(d, out=d)
+    d *= mag
+    d += neutral
+    return d
+
+
 def dense_generate_events(
     scene: SyntheticScene,
     motion: MotionProfile,

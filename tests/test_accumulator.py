@@ -27,7 +27,14 @@ from evframe import (
 from evframe import accumulator
 
 from conftest import SMALL_GEOMETRY, event_arrays, uniform_events
-from oracles import Event, compose_runs, events_of, integrate_event, reset_frame
+from oracles import (
+    Event,
+    compose_runs,
+    events_of,
+    integrate_event,
+    linear_decay_values,
+    reset_frame,
+)
 
 SPEC = SensorGeometry(SMALL_GEOMETRY.width, SMALL_GEOMETRY.height)
 
@@ -804,3 +811,252 @@ class TestComposeRuns:
         if family == "exp":
             assert (maps[0] == 0.0).sum() == 2
         self.assert_same(maps, starts, rank)
+
+
+class TestLinearDecayValues:
+    """The linear decay kernel against the formula it replaced, bit for bit."""
+
+    @pytest.mark.parametrize("neutral", [0.0, 0.5])
+    @pytest.mark.parametrize("per_pixel", [False, True], ids=["scalar-dt", "per-pixel-dt"])
+    def test_equals_the_first_formula(self, neutral, per_pixel):
+        rng = np.random.default_rng(int(per_pixel))
+        n, rate = 2048, 5.0
+        # Dyadic widths, so neutral +- w is exact and d lands on the kink.
+        dt = rng.choice([0.0, 2.0**-10, 2.0**-6, 2.0**-3], n) if per_pixel else 2.0**-6
+        w = rate * np.broadcast_to(dt, n)
+        edge = neutral + rng.choice([-1.0, 1.0], n) * w
+        pixels = np.stack([
+            rng.random(n),
+            edge,
+            np.nextafter(edge, np.inf),
+            np.nextafter(edge, -np.inf),
+            np.full(n, neutral),
+        ])
+        assert (pixels[1] - neutral == np.where(edge > neutral, w, -w)).all()
+        got = accumulator._decay_values(pixels, dt, Decay.linear(rate), neutral)
+        assert got.tobytes() == linear_decay_values(pixels, dt, rate, neutral).tobytes()
+
+    @pytest.mark.parametrize("neutral", [0.0, 0.5])
+    def test_equals_the_first_formula_at_any_rate(self, neutral):
+        rng = np.random.default_rng(9)
+        pixels, dt = rng.random(4096), rng.exponential(0.05, 4096)
+        for rate in (0.8, 5.0, 37.0):
+            got = accumulator._decay_values(pixels, dt, Decay.linear(rate), neutral)
+            assert got.tobytes() == linear_decay_values(pixels, dt, rate, neutral).tobytes()
+
+
+SUFFIX = accumulator._SUFFIX
+SUFFIX_LENGTHS = (SUFFIX - 1, SUFFIX, SUFFIX + 1, 2 * SUFFIX + 3, 1000, 3000)
+RUN_KINDS = ("clamping", "hovering", "fading")
+
+
+def suffix_maps(family: str, seed: int):
+    """Per-event maps (a, b, lo, hi) of runs of every kind and suffix length.
+
+    A "clamping" run takes random signs at c = 0.2 with short gaps, so it
+    clamps every few maps.  A "hovering" run alternates signs at c = 0.05
+    with tiny gaps and never clamps; before its last SUFFIX maps it has
+    two idle spells, whose exp underflows to a = 0.0 and whose linear
+    decay empties the pixel.  A "fading" run hovers too, but one gap
+    among its last SUFFIX maps shrinks exp's a to about 4e-11.  Three
+    short runs follow.  Returns the maps, starts, rank and each run's kind.
+    """
+    rng = np.random.default_rng(seed)
+    runs = [(n, kind) for n in SUFFIX_LENGTHS for kind in RUN_KINDS] + [(1, ""), (2, ""), (5, "")]
+    s, dt = [], []
+    for n, kind in runs:
+        if kind == "clamping":
+            s.append(0.2 * rng.choice([-1.0, 1.0], n))
+            dt.append(rng.uniform(0.0, 1e-3, n))
+            continue
+        s.append(0.05 * (-1.0) ** np.arange(n))
+        gaps = rng.uniform(0.0, 1e-5, n)
+        if kind == "hovering" and n >= SUFFIX + 2:
+            gaps[rng.choice(n - SUFFIX, 2, replace=False)] = 1e6
+        elif kind == "fading" and n > SUFFIX:
+            gaps[n - SUFFIX // 2] = 1.2
+        dt.append(gaps)
+    s, dt = np.concatenate(s), np.concatenate(dt)
+    lengths = np.array([n for n, _ in runs])
+    starts = np.cumsum(lengths) - lengths
+    rank = np.arange(len(s)) - np.repeat(starts, lengths)
+    lo, hi = np.zeros(len(s)), np.ones(len(s))
+    if family == "exp":
+        a = np.exp(-dt / 0.05)
+        b = 0.5 * (1.0 - a) + s
+    elif family == "step":
+        a, b = np.ones(len(s)), s
+    else:  # rectified linear: a clamping run adds c = 0.2, the others hover
+        a, lo = np.ones(len(s)), np.full(len(s), 0.2)
+        b = np.where(np.repeat([k == "clamping" for _, k in runs], lengths), 0.2, s) - 5.0 * dt
+    return (a, b, lo, hi), starts, rank, [k for _, k in runs]
+
+
+class TestSuffixRuns:
+    """Runs decided by their last SUFFIX maps against the whole composition."""
+
+    @pytest.mark.parametrize("family", ["exp", "step", "linear"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_values_equal_the_whole_composition(self, family, seed):
+        maps, starts, rank, kinds = suffix_maps(family, seed)
+        lengths = np.diff(starts, append=len(rank))
+        for x0 in (0.0, 0.5, 1.0):
+            x = np.full(len(starts), x0)
+            got = accumulator._run_values(x, *(m.copy() for m in maps), starts, rank)
+            a, b, lo, hi = compose_runs(*(m.copy() for m in maps), starts, rank)
+            assert got.tobytes() == np.clip(a * x + b, lo, hi).tobytes()
+        # Every kind of run is there: the deep clamping ones are decided by
+        # their suffix, the hovering ones are not, nor the fading ones,
+        # whose suffix bounds differ only far below any tolerance.
+        deep = np.flatnonzero(lengths > SUFFIX)
+        ends = (starts + lengths - 1)[deep]
+        low, high = accumulator._suffix_bounds(*(m.copy() for m in maps), ends)
+        kind = np.array(kinds)[deep]
+        assert (low[kind == "clamping"] == high[kind == "clamping"]).all()
+        if family == "step":
+            assert (low[kind != "clamping"] < high[kind != "clamping"]).all()
+        else:
+            assert (low[kind == "hovering"] < high[kind == "hovering"]).all()
+        if family == "exp":
+            gap = (high - low)[kind == "fading"]
+            assert (gap > 0.0).all() and (gap < 1e-9).all()
+            assert (maps[0] == 0.0).sum() == 2 * sum(n >= SUFFIX + 2 for n in SUFFIX_LENGTHS)
+
+    @staticmethod
+    def spied_slice(monkeypatch, config, pattern):
+        """Integrate a slice whose pixels follow `pattern`; returns the composed runs."""
+        composed = []
+        compose = accumulator._compose_runs
+
+        def spy(a, b, lo, hi, starts, rank):
+            composed.append((len(a), len(starts)))
+            return compose(a, b, lo, hi, starts, rank)
+
+        monkeypatch.setattr(accumulator, "_compose_runs", spy)
+        # Pixel x takes its signs in order, the pixels' events interleaved.
+        cells = sorted((k, x, p) for x, signs in enumerate(pattern) for k, p in enumerate(signs))
+        ev = EventArray.from_columns(
+            np.arange(len(cells)) * 1e-3,
+            [x for _, x, _ in cells],
+            np.ones(len(cells), dtype=np.int32),
+            [p for _, _, p in cells],
+        )
+        if config.decay.kind is DecayKind.STEP:
+            frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+            expected = reference_step_pixels(ev, config, SPEC)
+        else:
+            stamp = float(ev.t[-1])
+            frame, _ = accumulate_slice(make_slice(ev, stamp), config, SPEC)
+            expected = reference_decaying_pixels(ev, stamp, config, SPEC, AccumulatorCarry())
+        assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
+        return composed
+
+    @pytest.mark.parametrize("decay", [Decay.step(), Decay.exponential(3.0)], ids=["step", "exp"])
+    def test_a_coupled_deep_run_is_not_composed(self, monkeypatch, decay):
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME,
+            contribution=0.2,
+            polarity_mode=PolarityMode.SIGNED,
+            decay=decay,
+        )
+        # Pixel 0 climbs five and falls one, so it clamps at 1 all the time;
+        # pixel 1 alternates and never clamps; pixel 2 is short, and at STEP
+        # it could reach 1.
+        coupled = [1, 1, 1, 1, 1, -1] * 50
+        uncoupled = [1, -1] * 150
+        short = [1, 1, 1, -1]
+        assert self.spied_slice(monkeypatch, config, [coupled, uncoupled, short]) == [
+            (len(uncoupled) + len(short), 2)
+        ]
+        monkeypatch.undo()
+        assert self.spied_slice(monkeypatch, config, [coupled]) == []
+
+
+def run_orbit(u: float, widths, signs) -> float:
+    """Signed linear events in u = value - 0.5, one at a time, as the rank passes round."""
+    for w, s in zip(widths, signs):
+        u -= max(min(u, w), -w)
+        u = min(max(u + s, -0.5), 0.5)
+    return u
+
+
+def settling_chain(n: int = 3000):
+    """Two pixels alternate signs at c = 0.05, then saturate in their last 40 events.
+
+    Pixel (3, 2) ends at 1 and pixel (5, 1) at 0.  Gaps of 1e-5 s keep the
+    decay far too small for the alternation to clamp, so only the last 40
+    events decide each pixel.  Returns (events, contribution, decay).
+    """
+    signs = np.concatenate([(-1) ** np.arange(n), np.ones(40, dtype=int)])
+    t = np.repeat(np.arange(len(signs)) * 1e-5, 2)
+    ev = EventArray.from_columns(
+        t,
+        np.tile(np.array([3, 5], dtype=np.int32), len(signs)),
+        np.tile(np.array([2, 1], dtype=np.int32), len(signs)),
+        np.stack([signs, -signs], axis=1).ravel().astype(np.int8),
+    )
+    return ev, 0.05, Decay.linear(1.0)
+
+
+class TestSettledSignedLinear:
+    """Signed linear runs decided by their last SUFFIX events."""
+
+    @staticmethod
+    def runs_of(kind: str):
+        """Widths and signs of the two pixels' events in one chain, as two runs."""
+        ev, c, decay = settling_chain() if kind == "settling" else signed_linear_chain(kind)
+        width, signs, lengths = [], [], []
+        for px, py in ((3, 2), (5, 1)):
+            mine = (ev.x == px) & (ev.y == py)
+            t = ev.t[mine]
+            width.append(decay.rate * np.diff(t, prepend=t[0]))
+            signs.append(np.where(ev.p[mine] > 0, c, -c))
+            lengths.append(int(mine.sum()))
+        return np.concatenate(width), np.concatenate(signs), np.array(lengths)
+
+    @pytest.mark.parametrize("kind", SIGNED_LINEAR_KINDS + ("settling",))
+    def test_settled_runs_end_on_their_event_orbit(self, kind):
+        width, signs, lengths = self.runs_of(kind)
+        rng = np.random.default_rng(len(kind))
+        first = np.cumsum(lengths) - lengths
+        # Each run's tail from a random event on, and a run of SUFFIX events.
+        skip = rng.integers(0, lengths - SUFFIX - 1)
+        first = np.append(first + skip, first[0])
+        count = np.append(lengths - skip, SUFFIX)
+        x = rng.uniform(-0.5, 0.5, len(first))
+        start = x.copy()
+        pos = np.zeros(len(first), dtype=np.intp)
+        accumulator._settle_suffixes(x, pos, first, count, width, signs)
+        settled = pos == count
+        assert pos[~settled].tolist() == [0] * int((~settled).sum())
+        assert x[~settled].tobytes() == start[~settled].tobytes()
+        for r in np.flatnonzero(settled):
+            events = slice(first[r], first[r] + count[r])
+            assert x[r] == run_orbit(start[r], width[events], signs[events])
+        # The run of SUFFIX events is never taken; the hovering walk never
+        # settles, and the saturating and settling ones always do.
+        assert not settled[-1]
+        if kind == "hovering":
+            assert not settled.any()
+        if kind in ("saturating", "settling"):
+            assert settled[:-1].all()
+
+    def test_settling_chain_has_its_shape(self):
+        ev, c, decay = settling_chain()
+        after = np.array([v for _, _, v in pixel_trajectory(ev, c, decay)])
+        assert 0.0 < after[:-40].min() and after[:-40].max() < 1.0
+        assert after[-1] == 1.0
+
+    @pytest.mark.parametrize("parts", [1, 3], ids=["whole", "carried"])
+    def test_settling_chain_matches_reference(self, parts):
+        ev, c, decay = settling_chain()
+        config = signed_linear_config(c, decay)
+        carry, expected = AccumulatorCarry(), AccumulatorCarry()
+        bounds = [len(ev) * k // parts for k in range(parts + 1)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            part, stamp = ev[lo:hi], float(ev.t[hi - 1])
+            frame, carry = accumulate_slice(make_slice(part, stamp), config, SPEC, carry)
+            want = reference_decaying_pixels(part, stamp, config, SPEC, expected)
+            expected = AccumulatorCarry(buffer=want, buffer_time=stamp)
+            assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
+        assert frame.pixels[2, 3] == 1.0 and frame.pixels[1, 5] == 0.0
