@@ -37,19 +37,9 @@ only mixed-sign pixels that could reach a bound are composed.  An empty
 STEP slice publishes one shared read-only neutral buffer.
 
 Signed linear decay is a soft threshold toward 0.5, which is not in the
-family.  While many pixels share an event rank it runs one vectorized
-pass per rank (the k-th event of every pixel at once).  The deep tails
-beyond, where a pass would integrate only a few pixels, split each
-event by its prior's sign.  With u the distance from 0.5 and
-w = rate*dt, the event is P(u) = clip(u + s - w, clip(s), 1/2) for
-every u >= -w and N(u) = clip(u + s + w, -1/2, clip(s)) for every
-u <= w, both in the family with a = 1.  `_speculate` guesses each
-prior's sign, composes the guessed branches with one inclusive scan
-into every prior state, and keeps what verifies: everything before a
-run's first prior outside its branch's domain is exact.  Windows grow
-while the checks pass, a cost budget bounds the failed rounds, and rank
-passes finish what speculation leaves.  Only the run depths in the
-slice choose between passes and scans.
+family.  Its events run one vectorized pass per event rank, the k-th
+event of every pixel at once: with u the distance from 0.5 and
+w = rate*dt, an event is u -> clip(u - clip(u, -w, w) + s, -1/2, 1/2).
 
 A saturated pixel forgets its past.  Every event map is monotone and
 clamps to [0, 1], so once some stretch of a pixel's events sends every
@@ -62,19 +52,18 @@ maps that `_compose_runs` would build; where it is a constant L (lo ==
 hi), every later combination of the whole run keeps lo = hi = L
 exactly, so L is bit for bit the full composition's value.  Signed
 linear runs the last W events from both ends of the state range, u =
--1/2 and u = +1/2; each event is monotone in floating point, so the
-pixel's own orbit stays between the two and ends where they end equal.
-That is the event-by-event value, with no speculation.  Runs whose
-last W events do not decide them take the paths above unchanged.
+-1/2 and u = +1/2, as two rows of the rank passes; each event is
+monotone in floating point, so the pixel's own orbit stays between the
+two and ends where they end equal.  Runs whose last W events do not
+decide them take the paths above over all their events.
 
 Rounding: where a pixel's events share one sign, or where no ordering
 of them could reach a clamp, STEP computes count*c, one rounding, the
-float closest to the exact value.  A signed linear run that its last
-W events decide is rounded as the rank passes round it.  Elsewhere the
-composed maps, speculated signed linear runs included, round in a
-different order than event-by-event integration and agree with it to
-within 1e-12; with a power-of-two c every partial sum is exact and
-signed STEP matches it bit for bit.
+float closest to the exact value.  Signed linear equals event-by-event
+integration in u bit for bit, settled runs included.  Elsewhere the
+composed maps round in a different order than event-by-event
+integration and agree with it to within 1e-12; with a power-of-two c
+every partial sum is exact and signed STEP matches it bit for bit.
 
 When too few events arrived in a publish interval the previous frame is
 republished unchanged (a "hold"), which keeps downstream consumers fed
@@ -353,32 +342,12 @@ def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeome
 
 
 # A run longer than _SUFFIX events is first integrated over its last
-# _SUFFIX events alone (`_run_values`, `_speculate`): a pixel that
+# _SUFFIX events alone (`_run_values`, `_settle_suffixes`): a pixel that
 # clamped within them has forgotten every earlier event.  On the
 # benchmark's hot pixels the last 5-42 events decide every run.
 # _SUFFIX must be a power of two, so that its pairwise tree is the
 # end-aligned one of `_compose_runs`.
 _SUFFIX = 64
-
-# Signed LINEAR integration runs one vectorized pass per event rank
-# while at least _SHARED_RANK pixels reach that rank.  Fewer pixels make
-# a scan step cheaper per event than a pass, so the tails beyond are
-# speculated if their first round would cost at most 1/_MIN_GAIN of
-# their rank passes.  Costs are counted in rank passes: a round costs
-# _ROUND_COST plus _CELL_COST per window cell and scan step.  A run's
-# window starts at _FIRST_WINDOW events, grows fourfold while its checks
-# pass and never exceeds _MAX_WINDOW.
-_SHARED_RANK = 16
-_MIN_GAIN = 8
-_ROUND_COST = 40
-_CELL_COST = 1 / 256
-_FIRST_WINDOW = 256
-_MAX_WINDOW = 4096
-
-
-def _round_cost(rows: int, cols: int) -> float:
-    """Estimated cost of one speculation round, in rank passes."""
-    return _ROUND_COST + _CELL_COST * rows * cols * (cols - 1).bit_length()
 
 
 def _rank_passes(u, run, rank, width, signs) -> None:
@@ -402,160 +371,54 @@ def _rank_passes(u, run, rank, width, signs) -> None:
         u[p] = np.minimum(np.maximum(d, -0.5, out=d), 0.5, out=d)
 
 
-def _prior_states(x, b, lo, hi):
-    """Orbits of the maps v -> clip(v + b, lo, hi) along each row, from `x`.
+def _settle_suffixes(u, ends, width, signs) -> np.ndarray:
+    """Settle the runs that their last _SUFFIX events decide.
 
-    Row r applies its maps in column order to x[r].  The first map and
-    x[r] fold into a constant map, and an inclusive Hillis-Steele scan
-    composes every prefix (a = 1 members of the family `_compose_runs`
-    reduces), so each prefix is constant: lo == hi is the state after
-    that column.  Returns the state before each column.  Overwrites the
-    arrays.
+    The runs are consecutive: run r ends just before event `ends[r]`,
+    and `u` holds each run's distance from 0.5.  Each event
+    u -> clip(soft(u, w) + s, -1/2, 1/2) is monotone in floating point,
+    so the orbits of a run's last _SUFFIX events from u = -1/2 and from
+    u = +1/2 enclose its orbit from any state.  Both orbits of every run
+    longer than _SUFFIX are rows of one state array, run by
+    `_rank_passes`; where the two end equal, `u` takes that value.
+    Returns which runs settled.
     """
-    lo[:, 0] = hi[:, 0] = np.minimum(np.maximum(x + b[:, 0], lo[:, 0]), hi[:, 0])
-    stride = 1
-    while stride < b.shape[1]:
-        earlier, later = slice(None, -stride), slice(stride, None)
-        new_lo = lo[:, earlier] + b[:, later]
-        new_hi = hi[:, earlier] + b[:, later]
-        for v in (new_lo, new_hi):
-            np.maximum(v, lo[:, later], out=v)
-            np.minimum(v, hi[:, later], out=v)
-        lo[:, later] = new_lo
-        hi[:, later] = new_hi
-        b[:, later] += b[:, earlier]
-        stride *= 2
-    return np.concatenate([x[:, None], lo[:, :-1]], axis=1)
-
-
-def _settle_suffixes(x, pos, first, count, width, signs) -> None:
-    """Settle the runs that their last _SUFFIX events decide, in place.
-
-    Each event u -> clip(soft(u, w) + s, -1/2, 1/2) is monotone in
-    floating point, so the orbits of a run's last _SUFFIX events from
-    u = -1/2 and from u = +1/2 enclose its orbit from any state.  Where
-    the two end equal, that is the run's value: `x` takes it and `pos`
-    moves to the run's end.
-    """
-    deep = np.flatnonzero(count > _SUFFIX)
+    settled = np.zeros(len(ends), dtype=bool)
+    deep = np.flatnonzero(np.diff(ends, prepend=0) > _SUFFIX)
     if not deep.size:
-        return
-    end = first[deep] + count[deep]
-    events = end - np.arange(_SUFFIX, 0, -1)[:, None]
-    w, s = width[events], signs[events]
-    orbit = np.empty((2, len(deep)))
-    orbit[0], orbit[1] = -0.5, 0.5
-    neg_w = -w
-    for k in range(_SUFFIX):
-        orbit -= np.maximum(np.minimum(orbit, w[k]), neg_w[k])
-        orbit += s[k]
-        np.minimum(np.maximum(orbit, -0.5, out=orbit), 0.5, out=orbit)
-    settled = orbit[0] == orbit[1]
-    x[deep[settled]] = orbit[0, settled]
-    pos[deep[settled]] = count[deep[settled]]
+        return settled
+    n = len(deep)
+    orbit = np.repeat([-0.5, 0.5], n)
+    events = (np.tile(ends[deep], 2) - np.arange(_SUFFIX, 0, -1)[:, None]).ravel()
+    rows = np.tile(np.arange(2 * n), _SUFFIX)
+    rank = np.repeat(np.arange(_SUFFIX), 2 * n)
+    _rank_passes(orbit, rows, rank, width[events], signs[events])
+    low, high = orbit.reshape(2, n)
+    same = low == high
+    settled[deep[same]] = True
+    u[settled] = low[same]
+    return settled
 
 
-def _speculate(u, runs, first, count, width, signs, c: float) -> None:
-    """Integrate deep run tails by speculative scans, in place.
-
-    Run `runs[r]` has `count[r]` events left from index `first[r]`.  The
-    runs that their last _SUFFIX events decide are settled first
-    (`_settle_suffixes`); the others are speculated.  With
-    w = rate*dt, an event is u -> clip(soft(u, w) + s, -1/2, 1/2), which
-    equals P(u) = clip(u + s - w, clip(s), 1/2) wherever u >= -w and
-    N(u) = clip(u + s + w, -1/2, clip(s)) wherever u <= w.  Each round
-    guesses every prior sign in a window of each run from the orbit
-    without decay (restarted at s where w >= c, as that gap wipes a
-    typical state), composes the chosen branch with `_prior_states`, and
-    checks that each prior lies in its branch's domain.  Everything up
-    to a run's first failed check is exact; the failed event itself is
-    integrated from its exact prior.  A run leaves speculation once its
-    rounds have cost more rank passes than it resolved events, or when
-    its rest is no longer than one already left; rank passes finish
-    what speculation leaves.
-    """
-    x = u[runs]
-    pos = np.zeros(len(runs), dtype=np.intp)
-    _settle_suffixes(x, pos, first, count, width, signs)
-    window = np.full(len(runs), _FIRST_WINDOW)
-    budget = np.zeros(len(runs))
-    live = np.flatnonzero(pos < count)
-    while live.size:
-        size = np.minimum(window[live], count[live] - pos[live])
-        cols = np.arange(int(size.max()))
-        pad = cols >= size[:, None]
-        events = (first[live] + pos[live])[:, None] + np.minimum(cols, size[:, None] - 1)
-        w, s = width[events], signs[events]
-        cs = np.clip(s, -0.5, 0.5)
-        x0 = x[live]
-        wiped = w >= c
-        guess = _prior_states(
-            x0, np.where(wiped, 0.0, s), np.where(wiped, cs, -0.5), np.where(wiped, cs, 0.5)
-        )
-        up = guess >= 0.0
-        lo, hi = np.where(up, cs, -0.5), np.where(up, 0.5, cs)
-        prior = _prior_states(x0, np.where(up, s - w, s + w), lo, hi)
-        ok = np.where(up, prior >= -w, prior <= w) | pad
-        rows = np.arange(len(live))
-        bad = np.argmin(ok, axis=1)
-        failed = ~ok[rows, bad]
-        done = np.where(failed, bad, size)
-        # The exact prior of the first failed event, or the window's result.
-        state = np.where(failed, prior[rows, bad], lo[rows, size - 1])
-        at = rows[failed], bad[failed]
-        d = state[failed]
-        d -= np.maximum(np.minimum(d, w[at]), -w[at])
-        state[failed] = np.clip(d + s[at], -0.5, 0.5)
-        x[live] = state
-        done += failed
-        pos[live] += done
-        budget[live] += done - _round_cost(len(live), len(cols))
-        window[live] = np.minimum(
-            np.where(failed, np.maximum(_FIRST_WINDOW, 2 * done), 4 * window[live]), _MAX_WINDOW
-        )
-        live = live[(pos[live] < count[live]) & (budget[live] >= 0)]
-        # The rank passes cost as many passes as the longest rest they
-        # get, so a run whose rest is no longer joins them for free.
-        rest = count - pos
-        rest[live] = 0
-        live = live[count[live] - pos[live] > rest.max()]
-    u[runs] = x
-    left = np.flatnonzero(pos < count)
-    if left.size:
-        n = count[left] - pos[left]
-        rank = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        events = np.repeat(first[left] + pos[left], n) + rank
-        _rank_passes(u, np.repeat(runs[left], n), rank, width[events], signs[events])
-
-
-def _integrate_signed_linear(x, starts, rank, dt, signs, rate: float, c: float) -> np.ndarray:
+def _integrate_signed_linear(x, starts, rank, dt, signs, rate: float) -> np.ndarray:
     """Signed LINEAR integration of each run's pixel from its value `x`.
 
     Linear decay toward 0.5 is a soft threshold, which is not of the
-    form clip(a*x + b, lo, hi), so these events cannot be composed as
-    they come.  Ranks shared by many pixels run one pass per rank; the
-    deep tails, where a pass would integrate only a few pixels, are
-    speculated (`_speculate`).  The choice depends only on the run
-    depths in the slice.  Returns the integrated values, run by run.
+    form clip(a*x + b, lo, hi), so these events cannot be composed.
+    The runs that their last _SUFFIX events decide are settled first
+    (`_settle_suffixes`); the events of the others run one pass per
+    rank.  Returns the integrated values, run by run.
     """
     lengths = _run_lengths(starts, len(rank))
     run = np.repeat(np.arange(len(starts)), lengths)
     width = rate * dt
     # Signed distance of each touched pixel from neutral.
     u = x - 0.5
-    # At least _SHARED_RANK pixels reach rank r iff the run that many
-    # places from the longest is longer than r.
-    shared = 0
-    if len(lengths) >= _SHARED_RANK:
-        shared = int(np.partition(lengths, -_SHARED_RANK)[-_SHARED_RANK])
-    deep = np.flatnonzero(lengths > shared)
-    depth = int(lengths.max()) - shared
-    if depth < _MIN_GAIN * _round_cost(len(deep), min(depth, _FIRST_WINDOW)):
-        _rank_passes(u, run, rank, width, signs)
-    else:
-        head = rank < shared
-        _rank_passes(u, run[head], rank[head], width[head], signs[head])
-        _speculate(u, deep, starts[deep] + shared, lengths[deep] - shared, width, signs, c)
+    settled = _settle_suffixes(u, starts + lengths, width, signs)
+    if settled.any():
+        left = np.repeat(~settled, lengths)
+        run, rank, width, signs = run[left], rank[left], width[left], signs[left]
+    _rank_passes(u, run, rank, width, signs)
     return u + 0.5
 
 
@@ -612,7 +475,7 @@ def _integrate_decaying(
         else:
             s = np.full(len(t), c)
         if config.polarity_mode is PolarityMode.SIGNED and decay.kind is DecayKind.LINEAR:
-            x = _integrate_signed_linear(x, starts, rank, dt, s, decay.rate, c)
+            x = _integrate_signed_linear(x, starts, rank, dt, s, decay.rate)
         else:
             if decay.kind is DecayKind.LINEAR:
                 # Rectified: x -> min(max(x - r*dt, 0) + c, 1).

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evframe import (
@@ -416,19 +416,17 @@ SIGNED_LINEAR_KINDS = ("hovering", "wiped", "saturating", "drifting")
 def signed_linear_chain(kind: str, n: int = 6000):
     """Two deep signed LINEAR chains, on pixels (3, 2) and (5, 1).
 
-    Returns (events, contribution, decay).  Each kind steers the deep-tail
-    speculation down one branch:
+    Returns (events, contribution, decay).  The kinds are reference
+    cases for the soft threshold's corners:
 
     * "hovering": c = 0.01 and w = rate*dt near c/10, so each pixel
-      walks around 0.5, the guessed signs keep failing and the tails
-      fall back to rank passes;
+      walks around 0.5, and its last SUFFIX events never decide it;
     * "wiped": c = 0.25 with gaps of 0, 0.25 or 0.5 s, so w >= c is
       common, priors land in the dead zone and states reach exactly 0.5;
-    * "saturating": c = 1, where each branch map has lo == hi;
+    * "saturating": c = 1, so every event clamps;
     * "drifting": pixel (3, 2) sits at 1 under +c events, then -c events
-      with w = 0.6c pull it below 0.5 while the orbit without decay
-      stays above, so a few guesses fail and the error a wrong branch
-      would leave lasts to the end.  Pixel (5, 1) mirrors it.
+      with w = 0.6c pull it below 0.5, so it last clamps 20 events
+      before its end.  Pixel (5, 1) mirrors it.
     """
     if kind == "drifting":
         c, hold, drift = 0.05, 600, 20
@@ -486,7 +484,11 @@ def pixel_trajectory(ev: EventArray, c: float, decay: Decay):
 
 
 class TestDeepChains:
-    """One pixel with thousands of events, far deeper than the strategies reach."""
+    """Pixels with thousands of events, far deeper than the strategies reach.
+
+    The signed linear chains are reference cases for every corner of the
+    soft threshold, integrated whole and carried across slices.
+    """
 
     def test_stream_is_a_deep_clamping_chain(self):
         ev = hot_pixel_stream()
@@ -553,33 +555,6 @@ class TestDeepChains:
         assert [v for _, _, v in drifting[100:600]] == [1.0] * 500
         after = [v for _, _, v in drifting[600:]]
         assert after[-1] < 0.35 and min(after) > 0.0
-
-    def test_signed_linear_streams_reach_every_branch(self, monkeypatch):
-        from evframe import accumulator
-
-        seen = {}
-        speculate, rank_passes = accumulator._speculate, accumulator._rank_passes
-
-        def spy_speculate(*args):
-            seen["speculating"] = True
-            speculate(*args)
-            seen["speculating"] = False
-
-        def spy_rank_passes(u, run, rank, *rest):
-            if seen.get("speculating"):
-                seen[kind] = seen.get(kind, 0) + len(run)
-            rank_passes(u, run, rank, *rest)
-
-        monkeypatch.setattr(accumulator, "_speculate", spy_speculate)
-        monkeypatch.setattr(accumulator, "_rank_passes", spy_rank_passes)
-        for kind in SIGNED_LINEAR_KINDS:
-            ev, c, decay = signed_linear_chain(kind)
-            seen["speculating"] = None
-            accumulate_slice(make_slice(ev), signed_linear_config(c, decay), SPEC)
-            assert seen["speculating"] is False, kind
-        # Only the hovering walk leaves events to the fallback rank passes.
-        assert seen.get("hovering", 0) > 1000
-        assert not {"wiped", "saturating", "drifting"} & set(seen)
 
     @pytest.mark.parametrize("kind", SIGNED_LINEAR_KINDS)
     @pytest.mark.parametrize("parts", [1, 3], ids=["whole", "carried"])
@@ -1019,19 +994,20 @@ class TestSettledSignedLinear:
         width, signs, lengths = self.runs_of(kind)
         rng = np.random.default_rng(len(kind))
         first = np.cumsum(lengths) - lengths
-        # Each run's tail from a random event on, and a run of SUFFIX events.
+        # Each run's tail from a random event on, and a run of SUFFIX events,
+        # laid end to end.
         skip = rng.integers(0, lengths - SUFFIX - 1)
         first = np.append(first + skip, first[0])
         count = np.append(lengths - skip, SUFFIX)
+        tails = np.concatenate([np.arange(f, f + n) for f, n in zip(first, count)])
+        width, signs, ends = width[tails], signs[tails], np.cumsum(count)
         x = rng.uniform(-0.5, 0.5, len(first))
         start = x.copy()
-        pos = np.zeros(len(first), dtype=np.intp)
-        accumulator._settle_suffixes(x, pos, first, count, width, signs)
-        settled = pos == count
-        assert pos[~settled].tolist() == [0] * int((~settled).sum())
+        settled = accumulator._settle_suffixes(x, ends, width, signs)
+        assert settled.dtype == bool and settled.shape == count.shape
         assert x[~settled].tobytes() == start[~settled].tobytes()
         for r in np.flatnonzero(settled):
-            events = slice(first[r], first[r] + count[r])
+            events = slice(ends[r] - count[r], ends[r])
             assert x[r] == run_orbit(start[r], width[events], signs[events])
         # The run of SUFFIX events is never taken; the hovering walk never
         # settles, and the saturating and settling ones always do.
@@ -1060,3 +1036,57 @@ class TestSettledSignedLinear:
             expected = AccumulatorCarry(buffer=want, buffer_time=stamp)
             assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
         assert frame.pixels[2, 3] == 1.0 and frame.pixels[1, 5] == 0.0
+
+    def test_pixels_sharing_every_rank_settle(self, monkeypatch):
+        # 16 pixels take 5,000 random +-0.2 events each, one per pixel at
+        # every stamp, so they share every rank and clamp every few events.
+        pixels, n = 16, 5000
+        rng = np.random.default_rng(16)
+        ev = EventArray.from_columns(
+            np.repeat(np.arange(n) * 1e-3, pixels),
+            np.tile(np.arange(pixels, dtype=np.int32) % 8, n),
+            np.tile(np.arange(pixels, dtype=np.int32) // 8, n),
+            rng.choice(np.array([-1, 1], dtype=np.int8), n * pixels),
+        )
+        ranks = []
+        rank_passes = accumulator._rank_passes
+
+        def spy(u, run, rank, *rest):
+            ranks.append(int(rank.max()) + 1 if len(rank) else 0)
+            rank_passes(u, run, rank, *rest)
+
+        monkeypatch.setattr(accumulator, "_rank_passes", spy)
+        config = signed_linear_config(0.2, Decay.linear(0.8))
+        stamp = float(ev.t[-1])
+        frame, _ = accumulate_slice(make_slice(ev, stamp), config, SPEC)
+        assert sum(ranks) <= SUFFIX
+        want = reference_decaying_pixels(ev, stamp, config, SPEC, AccumulatorCarry())
+        assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
+
+    @given(
+        lengths=st.lists(
+            st.one_of(st.integers(1, SUFFIX), st.integers(SUFFIX + 1, 2000)), min_size=1, max_size=4
+        ),
+        log_c=st.floats(-4.0, 0.0),
+        log_w=st.floats(-7.0, 0.0),
+        up=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # A lone pixel that neither clamps nor stops at 0.5 in its last SUFFIX
+    # events: it drifts up by about 0.2c per event from a random state.
+    @example(lengths=[20000], log_c=-4.0, log_w=-6.0, up=0.6, seed=0)
+    @settings(max_examples=40, deadline=None)
+    def test_every_run_ends_on_its_event_orbit(self, lengths, log_c, log_w, up, seed):
+        rng = np.random.default_rng(seed)
+        c, n = 10.0**log_c, sum(lengths)
+        lengths = np.array(lengths)
+        starts = np.cumsum(lengths) - lengths
+        rank = np.arange(n) - np.repeat(starts, lengths)
+        # With rate 1 every event's decay width is its dt.
+        dt = rng.exponential(10.0**log_w, n)
+        signs = np.where(rng.random(n) < up, c, -c)
+        x = rng.uniform(0.0, 1.0, len(lengths))
+        got = accumulator._integrate_signed_linear(x, starts, rank, dt, signs, 1.0)
+        for r, (start, length) in enumerate(zip(starts, lengths)):
+            events = slice(start, start + length)
+            assert got[r] == run_orbit(x[r] - 0.5, dt[events], signs[events]) + 0.5
