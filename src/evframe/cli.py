@@ -17,6 +17,7 @@ Identical inputs and flags produce byte-identical frame files.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from itertools import count
@@ -439,6 +440,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # covers an input or output path that cannot be opened.
     try:
         return handler(args)
+    except BrokenPipeError:
+        # The reader of stdout left (``| head``): a quiet end of output,
+        # as SIGPIPE would give.  Point stdout at devnull so the flush at
+        # exit has nowhere to fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ValueError, OSError) as exc:
         print(f"evframe: error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,15 @@ from __future__ import annotations
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evframe
 from evframe import (
     AccumulatorConfig,
     PolarityMode,
@@ -74,6 +79,21 @@ class TestSynth:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 192
         assert out.endswith("\n")
+
+    def test_closed_stdout_pipe_ends_quietly(self):
+        # The reader takes 100 bytes and closes the pipe, as ``| head -c 100`` does.
+        env = {**os.environ, "PYTHONPATH": str(Path(evframe.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "evframe.cli", "synth", "--noise-rate", "1", "--out", "-"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0
+        assert err == b""
 
     def test_noise_flag_adds_events(self, tmp_path):
         clean = tmp_path / "clean.txt"

@@ -4,6 +4,7 @@ from __future__ import annotations
 import io
 import tracemalloc
 import warnings
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -568,11 +569,11 @@ class TestTypedChunks:
         assert whole < 1.25 * traced_peak(n // 4)
 
 
-def outcome(text: str, batch_lines: int) -> tuple:
+def outcome(text: str, batch_lines: int, geometry: SensorGeometry = GEOMETRY) -> tuple:
     """Each batch's columns as (dtype, bytes, writeable), then the error's type and text."""
     batches = []
     try:
-        for batch in read_event_batches(io.StringIO(text), GEOMETRY, batch_lines=batch_lines):
+        for batch in read_event_batches(io.StringIO(text), geometry, batch_lines=batch_lines):
             columns = (batch.t, batch.x, batch.y, batch.p)
             batches.append([(c.dtype.str, c.tobytes(), c.flags.writeable) for c in columns])
     except ValueError as err:
@@ -580,10 +581,10 @@ def outcome(text: str, batch_lines: int) -> tuple:
     return batches, None
 
 
-def fallback_outcome(text: str, batch_lines: int) -> tuple:
+def fallback_outcome(text: str, batch_lines: int, geometry: SensorGeometry = GEOMETRY) -> tuple:
     """outcome() with the fixed-point tier switched off."""
     with mock.patch.object(eventio, "_fixed_point_rows", lambda block: None):
-        return outcome(text, batch_lines)
+        return outcome(text, batch_lines, geometry)
 
 
 # Tokens that leave the fixed-point grammar, or stay in it in an unusual form.
@@ -619,6 +620,33 @@ def fixed_point_texts(draw) -> str:
     return text.rstrip("\n") if draw(st.booleans()) else text
 
 
+# Every coordinate of up to nine digits is inside it.
+WIDE_GEOMETRY = SensorGeometry(10**9, 10**9)
+DIGITS = "0123456789"
+
+
+@st.composite
+def mixed_width_texts(draw) -> str:
+    """Fixed-point lines whose field widths differ from line to line.
+
+    Stamps have 1 to 14 whole digits and up to 15 digits in all, now and
+    then 16 or 17, which leave the tier.  Coordinates have 1 to 9 digits,
+    leading zeros included.  Stamps are sorted by their exact value.
+    """
+    stamps = []
+    for _ in range(draw(st.integers(1, 16))):
+        whole = draw(st.integers(1, 14))
+        long = draw(st.integers(0, 15)) == 0
+        total = draw(st.integers(16, 17) if long else st.integers(whole + 1, 15))
+        digits = draw(st.text(DIGITS, min_size=total, max_size=total))
+        stamps.append(f"{digits[:whole]}.{digits[whole:]}")
+    coordinate = st.text(DIGITS, min_size=1, max_size=9)
+    return "".join(
+        f"{stamp} {draw(coordinate)} {draw(coordinate)} {draw(st.sampled_from('01'))}\n"
+        for stamp in sorted(stamps, key=Decimal)
+    )
+
+
 def fixed_point_text(ticks: range, decimals: int) -> str:
     """Lines stamped ``tick / 10**decimals`` s, written with that many decimals."""
     scale = 10**decimals
@@ -634,6 +662,13 @@ class TestFixedPointChunks:
     @settings(max_examples=300, deadline=None)
     def test_tier_matches_the_fallback(self, text, batch_lines):
         assert outcome(text, batch_lines) == fallback_outcome(text, batch_lines)
+
+    @given(mixed_width_texts(), st.sampled_from([1, 3, 8192]))
+    @settings(max_examples=300, deadline=None)
+    def test_mixed_widths_match_the_fallback(self, text, batch_lines):
+        assert outcome(text, batch_lines, WIDE_GEOMETRY) == fallback_outcome(
+            text, batch_lines, WIDE_GEOMETRY
+        )
 
     @pytest.mark.parametrize(
         "text",
