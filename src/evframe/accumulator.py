@@ -71,9 +71,8 @@ during motion pauses instead of handing them an empty frame.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -90,28 +89,7 @@ from .core import (
 )
 from .slicer import Slice
 
-__all__ = [
-    "AccumulatorCarry",
-    "FrameAccumulator",
-    "apply_decay",
-    "accumulate_slice",
-]
-
-
-@dataclass(frozen=True)
-class AccumulatorCarry:
-    """State carried from one published frame to the next.
-
-    Attributes:
-        previous_frame: the last published frame, used by holds.
-        buffer: persistent pixel potentials for LINEAR / EXPONENTIAL
-            decay, already decayed to `buffer_time`.  None under STEP.
-        buffer_time: timestamp the buffer is normalized to.
-    """
-
-    previous_frame: Optional[EventFrame] = None
-    buffer: Optional[np.ndarray] = None
-    buffer_time: Optional[float] = None
+__all__ = ["FrameAccumulator", "apply_decay"]
 
 
 @lru_cache(maxsize=16)
@@ -426,27 +404,30 @@ def _integrate_decaying(
     slc: Slice,
     config: AccumulatorConfig,
     geometry: SensorGeometry,
-    carry: AccumulatorCarry,
+    integrated: Optional[EventFrame],
 ) -> np.ndarray:
     """Persistent-buffer integration for LINEAR / EXPONENTIAL decay.
 
     Decay acts on each pixel independently, so it can be applied
     lazily: each pixel is decayed from its own last touch to the event
     (or publish) timestamp, which matches advancing the whole frame to
-    every event time in order.  The whole buffer is first decayed to
-    the publish stamp by the one interval since its own stamp; the
-    pixels the slice touches are then overwritten.  Each event is one
-    map x -> clip(a*x + b, lo, hi) of its pixel, and each pixel's maps
-    are composed by `_compose_runs`; signed LINEAR, outside that family,
-    goes through `_integrate_signed_linear`.  A touched pixel finally
-    decays from its own last event to the publish stamp.
+    every event time in order.  The buffer is the pixels of
+    `integrated`, the last integrated frame, at its stamp; before any
+    it is neutral at the slice's first event.  The whole buffer is
+    first decayed to the publish stamp by the one interval since its
+    own stamp; the pixels the slice touches are then overwritten.
+    Each event is one map x -> clip(a*x + b, lo, hi) of its pixel, and
+    each pixel's maps are composed by `_compose_runs`; signed LINEAR,
+    outside that family, goes through `_integrate_signed_linear`.  A
+    touched pixel finally decays from its own last event to the
+    publish stamp.
     """
     ev = slc.events
     stamp = slc.publish_stamp
     neutral = neutral_value(config.polarity_mode)
-    if carry.buffer is not None:
-        buffer = carry.buffer.ravel()
-        start = carry.buffer_time
+    if integrated is not None:
+        buffer = integrated.pixels.ravel()
+        start = integrated.stamp
     else:
         buffer = np.full(geometry.pixel_count, neutral)
         start = float(ev.t[0]) if len(ev) else stamp
@@ -492,67 +473,42 @@ def _integrate_decaying(
     return out.reshape(geometry.height, geometry.width)
 
 
-def accumulate_slice(
-    slc: Slice,
-    config: AccumulatorConfig,
-    geometry: SensorGeometry,
-    carry: Optional[AccumulatorCarry] = None,
-) -> Tuple[EventFrame, AccumulatorCarry]:
-    """Integrate one slice and publish the resulting frame.
-
-    Returns the frame plus the carry to hand to the next call.  STEP
-    decay starts from a fresh neutral buffer, so the carry only tracks
-    the published frame; the other decays continue from the carried
-    buffer.
-    """
-    if carry is None:
-        carry = AccumulatorCarry()
-    _validate_slice_events(slc, geometry)
-    if config.decay.kind is DecayKind.STEP:
-        pixels = _integrate_step(slc, config, geometry)
-        buffer = carry.buffer
-        buffer_time = carry.buffer_time
-    else:
-        pixels = _integrate_decaying(slc, config, geometry, carry)
-        # The frame makes its pixels read-only and the next slice only
-        # reads the buffer, so the two can share memory.
-        buffer = pixels
-        buffer_time = slc.publish_stamp
-    frame = EventFrame(spec=geometry, pixels=pixels, stamp=slc.publish_stamp, held=False)
-    new_carry = AccumulatorCarry(
-        previous_frame=frame, buffer=buffer, buffer_time=buffer_time
-    )
-    return frame, new_carry
-
-
 class FrameAccumulator:
-    """Stateful slice-to-frame driver combining accumulation and holds.
+    """Integrates slices into frames, one slice at a time in publish order.
 
-    Feed it slices in publish order; it applies the configured
-    no-motion hold and keeps the carry between calls.
+    Every slice's events are checked first.  A slice with fewer than
+    `no_motion_threshold` events in its interval is a hold: it
+    republishes the previous frame's pixels, shared byte for byte, or
+    the shared neutral pixels before any frame, and its events are
+    dropped.  Any other slice is integrated: STEP from a neutral frame,
+    LINEAR / EXPONENTIAL from the last integrated frame, whose pixels
+    and stamp are the decaying buffer and its time.  A held frame is
+    never that buffer, so decay runs on from the last integrated stamp.
     """
 
     def __init__(self, config: AccumulatorConfig, geometry: SensorGeometry) -> None:
         self._config = config
         self._geometry = geometry
-        self._carry = AccumulatorCarry()
-
-    @property
-    def carry(self) -> AccumulatorCarry:
-        return self._carry
+        self._previous: Optional[EventFrame] = None  # the last published frame
+        self._integrated: Optional[EventFrame] = None  # the decaying buffer; None under STEP
 
     def process(self, slc: Slice) -> EventFrame:
-        threshold = self._config.no_motion_threshold
+        config, geometry = self._config, self._geometry
+        _validate_slice_events(slc, geometry)
+        threshold = config.no_motion_threshold
         if threshold and slc.interval_event_count < threshold:
-            # A hold republishes the previous frame's pixels, shared byte
-            # for byte, or the shared neutral pixels before any frame.
-            prev = self._carry.previous_frame
-            if prev is None:
-                pixels = _neutral_pixels(self._geometry, self._config.polarity_mode)
+            if self._previous is None:
+                pixels = _neutral_pixels(geometry, config.polarity_mode)
             else:
-                pixels = prev.pixels
-            frame = EventFrame(self._geometry, pixels, slc.publish_stamp, held=True)
-            self._carry = replace(self._carry, previous_frame=frame)
-            return frame
-        frame, self._carry = accumulate_slice(slc, self._config, self._geometry, self._carry)
+                pixels = self._previous.pixels
+            self._previous = EventFrame(geometry, pixels, slc.publish_stamp, held=True)
+            return self._previous
+        if config.decay.kind is DecayKind.STEP:
+            frame = EventFrame(geometry, _integrate_step(slc, config, geometry), slc.publish_stamp)
+        else:
+            pixels = _integrate_decaying(slc, config, geometry, self._integrated)
+            # The frame makes its pixels read-only and the next slice only
+            # reads them, so the frame can be the buffer.
+            frame = self._integrated = EventFrame(geometry, pixels, slc.publish_stamp)
+        self._previous = frame
         return frame

@@ -60,9 +60,11 @@ def run_accumulation(
     """Slice a stream, accumulate every slice and report pipeline stats.
 
     `source` is a single event batch or an iterable of batches in
-    time order.  Each published frame is handed to `on_frame` outside
-    the timed region.  The stream is flushed at the end, so trailing
-    partial windows and the final time tick are published.
+    time order.  Each frame is handed to `on_frame` as soon as it is
+    built, before the next slice is integrated, and outside the timed
+    region, so memory does not grow with the frames in a batch.  The
+    stream is flushed at the end, so trailing partial windows and the
+    final time tick are published.
     """
     method = config.slice_method
     slicer = StreamSlicer(
@@ -82,14 +84,16 @@ def run_accumulation(
     def consume(batch: Optional[EventArray]) -> None:
         start = perf_counter()
         slices = slicer.push_batch(batch) if batch is not None else slicer.flush()
-        frames = [accumulator.process(s) for s in slices]
-        stats.build_seconds += perf_counter() - start
-        stats.frames += len(frames)
-        stats.held_frames += sum(1 for f in frames if f.held)
-        stats.slice_events += sum(len(s) for s in slices)
-        if on_frame is not None:
-            for frame in frames:
+        for slc in slices:
+            frame = accumulator.process(slc)
+            stats.build_seconds += perf_counter() - start
+            stats.frames += 1
+            stats.held_frames += frame.held
+            stats.slice_events += len(slc)
+            if on_frame is not None:
                 on_frame(frame)
+            start = perf_counter()
+        stats.build_seconds += perf_counter() - start
 
     for batch in batches:
         stats.events_in += len(batch)

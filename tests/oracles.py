@@ -109,7 +109,7 @@ def integrate_event(
     """Add one event's contribution to its pixel, clamped to [0, 1].
 
     Mutates `pixels` in place and returns it.  This is the reference
-    path; `accumulate_slice` integrates whole slices vectorized.
+    path; `FrameAccumulator.process` integrates whole slices vectorized.
     """
     h, w = pixels.shape
     if not (0 <= event.x < w and 0 <= event.y < h):

@@ -16,13 +16,13 @@ from evframe import (
     AccumulatorConfig,
     Decay,
     EventArray,
+    FrameAccumulator,
     PolarityMode,
     SensorGeometry,
     SensorModel,
     SliceMethod,
     StreamSlicer,
     MotionProfile,
-    accumulate_slice,
     accumulate_stream,
     add_noise,
     apply_decay,
@@ -71,9 +71,9 @@ def test_criterion_01_two_half_contribution_events_saturate_exactly():
     config = AccumulatorConfig(
         slice_method=SliceMethod.BY_NUMBER, window_size=2, contribution=0.5
     )
-    frame, _ = accumulate_slice(one_pixel_slice(2), config, SPEC)
+    frame = FrameAccumulator(config, SPEC).process(one_pixel_slice(2))
     assert quantize_frame(frame)[2, 3] == 255
-    frame, _ = accumulate_slice(one_pixel_slice(1), config, SPEC)
+    frame = FrameAccumulator(config, SPEC).process(one_pixel_slice(1))
     assert quantize_frame(frame)[2, 3] == 128
 
 
@@ -207,11 +207,12 @@ def test_criterion_09_decay_analytics_match_their_closed_forms():
     )
     probe = uniform_events(50, GEOMETRY, t_end=1.0, seed=99)
     probe_slice = Slice(probe, 1.5, 50)
-    fresh, _ = accumulate_slice(probe_slice, config, SPEC)
+    fresh = FrameAccumulator(config, SPEC).process(probe_slice)
     for seed in range(5):
         history = uniform_events(200, GEOMETRY, t_end=0.9, seed=seed)
-        _, carry = accumulate_slice(Slice(history, 0.95, 200), config, SPEC)
-        after_history, _ = accumulate_slice(probe_slice, config, SPEC, carry=carry)
+        acc = FrameAccumulator(config, SPEC)
+        acc.process(Slice(history, 0.95, 200))
+        after_history = acc.process(probe_slice)
         assert np.array_equal(after_history.pixels, fresh.pixels)
 
 

@@ -1,25 +1,26 @@
 """Accumulator math against per-event and globally-interleaved oracles."""
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evframe import (
-    AccumulatorCarry,
     AccumulatorConfig,
     Decay,
     DecayKind,
     EventArray,
     EventFrame,
     FrameAccumulator,
+    NonMonotonicTimestamps,
     OutOfBoundsEvent,
     PolarityMode,
     SensorGeometry,
     Slice,
     SliceMethod,
-    accumulate_slice,
     apply_decay,
     neutral_value,
     quantize_frame,
@@ -65,19 +66,22 @@ def reference_decaying_pixels(
     publish_stamp: float,
     config: AccumulatorConfig,
     spec: SensorGeometry,
-    carry: AccumulatorCarry,
+    carried: Optional[EventFrame] = None,
 ) -> np.ndarray:
     """Globally-interleaved reference for decaying modes.
 
     Decays the whole frame to every event time in order, integrates the
-    event, then decays to the publish stamp.  The production path decays
-    each pixel lazily; both orderings express the same per-pixel
-    composition, so they must agree to rounding error.
+    event, then decays to the publish stamp.  `carried` is the last
+    integrated frame, whose pixels and stamp the integration starts
+    from; without one it starts neutral at the first event.  The
+    production path decays each pixel lazily; both orderings express
+    the same per-pixel composition, so they must agree to rounding
+    error.
     """
     neutral = neutral_value(config.polarity_mode)
-    if carry.buffer is not None:
-        pixels = carry.buffer.copy()
-        now = carry.buffer_time
+    if carried is not None:
+        pixels = carried.pixels.copy()
+        now = carried.stamp
     else:
         pixels = reset_frame(spec, config.polarity_mode)
         now = float(events.t[0]) if len(events) else publish_stamp
@@ -129,26 +133,27 @@ class TestStepAccumulation:
     def test_two_half_contributions_saturate(self):
         ev = EventArray.from_columns([0.1, 0.2], [3, 3], [2, 2], [1, 1])
         config = AccumulatorConfig(contribution=0.5)
-        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
         assert frame.pixels[2, 3] == 1.0
         assert quantize_frame(frame)[2, 3] == 255
 
     def test_single_half_contribution_is_midgray(self):
         ev = EventArray.from_columns([0.1], [3], [2], [1])
         config = AccumulatorConfig(contribution=0.5)
-        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
         assert frame.pixels[2, 3] == 0.5
         assert quantize_frame(frame)[2, 3] == 128
 
     def test_empty_slice_is_neutral(self):
-        frame, _ = accumulate_slice(make_slice(EventArray.empty()), AccumulatorConfig(), SPEC)
+        frame = FrameAccumulator(AccumulatorConfig(), SPEC).process(make_slice(EventArray.empty()))
         assert np.all(frame.pixels == 0.0)
 
     def test_does_not_keep_a_buffer(self):
         ev = EventArray.from_columns([0.1], [0], [0], [1])
-        _, carry = accumulate_slice(make_slice(ev), AccumulatorConfig(), SPEC)
-        assert carry.buffer is None
-        assert carry.previous_frame is not None
+        acc = FrameAccumulator(AccumulatorConfig(), SPEC)
+        acc.process(make_slice(ev))
+        assert acc._integrated is None
+        assert acc._previous is not None
 
     @given(
         event_arrays(min_size=0, max_size=120, max_time=2.0),
@@ -160,7 +165,7 @@ class TestStepAccumulation:
         # With power-of-two contributions every partial sum is exact, so
         # the counting path and the per-event path must agree bit for bit.
         config = AccumulatorConfig(contribution=c, polarity_mode=mode)
-        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
         expected = reference_step_pixels(ev, config, SPEC)
         assert np.array_equal(frame.pixels, expected)
 
@@ -174,7 +179,7 @@ class TestStepAccumulation:
         # Counting applies one rounding to count * c; repeated addition
         # rounds at every event.  The results agree to rounding error.
         config = AccumulatorConfig(contribution=c, polarity_mode=mode)
-        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
         expected = reference_step_pixels(ev, config, SPEC)
         assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
 
@@ -183,8 +188,8 @@ class TestStepAccumulation:
     def test_rectified_is_polarity_blind(self, ev):
         flipped = EventArray.from_columns(ev.t, ev.x, ev.y, -ev.p)
         config = AccumulatorConfig(contribution=0.25)
-        a, _ = accumulate_slice(make_slice(ev), config, SPEC)
-        b, _ = accumulate_slice(make_slice(flipped), config, SPEC)
+        a = FrameAccumulator(config, SPEC).process(make_slice(ev))
+        b = FrameAccumulator(config, SPEC).process(make_slice(flipped))
         assert np.array_equal(a.pixels, b.pixels)
 
     @given(event_arrays(min_size=1, max_size=80))
@@ -192,23 +197,24 @@ class TestStepAccumulation:
     def test_signed_flip_mirrors_frame(self, ev):
         flipped = EventArray.from_columns(ev.t, ev.x, ev.y, -ev.p)
         config = AccumulatorConfig(contribution=0.25, polarity_mode=PolarityMode.SIGNED)
-        a, _ = accumulate_slice(make_slice(ev), config, SPEC)
-        b, _ = accumulate_slice(make_slice(flipped), config, SPEC)
+        a = FrameAccumulator(config, SPEC).process(make_slice(ev))
+        b = FrameAccumulator(config, SPEC).process(make_slice(flipped))
         assert np.allclose(a.pixels + b.pixels, 1.0, atol=1e-12)
 
     def test_rejects_out_of_bounds_slice(self):
         ev = EventArray.from_columns([0.1], [SMALL_GEOMETRY.width], [0], [1])
         with pytest.raises(OutOfBoundsEvent):
-            accumulate_slice(make_slice(ev), AccumulatorConfig(), SPEC)
+            FrameAccumulator(AccumulatorConfig(), SPEC).process(make_slice(ev))
 
     @given(event_arrays(min_size=0, max_size=60), event_arrays(min_size=0, max_size=30))
     @settings(max_examples=40)
     def test_step_forgets_history(self, history, ev):
         config = AccumulatorConfig(contribution=0.25)
-        fresh, _ = accumulate_slice(make_slice(ev), config, SPEC)
-        _, carry = accumulate_slice(make_slice(history, publish_stamp=0.0), config, SPEC)
+        fresh = FrameAccumulator(config, SPEC).process(make_slice(ev))
+        acc = FrameAccumulator(config, SPEC)
+        acc.process(make_slice(history, publish_stamp=0.0))
         ev_late = EventArray.from_columns(ev.t + 20.0, ev.x, ev.y, ev.p)
-        after, _ = accumulate_slice(make_slice(ev_late), config, SPEC, carry)
+        after = acc.process(make_slice(ev_late))
         assert np.array_equal(fresh.pixels, after.pixels)
 
 
@@ -272,14 +278,19 @@ decaying_configs = st.builds(
 )
 
 
+DECAYS = pytest.mark.parametrize(
+    "decay", [Decay.linear(1.0), Decay.exponential(0.3)], ids=["linear", "exp"]
+)
+MODES = pytest.mark.parametrize("mode", [PolarityMode.RECTIFIED, PolarityMode.SIGNED])
+
+
 class TestDecayingAccumulation:
     @given(event_arrays(min_size=0, max_size=100, max_time=2.0), decaying_configs)
     @settings(max_examples=100, deadline=None)
     def test_matches_interleaved_reference(self, ev, config):
-        carry = AccumulatorCarry()
         slc = make_slice(ev)
-        frame, _ = accumulate_slice(slc, config, SPEC, carry)
-        expected = reference_decaying_pixels(ev, slc.publish_stamp, config, SPEC, carry)
+        frame = FrameAccumulator(config, SPEC).process(slc)
+        expected = reference_decaying_pixels(ev, slc.publish_stamp, config, SPEC)
         assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
 
     @given(
@@ -290,13 +301,14 @@ class TestDecayingAccumulation:
     @settings(max_examples=80, deadline=None)
     def test_slice_boundaries_do_not_change_the_buffer(self, ev, config, cut_raw):
         cut = min(cut_raw, len(ev) - 1)
-        whole, _ = accumulate_slice(make_slice(ev, 3.0), config, SPEC)
+        whole = FrameAccumulator(config, SPEC).process(make_slice(ev, 3.0))
 
         first = ev[:cut]
         rest = ev[cut:]
         mid = float(rest.t[0])
-        _, carry = accumulate_slice(make_slice(first, mid), config, SPEC)
-        second, _ = accumulate_slice(make_slice(rest, 3.0), config, SPEC, carry)
+        acc = FrameAccumulator(config, SPEC)
+        acc.process(make_slice(first, mid))
+        second = acc.process(make_slice(rest, 3.0))
         assert np.allclose(whole.pixels, second.pixels, atol=1e-12, rtol=0.0)
 
     def test_buffer_persists_between_slices(self):
@@ -304,8 +316,9 @@ class TestDecayingAccumulation:
             slice_method=SliceMethod.BY_TIME, decay=Decay.exponential(10.0), contribution=0.5
         )
         ev = EventArray.from_columns([0.0], [1], [1], [1])
-        _, carry = accumulate_slice(make_slice(ev, 0.5), config, SPEC)
-        later, _ = accumulate_slice(make_slice(EventArray.empty(), 1.0), config, SPEC, carry)
+        acc = FrameAccumulator(config, SPEC)
+        acc.process(make_slice(ev, 0.5))
+        later = acc.process(make_slice(EventArray.empty(), 1.0))
         assert 0.0 < later.pixels[1, 1] < 0.5
         assert later.pixels[1, 1] == pytest.approx(0.5 * np.exp(-0.1), abs=1e-12)
 
@@ -315,27 +328,29 @@ class TestDecayingAccumulation:
             slice_method=SliceMethod.BY_TIME, decay=decay, contribution=0.5
         )
         ev = EventArray.from_columns([0.1, 0.2], [1, 2], [1, 1], [1, 1])
-        frame, carry = accumulate_slice(make_slice(ev, 0.5), config, SPEC)
-        assert np.shares_memory(carry.buffer, frame.pixels)
+        acc = FrameAccumulator(config, SPEC)
+        frame = acc.process(make_slice(ev, 0.5))
+        assert np.shares_memory(acc._integrated.pixels, frame.pixels)
         before = frame.pixels.copy()
         later = EventArray.from_columns([0.6, 0.7], [1, 1], [1, 1], [1, 1])
-        nxt, _ = accumulate_slice(make_slice(later, 1.0), config, SPEC, carry)
+        nxt = acc.process(make_slice(later, 1.0))
         assert np.array_equal(frame.pixels, before)
         assert not np.array_equal(nxt.pixels, before)
 
     def test_rejects_slice_overlapping_buffer(self):
         config = AccumulatorConfig(slice_method=SliceMethod.BY_TIME, decay=Decay.linear(1.0))
         ev = EventArray.from_columns([0.5], [1], [1], [1])
-        _, carry = accumulate_slice(make_slice(ev, 1.0), config, SPEC)
+        acc = FrameAccumulator(config, SPEC)
+        acc.process(make_slice(ev, 1.0))
         overlapping = EventArray.from_columns([0.75], [1], [1], [1])
         with pytest.raises(ValueError):
-            accumulate_slice(make_slice(overlapping, 1.5), config, SPEC, carry)
+            acc.process(make_slice(overlapping, 1.5))
 
     def test_rejects_events_past_publish_stamp(self):
         config = AccumulatorConfig(slice_method=SliceMethod.BY_TIME, decay=Decay.linear(1.0))
         ev = EventArray.from_columns([2.0], [1], [1], [1])
         with pytest.raises(ValueError):
-            accumulate_slice(make_slice(ev, publish_stamp=1.0), config, SPEC)
+            FrameAccumulator(config, SPEC).process(make_slice(ev, publish_stamp=1.0))
 
 
 class TestHold:
@@ -374,13 +389,59 @@ class TestHold:
         empty = EventArray.empty()
         first = acc.process(Slice(empty, 0.5, interval_event_count=0, partial=False))
         assert first.held is True
-        assert acc.carry.previous_frame is first
+        assert acc._previous is first
 
     def test_threshold_zero_never_holds(self):
         acc = FrameAccumulator(AccumulatorConfig(), SPEC)
         empty = EventArray.empty()
         frame = acc.process(Slice(empty, 0.5, interval_event_count=0, partial=False))
         assert frame.held is False
+
+    @pytest.mark.parametrize("threshold", [0, 5])
+    @pytest.mark.parametrize("fault", ["bounds", "time order"])
+    def test_every_slice_is_checked_held_or_not(self, threshold, fault):
+        acc = FrameAccumulator(AccumulatorConfig(no_motion_threshold=threshold), SPEC)
+        if fault == "bounds":
+            ev, error = EventArray.from_columns([0.1], [SPEC.width], [0], [1]), OutOfBoundsEvent
+        else:
+            # from_columns rejects this order, so the columns go in directly.
+            ev = EventArray(
+                np.array([0.2, 0.1]),
+                np.array([1, 2], dtype=np.int32),
+                np.zeros(2, dtype=np.int32),
+                np.ones(2, dtype=np.int8),
+            )
+            error = NonMonotonicTimestamps
+        with pytest.raises(error):
+            acc.process(make_slice(ev, 0.5))
+        assert acc._previous is None
+
+    @DECAYS
+    @MODES
+    def test_decay_runs_on_from_the_last_integrated_frame(self, mode, decay):
+        # busy -> quiet (held) -> busy: the held slice's event is dropped,
+        # and the second busy slice decays from the first one's stamp.
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME,
+            decay=decay,
+            contribution=0.2,
+            polarity_mode=mode,
+            no_motion_threshold=5,
+        )
+        acc = FrameAccumulator(config, SPEC)
+        busy = uniform_events(300, SPEC, t_end=1.0, seed=3)
+        first = acc.process(make_slice(busy, 1.0))
+        quiet = EventArray.from_columns([1.2], [1], [1], [1])
+        held = acc.process(make_slice(quiet, 1.5))
+        assert held.held and np.shares_memory(held.pixels, first.pixels)
+        assert acc._previous is held and acc._integrated is first
+        later = uniform_events(300, SPEC, t_end=0.4, seed=4)
+        later = EventArray.from_columns(later.t + 1.6, later.x, later.y, later.p)
+        frame = acc.process(make_slice(later, 2.0))
+        expected = reference_decaying_pixels(later, 2.0, config, SPEC, first)
+        assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
+        from_held = reference_decaying_pixels(later, 2.0, config, SPEC, held)
+        assert not np.allclose(frame.pixels, from_held, atol=1e-6, rtol=0.0)
 
 
 CLAMPING_RUNS = (9, 2, 7, 11, 3, 6, 1, 8)
@@ -519,14 +580,15 @@ class TestDeepChains:
         # The cut falls inside a group of equal timestamps.
         first, rest = ev[:1401], ev[1401:]
         mid, end = float(rest.t[0]), float(ev.t[-1]) + 0.125
-        frame1, carry = accumulate_slice(make_slice(first, mid), config, SPEC)
-        frame2, _ = accumulate_slice(make_slice(rest, end), config, SPEC, carry)
+        acc = FrameAccumulator(config, SPEC)
+        frame1 = acc.process(make_slice(first, mid))
+        frame2 = acc.process(make_slice(rest, end))
         if decay.kind is DecayKind.STEP:
             expected1 = reference_step_pixels(first, config, SPEC)
             expected2 = reference_step_pixels(rest, config, SPEC)
         else:
-            expected1 = reference_decaying_pixels(first, mid, config, SPEC, AccumulatorCarry())
-            carried = AccumulatorCarry(buffer=expected1, buffer_time=mid)
+            expected1 = reference_decaying_pixels(first, mid, config, SPEC)
+            carried = EventFrame(SPEC, expected1, mid)
             expected2 = reference_decaying_pixels(rest, end, config, SPEC, carried)
         assert np.allclose(frame1.pixels, expected1, atol=1e-12, rtol=0.0)
         assert np.allclose(frame2.pixels, expected2, atol=1e-12, rtol=0.0)
@@ -536,7 +598,7 @@ class TestDeepChains:
         ev = hot_pixel_stream(runs)
         config = AccumulatorConfig(contribution=0.25, polarity_mode=PolarityMode.SIGNED)
         for part in (ev, ev[:1401], ev[1401:]):
-            frame, _ = accumulate_slice(make_slice(part), config, SPEC)
+            frame = FrameAccumulator(config, SPEC).process(make_slice(part))
             assert np.array_equal(frame.pixels, reference_step_pixels(part, config, SPEC))
 
     def test_signed_linear_streams_have_their_shapes(self):
@@ -561,14 +623,14 @@ class TestDeepChains:
     def test_signed_linear_matches_reference(self, kind, parts):
         ev, c, decay = signed_linear_chain(kind)
         config = signed_linear_config(c, decay)
-        carry, expected = AccumulatorCarry(), AccumulatorCarry()
+        acc, expected = FrameAccumulator(config, SPEC), None
         bounds = [len(ev) * k // parts for k in range(parts + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             # Publishing at the last event keeps the deep states in the frame.
             part, stamp = ev[lo:hi], float(ev.t[hi - 1])
-            frame, carry = accumulate_slice(make_slice(part, stamp), config, SPEC, carry)
+            frame = acc.process(make_slice(part, stamp))
             want = reference_decaying_pixels(part, stamp, config, SPEC, expected)
-            expected = AccumulatorCarry(buffer=want, buffer_time=stamp)
+            expected = EventFrame(SPEC, want, stamp)
             assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
 
 
@@ -624,7 +686,7 @@ class TestSignedStepCounts:
         cells += [(x, 2 + x % 2, int(p)) for x in range(SPEC.width) for p in signs[x]]
         ev = _column_events(cells, rng)
         config = AccumulatorConfig(contribution=c, polarity_mode=PolarityMode.SIGNED)
-        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
         assert frame.pixels[0].tolist() == np.clip(0.5 + c * counts, 0.0, 1.0).tolist()
         assert frame.pixels[1].tolist() == np.clip(0.5 - c * counts, 0.0, 1.0).tolist()
         assert frame.pixels[0, -1] == 1.0 and frame.pixels[1, -1] == 0.0
@@ -645,9 +707,9 @@ class TestSignedStepCounts:
         deep = [(x, y, 1 - 2 * y) for x in range(SPEC.width) for y in range(2) for _ in range(9)]
         mixed = [(0, 2, 1)] * 4 + [(0, 2, -1)] * 3
         config = AccumulatorConfig(contribution=0.2, polarity_mode=PolarityMode.SIGNED)
-        accumulate_slice(make_slice(_column_events(deep, rng)), config, SPEC)
+        FrameAccumulator(config, SPEC).process(make_slice(_column_events(deep, rng)))
         assert composed == []
-        accumulate_slice(make_slice(_column_events(deep + mixed, rng)), config, SPEC)
+        FrameAccumulator(config, SPEC).process(make_slice(_column_events(deep + mixed, rng)))
         assert composed == [len(mixed)]
 
     @given(
@@ -664,18 +726,12 @@ class TestSignedStepCounts:
             [p for _, p in cells],
         )
         config = AccumulatorConfig(contribution=c, polarity_mode=PolarityMode.SIGNED)
-        frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
         expected = reference_step_pixels(ev, config, SPEC)
         if c == 0.25:
             assert np.array_equal(frame.pixels, expected)
         else:
             assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
-
-
-DECAYS = pytest.mark.parametrize(
-    "decay", [Decay.linear(1.0), Decay.exponential(0.3)], ids=["linear", "exp"]
-)
-MODES = pytest.mark.parametrize("mode", [PolarityMode.RECTIFIED, PolarityMode.SIGNED])
 
 
 class TestDecayingSlices:
@@ -687,52 +743,55 @@ class TestDecayingSlices:
             slice_method=SliceMethod.BY_TIME, decay=decay, contribution=0.2, polarity_mode=mode
         )
         first = uniform_events(300, SPEC, t_end=1.0, seed=3)
-        _, carry = accumulate_slice(make_slice(first, 1.0), config, SPEC)
-        assert len(np.unique(carry.buffer)) > 10
-        return config, carry
+        acc = FrameAccumulator(config, SPEC)
+        acc.process(make_slice(first, 1.0))
+        assert len(np.unique(acc._integrated.pixels)) > 10
+        return config, acc
 
     @DECAYS
     @MODES
     def test_untouched_pixels_decay_by_one_interval(self, mode, decay):
-        config, carry = self.carried(mode, decay)
+        config, acc = self.carried(mode, decay)
+        carried = acc._integrated
         later = EventArray.from_columns([1.2, 1.3, 1.3], [1, 1, 4], [2, 2, 3], [1, -1, 1])
-        frame, _ = accumulate_slice(make_slice(later, 1.5), config, SPEC, carry)
-        expected = apply_decay(carry.buffer, 1.5 - carry.buffer_time, decay, neutral_value(mode))
+        frame = acc.process(make_slice(later, 1.5))
+        expected = apply_decay(carried.pixels, 1.5 - carried.stamp, decay, neutral_value(mode))
         untouched = np.ones(frame.pixels.shape, dtype=bool)
         untouched[2, 1] = untouched[3, 4] = False
         assert frame.pixels[untouched].tobytes() == expected[untouched].tobytes()
-        reference = reference_decaying_pixels(later, 1.5, config, SPEC, carry)
+        reference = reference_decaying_pixels(later, 1.5, config, SPEC, carried)
         assert np.allclose(frame.pixels, reference, atol=1e-12, rtol=0.0)
 
     @DECAYS
     @MODES
     def test_empty_slice_decays_the_whole_buffer(self, mode, decay):
-        config, carry = self.carried(mode, decay)
-        frame, _ = accumulate_slice(make_slice(EventArray.empty(), 1.25), config, SPEC, carry)
-        expected = apply_decay(carry.buffer, 0.25, decay, neutral_value(mode))
+        config, acc = self.carried(mode, decay)
+        carried = acc._integrated
+        frame = acc.process(make_slice(EventArray.empty(), 1.25))
+        expected = apply_decay(carried.pixels, 0.25, decay, neutral_value(mode))
         assert frame.pixels.tobytes() == expected.tobytes()
 
     @DECAYS
     def test_rejects_a_slice_before_the_buffer(self, decay):
-        config, carry = self.carried(PolarityMode.SIGNED, decay)
+        config, acc = self.carried(PolarityMode.SIGNED, decay)
         early = EventArray.from_columns([0.75], [1], [1], [1])
         with pytest.raises(ValueError, match="reaches back before the accumulated buffer"):
-            accumulate_slice(make_slice(early, 1.5), config, SPEC, carry)
+            acc.process(make_slice(early, 1.5))
 
     @DECAYS
     def test_rejects_events_past_the_stamp(self, decay):
-        config, carry = self.carried(PolarityMode.SIGNED, decay)
+        config, acc = self.carried(PolarityMode.SIGNED, decay)
         late = EventArray.from_columns([1.2, 2.0], [1, 2], [1, 1], [1, 1])
         with pytest.raises(ValueError, match="run past the publish stamp"):
-            accumulate_slice(make_slice(late, 1.5), config, SPEC, carry)
+            acc.process(make_slice(late, 1.5))
         with pytest.raises(ValueError, match="run past the publish stamp"):
-            accumulate_slice(make_slice(late, 1.5), config, SPEC)
+            FrameAccumulator(config, SPEC).process(make_slice(late, 1.5))
 
     @DECAYS
     def test_rejects_an_empty_slice_stamped_before_the_buffer(self, decay):
-        config, carry = self.carried(PolarityMode.RECTIFIED, decay)
+        config, acc = self.carried(PolarityMode.RECTIFIED, decay)
         with pytest.raises(ValueError, match="run past the publish stamp"):
-            accumulate_slice(make_slice(EventArray.empty(), 0.5), config, SPEC, carry)
+            acc.process(make_slice(EventArray.empty(), 0.5))
 
 
 def map_runs(lengths, family: str, seed: int):
@@ -917,12 +976,12 @@ class TestSuffixRuns:
             [p for _, _, p in cells],
         )
         if config.decay.kind is DecayKind.STEP:
-            frame, _ = accumulate_slice(make_slice(ev), config, SPEC)
+            frame = FrameAccumulator(config, SPEC).process(make_slice(ev))
             expected = reference_step_pixels(ev, config, SPEC)
         else:
             stamp = float(ev.t[-1])
-            frame, _ = accumulate_slice(make_slice(ev, stamp), config, SPEC)
-            expected = reference_decaying_pixels(ev, stamp, config, SPEC, AccumulatorCarry())
+            frame = FrameAccumulator(config, SPEC).process(make_slice(ev, stamp))
+            expected = reference_decaying_pixels(ev, stamp, config, SPEC)
         assert np.allclose(frame.pixels, expected, atol=1e-12, rtol=0.0)
         return composed
 
@@ -1027,13 +1086,13 @@ class TestSettledSignedLinear:
     def test_settling_chain_matches_reference(self, parts):
         ev, c, decay = settling_chain()
         config = signed_linear_config(c, decay)
-        carry, expected = AccumulatorCarry(), AccumulatorCarry()
+        acc, expected = FrameAccumulator(config, SPEC), None
         bounds = [len(ev) * k // parts for k in range(parts + 1)]
         for lo, hi in zip(bounds, bounds[1:]):
             part, stamp = ev[lo:hi], float(ev.t[hi - 1])
-            frame, carry = accumulate_slice(make_slice(part, stamp), config, SPEC, carry)
+            frame = acc.process(make_slice(part, stamp))
             want = reference_decaying_pixels(part, stamp, config, SPEC, expected)
-            expected = AccumulatorCarry(buffer=want, buffer_time=stamp)
+            expected = EventFrame(SPEC, want, stamp)
             assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
         assert frame.pixels[2, 3] == 1.0 and frame.pixels[1, 5] == 0.0
 
@@ -1058,9 +1117,9 @@ class TestSettledSignedLinear:
         monkeypatch.setattr(accumulator, "_rank_passes", spy)
         config = signed_linear_config(0.2, Decay.linear(0.8))
         stamp = float(ev.t[-1])
-        frame, _ = accumulate_slice(make_slice(ev, stamp), config, SPEC)
+        frame = FrameAccumulator(config, SPEC).process(make_slice(ev, stamp))
         assert sum(ranks) <= SUFFIX
-        want = reference_decaying_pixels(ev, stamp, config, SPEC, AccumulatorCarry())
+        want = reference_decaying_pixels(ev, stamp, config, SPEC)
         assert np.allclose(frame.pixels, want, atol=1e-12, rtol=0.0)
 
     @given(

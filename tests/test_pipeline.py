@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +13,12 @@ from hypothesis import strategies as st
 import evframe
 from evframe import (
     AccumulatorConfig,
+    Decay,
     EventArray,
     EventFrame,
     FrameAccumulator,
     FrameSpec,
+    OutOfBoundsEvent,
     PipelineStats,
     PolarityMode,
     SensorGeometry,
@@ -74,6 +78,12 @@ class TestRunAccumulation:
         assert stamps == sorted(stamps)
         assert len(stamps) > 1
 
+    def test_build_time_leaves_out_the_sink(self):
+        events = uniform_events(200, SMALL_GEOMETRY, t_end=1.0)
+        stats = run_accumulation(events, btn_config(), SPEC, on_frame=lambda f: time.sleep(0.01))
+        assert stats.frames >= 10
+        assert stats.build_seconds < 0.01 * stats.frames / 2
+
     def test_batched_source_matches_single_array(self):
         events = uniform_events(300, SMALL_GEOMETRY, t_end=1.5)
         whole_frames, whole = accumulate_stream(events, btn_config(), SPEC)
@@ -106,6 +116,37 @@ class TestRunAccumulation:
         assert frames == []
         assert stats.frames == 0
         assert math.isnan(stats.mean_events_per_frame)
+
+    def test_a_held_slice_is_checked_for_bounds(self):
+        # (8, 0) lies outside the 8x6 sensor, in a slice quiet enough to hold.
+        ev = EventArray.from_columns([0.01, 0.02], [1, SPEC.width], [1, 0], [1, 1])
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=0.1, no_motion_threshold=5
+        )
+        with pytest.raises(OutOfBoundsEvent):
+            accumulate_stream(ev, config, SPEC)
+
+    def test_frames_reach_the_sink_one_at_a_time(self):
+        # 2,000 decaying 64x48 frames (49 MB) from one push must not all
+        # be alive at once: the peak stays near that of 8,192-event batches.
+        geometry = SensorGeometry(64, 48)
+        events = uniform_events(200_000, geometry, t_end=2.0, seed=5)
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=1e-3, decay=Decay.linear(5.0)
+        )
+
+        def peak(source):
+            tracemalloc.start()
+            try:
+                stats = run_accumulation(source, config, geometry, on_frame=lambda frame: None)
+                return tracemalloc.get_traced_memory()[1], stats.frames
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_frames = peak(events)
+        batched, batched_frames = peak(events[i : i + 8192] for i in range(0, len(events), 8192))
+        assert whole_frames == batched_frames == 2000
+        assert whole - batched < 4_000_000
 
     @given(event_arrays(min_size=1, max_size=80), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
@@ -177,12 +218,11 @@ def test_frame_spec_alias_serves_the_benchmark_calls():
 
 def test_package_exports():
     assert evframe.__all__ == [
-        "AccumulatorCarry", "AccumulatorConfig", "Decay", "DecayKind", "DegenerateFrame",
-        "EventArray", "EventFrame", "FrameAccumulator", "FrameSpec", "InvalidPolarity",
-        "MalformedLine", "MotionProfile", "NonMonotonicTimestamps", "OutOfBoundsEvent",
-        "PairScore", "PipelineStats", "PolarityFlipReport", "PolarityMode", "SensorGeometry",
-        "SensorModel", "SimilarityReport", "Slice", "SliceMethod", "StreamError",
-        "StreamSlicer", "SyntheticScene", "UnknownPreset", "accumulate_slice",
+        "AccumulatorConfig", "Decay", "DecayKind", "DegenerateFrame", "EventArray", "EventFrame",
+        "FrameAccumulator", "FrameSpec", "InvalidPolarity", "MalformedLine", "MotionProfile",
+        "NonMonotonicTimestamps", "OutOfBoundsEvent", "PairScore", "PipelineStats",
+        "PolarityFlipReport", "PolarityMode", "SensorGeometry", "SensorModel", "SimilarityReport",
+        "Slice", "SliceMethod", "StreamError", "StreamSlicer", "SyntheticScene", "UnknownPreset",
         "accumulate_stream", "add_noise", "apply_decay", "bars", "checker",
         "contribution_level_sweep", "distinct_levels", "expected_event_count", "fill_ratio",
         "generate_events", "ncc", "neutral_value", "polarity_flip_report", "preset",
