@@ -17,6 +17,7 @@ Identical inputs and flags produce byte-identical frame files.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 from dataclasses import replace
@@ -57,12 +58,6 @@ from .synth import (
 )
 
 __all__ = ["main"]
-
-_SLICE_NAMES = {
-    "number": SliceMethod.BY_NUMBER,
-    "time": SliceMethod.BY_TIME,
-    "time-number": SliceMethod.BY_TIME_AND_NUMBER,
-}
 
 _SCENES = {"step-edge": step_edge, "bars": bars, "checker": checker}
 
@@ -123,11 +118,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     acc = sub.add_parser("accumulate", help="slice an event stream into PGM frames")
+    acc.set_defaults(handler=_cmd_accumulate)
     acc.add_argument("--input", default="-", help="event text file, or - for stdin")
     acc.add_argument("--out", required=True, help="output directory for frames and index")
     acc.add_argument("--geometry", type=_parse_geometry, required=True, metavar="WxH")
     acc.add_argument("--preset", choices=preset_names(), help="start from a named configuration")
-    acc.add_argument("--slice", choices=sorted(_SLICE_NAMES), dest="slice_method")
+    acc.add_argument("--slice", choices=sorted(m.value for m in SliceMethod), dest="slice_method")
     acc.add_argument("--window-size", type=int)
     acc.add_argument("--interval", type=float)
     acc.add_argument("--contribution", type=float)
@@ -138,6 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
     acc.add_argument("--t0", type=float, help="stream start time (default: first event)")
 
     syn = sub.add_parser("synth", help="generate a synthetic event stream")
+    syn.set_defaults(handler=_cmd_synth)
     syn.add_argument("--scene", choices=sorted(_SCENES), default="step-edge")
     syn.add_argument("--geometry", type=_parse_geometry, default=SensorGeometry(240, 180),
                      metavar="WxH")
@@ -176,6 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     si = ev_sub.add_parser("speed-invariance", parents=[scene],
                            help="frame similarity across scene speeds")
+    si.set_defaults(handler=_cmd_eval_speed_invariance)
     si.add_argument("--scene", choices=sorted(_SCENES), default="step-edge")
     si.add_argument("--speeds", type=_parse_float_list, default=(64.0, 128.0),
                     metavar="S1,S2,...")
@@ -185,18 +183,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ws = ev_sub.add_parser("window-sweep", parents=[recorded],
                            help="fill and saturation versus window size")
+    ws.set_defaults(handler=_cmd_eval_window_sweep)
     ws.add_argument("--windows", type=_parse_int_list, required=True, metavar="N1,N2,...")
     ws.add_argument("--contribution", type=float, default=0.2)
     ws.add_argument("--polarity", choices=["rectified", "signed"], default="rectified")
 
     cs = ev_sub.add_parser("contribution-sweep", parents=[recorded],
                            help="gray-level depth versus contribution")
+    cs.set_defaults(handler=_cmd_eval_contribution_sweep)
     cs.add_argument("--contributions", type=_parse_float_list, required=True,
                     metavar="C1,C2,...")
     cs.add_argument("--window-size", type=int, default=10000)
 
     pf = ev_sub.add_parser("polarity-flip", parents=[scene],
                            help="what a motion reversal does per polarity mode")
+    pf.set_defaults(handler=_cmd_eval_polarity_flip)
     pf.add_argument("--speed", type=float, default=64.0)
     pf.add_argument("--interval", type=float, default=1.0 / 32.0)
     pf.add_argument("--half-duration", type=float, default=0.3125,
@@ -208,7 +209,7 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
     """Build the accumulator configuration, logging preset overrides."""
     config = preset(args.preset) if args.preset else AccumulatorConfig()
     overrides = {
-        "slice_method": _SLICE_NAMES[args.slice_method] if args.slice_method else None,
+        "slice_method": SliceMethod(args.slice_method) if args.slice_method else None,
         "window_size": args.window_size,
         "interval": args.interval,
         "contribution": args.contribution,
@@ -229,8 +230,12 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
 
 
 def _read_input(args: argparse.Namespace) -> Iterator[EventArray]:
-    """Event batches from `--input`: a text file, or stdin for -."""
-    return read_event_batches(sys.stdin if args.input == "-" else args.input, args.geometry)
+    """Event batches from `--input`: a text file, or stdin for -, decoded as the file would be."""
+    if args.input != "-":
+        return read_event_batches(args.input, args.geometry)
+    if isinstance(sys.stdin, io.TextIOWrapper):
+        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
+    return read_event_batches(sys.stdin, args.geometry)
 
 
 def _cmd_accumulate(args: argparse.Namespace) -> int:
@@ -423,23 +428,10 @@ def _cmd_eval_polarity_flip(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "accumulate":
-        handler = _cmd_accumulate
-    elif args.command == "synth":
-        handler = _cmd_synth
-    elif args.command == "eval":
-        handler = {
-            "speed-invariance": _cmd_eval_speed_invariance,
-            "window-sweep": _cmd_eval_window_sweep,
-            "contribution-sweep": _cmd_eval_contribution_sweep,
-            "polarity-flip": _cmd_eval_polarity_flip,
-        }[args.report]
-    else:
-        raise AssertionError(f"unhandled command {args.command!r}")
     # StreamError and the config checks derive from ValueError; OSError
     # covers an input or output path that cannot be opened.
     try:
-        return handler(args)
+        return args.handler(args)
     except BrokenPipeError:
         # The reader of stdout left (``| head``): a quiet end of output,
         # as SIGPIPE would give.  Point stdout at devnull so the flush at

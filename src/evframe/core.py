@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -64,9 +64,6 @@ class SensorGeometry:
     @property
     def pixel_count(self) -> int:
         return self.width * self.height
-
-    def contains(self, x: int, y: int) -> bool:
-        return 0 <= x < self.width and 0 <= y < self.height
 
     @classmethod
     def from_string(cls, text: str) -> "SensorGeometry":
@@ -224,6 +221,18 @@ class SliceMethod(enum.Enum):
     def uses_window(self) -> bool:
         return self is not SliceMethod.BY_TIME
 
+    def check(self, window_size: Optional[int], interval: Optional[float]) -> None:
+        """Reject a window size or interval this method uses that is out of range.
+
+        A setting the method ignores is not checked, so it may be None.
+        """
+        if self.uses_window and (window_size is None or window_size < 1):
+            raise ValueError(f"window size must be >= 1, got {window_size}")
+        if self.uses_interval and (interval is None or not interval > 0.0):
+            raise ValueError(f"interval must be > 0, got {interval}")
+        if self.uses_interval and interval == math.inf:
+            raise ValueError(f"interval must be finite, got {interval}")
+
 
 class PolarityMode(enum.Enum):
     """Whether polarity is kept or rectified away during integration."""
@@ -304,12 +313,7 @@ class AccumulatorConfig:
     no_motion_threshold: int = 0
 
     def __post_init__(self) -> None:
-        if self.slice_method.uses_window and self.window_size < 1:
-            raise ValueError(f"window size must be >= 1, got {self.window_size}")
-        if self.slice_method.uses_interval and not self.interval > 0.0:
-            raise ValueError(f"interval must be > 0, got {self.interval}")
-        if self.slice_method.uses_interval and self.interval == math.inf:
-            raise ValueError(f"interval must be finite, got {self.interval}")
+        self.slice_method.check(self.window_size, self.interval)
         if not (0.0 < self.contribution <= 1.0):
             raise ValueError(f"contribution must be in (0, 1], got {self.contribution}")
         if self.no_motion_threshold < 0:

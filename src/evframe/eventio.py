@@ -31,14 +31,19 @@ turn, and each later one accepts more:
    also accepts ``1_000``.
 
 All four yield the same events and the same errors.  That is the whole
-grammar: four whitespace-separated numbers per line.  When a chunk
-breaks it, the first line with a field count other than four or a
-field the cast rejects is reported.  Every
-other rule (polarity, timestamp range and order, integer and in-bounds
-coordinates) is checked on the parsed columns, so an error never names
-a line the grammar accepts.  The rows before a grammar break are
-checked and yielded first, and the rules report their earliest row, so
-the earliest bad line is reported at every chunk size.
+grammar: four whitespace-separated numbers per line, in ASCII.  When a
+chunk breaks it, the first line with a field count other than four, a
+field the cast rejects or a character outside ASCII is reported.  The
+ASCII rule is the same for every route in: a path is decoded as ASCII
+with ``surrogateescape``, so a stray byte becomes a non-ASCII character
+on its line, and a non-ASCII line of any source is rejected before
+numpy sees its chunk, which would read U+0663 (Arabic-Indic three) as 3
+and a no-break space as a separator.  Every other rule (polarity,
+timestamp range and order, integer and in-bounds coordinates) is
+checked on the parsed columns, so an error never names a line the
+grammar accepts.  The rows before a grammar break are checked and
+yielded first, and the rules report their earliest row, so the earliest
+bad line is reported at every chunk size.
 
 Frames are written as binary PGM (P5), 8 bit or big-endian 16 bit, and
 a run's frames are listed in a CSV index of publish stamp, filename and
@@ -48,8 +53,9 @@ from __future__ import annotations
 
 import re
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, ContextManager, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -95,10 +101,15 @@ class InvalidPolarity(StreamError):
     """Polarity token was not 0 or 1."""
 
 
-def _open_text(path: Union[str, Path, IO[str]]) -> Tuple[IO[str], bool]:
-    if hasattr(path, "read"):
-        return path, False
-    return open(path, "r", encoding="ascii"), True
+def _open(path: Union[str, Path, IO[str]], mode: str) -> ContextManager[IO[str]]:
+    """Open a path as ASCII text in `mode` ("r" or "w"), or pass an open file through unclosed.
+
+    Bytes that are not ASCII decode to lone surrogates, so a reader
+    sees them as non-ASCII characters on their line.
+    """
+    if hasattr(path, "read" if mode == "r" else "write"):
+        return nullcontext(path)
+    return open(path, mode, encoding="ascii", errors="surrogateescape")
 
 
 def read_event_batches(
@@ -114,10 +125,9 @@ def read_event_batches(
     and coordinates inside `geometry`.  Line numbers are 1-based.  Blank
     lines are skipped.
     """
-    fh, owned = _open_text(path)
     prev_t: float | None = None
     line_base = 0
-    try:
+    with _open(path, "r") as fh:
         while True:
             # The lines fh.readlines(hint) returns: whole lines until
             # more than `hint` characters are read (hint 0 reads all).
@@ -133,8 +143,9 @@ def read_event_batches(
                 lines = block.split("\n")  # readline's lines, less their "\n"
                 if not lines[-1]:
                     lines.pop()
+                ascii_only = block.isascii()
                 block = ""  # hold the lines only
-                columns, numbers, broken = _parse_chunk(lines, line_base)
+                columns, numbers, broken = _parse_chunk(lines, line_base, ascii_only)
                 line_base += len(lines)
             if len(numbers):
                 _validate_batch(*columns, numbers, geometry, prev_t)
@@ -142,9 +153,6 @@ def read_event_batches(
                 yield _event_array(*columns)
             if broken is not None:
                 raise broken
-    finally:
-        if owned:
-            fh.close()
 
 
 def _event_array(t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> EventArray:
@@ -262,7 +270,7 @@ def _loadtxt(lines: List[str], dtype: np.dtype, ndmin: int) -> Optional[np.ndarr
 
 
 def _parse_chunk(
-    lines: List[str], line_base: int
+    lines: List[str], line_base: int, ascii_only: bool
 ) -> Tuple[_Columns, Sequence[int], Optional[MalformedLine]]:
     """Parse lines into (t, x, y, p) columns and each row's 1-based line number.
 
@@ -272,9 +280,17 @@ def _parse_chunk(
     whose rows do not line up with the non-blank lines, is split and
     cast field by field.  Then only the rows before the first line that
     breaks the grammar are returned, with the error that names that
-    line, so the caller checks the earlier rows first.
+    line, so the caller checks the earlier rows first.  Unless
+    `ascii_only`, the first non-ASCII line breaks the grammar, and only
+    the lines before it reach numpy.
     """
     first = line_base + 1
+    if not ascii_only:
+        end = next(i for i, ln in enumerate(lines) if not ln.isascii())
+        columns, numbers, broken = _parse_chunk(lines[:end], line_base, True)
+        if broken is None:
+            broken = MalformedLine(f"non-ASCII text at line {first + end}: {lines[end].strip()!r}")
+        return columns, numbers, broken
     numbers: Sequence[int] = range(first, first + len(lines))
     for parse in (_typed_rows, _float_rows):
         columns = parse(lines)
@@ -378,21 +394,11 @@ def write_events(events: EventArray, path: Union[str, Path, IO[str]]) -> None:
     An empty stream writes nothing.  The text is built and written
     `_BATCH_LINES` events at a time, so it is never held whole.
     """
-    fh, owned = _open_out(path)
-    try:
+    with _open(path, "w") as fh:
         for start in range(0, len(events), _BATCH_LINES):
             part = events[start : start + _BATCH_LINES]
             rows = zip(part.t.tolist(), part.x.tolist(), part.y.tolist(), (part.p > 0).tolist())
             fh.write("".join(f"{t!r} {x} {y} {1 if on else 0}\n" for t, x, y, on in rows))
-    finally:
-        if owned:
-            fh.close()
-
-
-def _open_out(path: Union[str, Path, IO[str]]) -> Tuple[IO[str], bool]:
-    if hasattr(path, "write"):
-        return path, False
-    return open(path, "w", encoding="ascii"), True
 
 
 def write_pgm(raster: np.ndarray, path: Union[str, Path]) -> None:
@@ -457,21 +463,17 @@ def write_frame_index(
     still at its start, so later calls on the same open file append
     rows to it.
     """
-    fh, owned = _open_out(path)
-    try:
+    with _open(path, "w") as fh:
         if not fh.seekable() or fh.tell() == 0:
             fh.write("stamp,filename,held\n")
         for stamp, filename, held in entries:
             fh.write(f"{stamp:.9f},{filename},{1 if held else 0}\n")
-    finally:
-        if owned:
-            fh.close()
 
 
 def read_frame_index(path: Union[str, Path]) -> List[Tuple[float, str, bool]]:
     """Parse a frame index CSV back into (stamp, filename, held) rows."""
     out: List[Tuple[float, str, bool]] = []
-    with open(path, "r", encoding="ascii") as fh:
+    with _open(path, "r") as fh:
         header = fh.readline().strip()
         if header != "stamp,filename,held":
             raise ValueError(f"unexpected index header: {header!r}")

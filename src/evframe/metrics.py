@@ -32,7 +32,6 @@ import numpy as np
 from .accumulator import FrameAccumulator
 from .core import (
     AccumulatorConfig,
-    EventArray,
     EventFrame,
     PolarityMode,
     SensorGeometry,
@@ -40,7 +39,7 @@ from .core import (
     neutral_value,
     quantize_frame,
 )
-from .slicer import Slice, Source, StreamSlicer, slice_by_time, slice_by_time_and_number
+from .slicer import Slice, Source, StreamSlicer, _batches, slice_by_time, slice_by_time_and_number
 from .synth import MotionProfile, SensorModel, SyntheticScene, generate_events
 
 __all__ = [
@@ -415,6 +414,7 @@ def polarity_flip_report(
     number of intervals before the reversal.  Frames are scored as they
     are built, so the report holds at most m rectified frames.
     """
+    SliceMethod.BY_TIME_AND_NUMBER.check(window_size, interval)
     _check_speed(speed)
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
@@ -496,12 +496,11 @@ def window_coverage_sweep(
     Returns rows of (window_size, fill_ratio, saturation_fraction).
     """
     neutral = neutral_value(config.polarity_mode)
-    batches = (events,) if isinstance(events, EventArray) else events
     runs = [
         StreamSlicer(
             SliceMethod.BY_TIME_AND_NUMBER, window_size=n, interval=config.interval, t0=t0
         ).slices(branch)
-        for n, branch in zip(window_sizes, tee(batches, len(window_sizes)))
+        for n, branch in zip(window_sizes, tee(_batches(events), len(window_sizes)))
     ]
     accumulators = [
         FrameAccumulator(replace(config, window_size=int(n)), geometry) for n in window_sizes

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .accumulator import FrameAccumulator
 from .core import AccumulatorConfig, EventArray, EventFrame, SensorGeometry
-from .slicer import Source, StreamSlicer
+from .slicer import Source, StreamSlicer, _batches
 
 __all__ = ["PipelineStats", "run_accumulation", "accumulate_stream"]
 
@@ -66,20 +66,11 @@ def run_accumulation(
     stream is flushed at the end, so trailing partial windows and the
     final time tick are published.
     """
-    method = config.slice_method
     slicer = StreamSlicer(
-        method,
-        window_size=config.window_size if method.uses_window else None,
-        interval=config.interval if method.uses_interval else None,
-        t0=t0,
+        config.slice_method, window_size=config.window_size, interval=config.interval, t0=t0
     )
     accumulator = FrameAccumulator(config, geometry)
     stats = PipelineStats()
-    batches: Iterable[EventArray]
-    if isinstance(source, EventArray):
-        batches = (source,)
-    else:
-        batches = source
 
     def consume(batch: Optional[EventArray]) -> None:
         start = perf_counter()
@@ -95,7 +86,7 @@ def run_accumulation(
             start = perf_counter()
         stats.build_seconds += perf_counter() - start
 
-    for batch in batches:
+    for batch in _batches(source):
         stats.events_in += len(batch)
         consume(batch)
     consume(None)

@@ -48,6 +48,11 @@ __all__ = [
 Source = Union[EventArray, Iterable[EventArray]]
 
 
+def _batches(source: Source) -> Iterable[EventArray]:
+    """The batches of `source`; one EventArray is a stream of one batch."""
+    return (source,) if isinstance(source, EventArray) else source
+
+
 @dataclass(frozen=True, eq=False)
 class Slice:
     """One batch of events to accumulate into a frame.
@@ -90,19 +95,13 @@ class StreamSlicer:
         interval: Optional[float] = None,
         t0: Optional[float] = None,
     ) -> None:
-        if method.uses_window:
-            if window_size is None or window_size < 1:
-                raise ValueError(f"window size must be >= 1, got {window_size}")
-        if method.uses_interval:
-            if interval is None or not interval > 0.0:
-                raise ValueError(f"interval must be > 0, got {interval}")
-            if interval == math.inf:
-                raise ValueError(f"interval must be finite, got {interval}")
+        method.check(window_size, interval)
         if t0 is not None and not math.isfinite(t0):
             raise ValueError(f"t0 must be finite, got {t0}")
         self._method = method
-        self._n = int(window_size) if window_size is not None else 0
-        self._dt = float(interval) if interval is not None else 0.0
+        # A setting the method ignores is neither checked nor converted.
+        self._n = int(window_size) if method.uses_window else 0
+        self._dt = float(interval) if method.uses_interval else 0.0
         self._t0 = float(t0) if t0 is not None else None
         self._k = 1  # next tick index; stamps are t0 + k * dt
         self._recent = EventArray.empty()  # last <= N events with t < next tick
@@ -146,7 +145,7 @@ class StreamSlicer:
 
     def slices(self, source: Source) -> Iterator[Slice]:
         """Push every batch of `source`, then flush, yielding each slice as it is cut."""
-        for batch in (source,) if isinstance(source, EventArray) else source:
+        for batch in _batches(source):
             yield from self.push_batch(batch)
         yield from self.flush()
 

@@ -202,6 +202,37 @@ class TestAccumulate:
         assert code == 0
         assert "events in: 7200" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("bad", [b"\xc3", "\u0663".encode("utf-8")])
+    def test_a_non_ascii_line_fails_in_one_line_from_a_file(self, bad, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"0.1 1 2 1\n0.2 " + bad + b" 4 0\n")
+        code = run("accumulate", "--input", str(path), "--geometry", "80x60",
+                   "--out", str(tmp_path / "frames"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("evframe: error: non-ASCII text at line 2: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("bad", [b"\xc3", "\u0663".encode("utf-8")])
+    def test_a_non_ascii_line_fails_in_one_line_from_stdin(self, bad, tmp_path):
+        # utf-8:strict is how a UTF-8 desktop locale decodes stdin.
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(evframe.__file__).parents[1]),
+            "PYTHONIOENCODING": "utf-8:strict",
+        }
+        child = subprocess.run(
+            [sys.executable, "-m", "evframe.cli", "accumulate", "--geometry", "80x60",
+             "--out", str(tmp_path / "frames")],
+            input=b"0.1 1 2 1\n0.2 " + bad + b" 4 0\n",
+            capture_output=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 2
+        assert child.stderr.startswith(b"evframe: error: non-ASCII text at line 2: ")
+        assert child.stderr.count(b"\n") == 1
+
     def test_preset_override_is_logged(self, stream_file, tmp_path, capsys):
         out_dir = tmp_path / "frames"
         code = run(
@@ -456,6 +487,13 @@ class TestEval:
         monkeypatch.setattr("sys.stdin", io.StringIO(stream_file.read_text()))
         assert run(*argv, "--input", "-", "--out", str(piped)) == 0
         assert (piped / written).read_bytes() == (from_file / written).read_bytes()
+
+    @pytest.mark.parametrize("interval", ["0", "nan"])
+    def test_polarity_flip_rejects_a_bad_interval_in_one_line(self, interval, tmp_path, capsys):
+        code = run("eval", "polarity-flip", "--interval", interval, "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"evframe: error: interval must be > 0, got {float(interval)}\n"
 
     def test_polarity_flip_csv_and_panels(self, tmp_path, capsys):
         code = run("eval", "polarity-flip", "--out", str(tmp_path), "--panels")

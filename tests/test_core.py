@@ -18,6 +18,7 @@ from evframe import (
     PolarityMode,
     SensorGeometry,
     SliceMethod,
+    StreamSlicer,
     accumulate_stream,
     neutral_value,
     quantize_frame,
@@ -28,14 +29,6 @@ from evframe import (
 class TestSensorGeometry:
     def test_pixel_count(self):
         assert SensorGeometry(240, 180).pixel_count == 43200
-
-    def test_contains_boundaries(self):
-        g = SensorGeometry(4, 3)
-        assert g.contains(0, 0)
-        assert g.contains(3, 2)
-        assert not g.contains(4, 0)
-        assert not g.contains(0, 3)
-        assert not g.contains(-1, 0)
 
     def test_from_string(self):
         assert SensorGeometry.from_string("240x180") == SensorGeometry(240, 180)
@@ -233,6 +226,35 @@ class TestConfig:
             AccumulatorConfig(slice_method=method, interval=math.inf)
         # BY_NUMBER ignores the interval.
         AccumulatorConfig(slice_method=SliceMethod.BY_NUMBER, interval=math.inf)
+
+    @pytest.mark.parametrize(
+        "method, window_size, interval, message",
+        [
+            (SliceMethod.BY_NUMBER, 0, 0.1, "window size must be >= 1, got 0"),
+            (SliceMethod.BY_TIME_AND_NUMBER, -3, 0.1, "window size must be >= 1, got -3"),
+            (SliceMethod.BY_TIME, 4, 0.0, "interval must be > 0, got 0.0"),
+            (SliceMethod.BY_TIME_AND_NUMBER, 4, math.nan, "interval must be > 0, got nan"),
+            (SliceMethod.BY_TIME, 4, math.inf, "interval must be finite, got inf"),
+        ],
+    )
+    def test_config_and_slicer_share_the_slice_checks(
+        self, method, window_size, interval, message
+    ):
+        for check in (
+            lambda: method.check(window_size, interval),
+            lambda: AccumulatorConfig(
+                slice_method=method, window_size=window_size, interval=interval
+            ),
+            lambda: StreamSlicer(method, window_size=window_size, interval=interval),
+        ):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                check()
+
+    def test_slice_check_skips_what_the_method_ignores(self):
+        SliceMethod.BY_NUMBER.check(4, None)
+        SliceMethod.BY_TIME.check(None, 0.1)
+        with pytest.raises(ValueError, match="^window size must be >= 1, got None$"):
+            SliceMethod.BY_TIME_AND_NUMBER.check(None, 0.1)
 
     def test_rejects_negative_no_motion_threshold(self):
         with pytest.raises(ValueError):

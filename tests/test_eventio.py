@@ -786,6 +786,41 @@ class TestFixedPointChunks:
         assert eventio._fixed_point_rows(buf.getvalue()) is None
 
 
+class TestNonAsciiLines:
+    """A line holding any character outside ASCII is malformed, by every route in."""
+
+    def test_a_stray_byte_in_a_path_names_its_line(self, tmp_path):
+        path = tmp_path / "latin.txt"
+        path.write_bytes(b"0.1 1 2 1\n0.2 \xc3 4 0\n0.3 5 6 1\n")
+        batches = []
+        with pytest.raises(MalformedLine, match="^non-ASCII text at line 2: "):
+            batches.extend(read_event_batches(path, GEOMETRY))
+        assert [b.t.tolist() for b in batches] == [[0.1]]
+
+    @pytest.mark.parametrize(
+        "line", ["0.2 \u0663 4 0", "0.2\u00a03 4 0", "0.2 3 4 0\u00a0", "\u00a0", "0.2 \udcc3 4 0"]
+    )
+    @pytest.mark.parametrize("batch_lines", [1, 2, 8192])
+    def test_a_non_ascii_line_in_a_stream_names_its_line(self, line, batch_lines):
+        text = io.StringIO("0.05 1 2 1\n0.1 1 2 1\n" + line + "\n0.3 5 6 1\n")
+        batches = []
+        with pytest.raises(MalformedLine) as err:
+            batches.extend(read_event_batches(text, GEOMETRY, batch_lines=batch_lines))
+        assert str(err.value) == f"non-ASCII text at line 3: {line.strip()!r}"
+        assert EventArray.concatenate(batches).t.tolist() == [0.05, 0.1]
+
+    @pytest.mark.parametrize(
+        "first,error,message",
+        [
+            ("0.1 1 2", MalformedLine, "^expected 4 fields 't x y p' at line 1"),
+            ("0.1 1 2 5", InvalidPolarity, "^polarity must be 0 or 1 at line 1"),
+        ],
+    )
+    def test_an_earlier_bad_line_is_reported_first(self, first, error, message):
+        with pytest.raises(error, match=message):
+            list(read_event_batches(io.StringIO(first + "\n0.2 \u0663 4 0\n"), GEOMETRY))
+
+
 class TestNonFiniteCoordinates:
     @pytest.mark.parametrize(
         "line,shown",

@@ -1,6 +1,7 @@
 """Frame comparison metrics and the evaluation reports."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -214,6 +215,19 @@ class TestPolarityFlipReport:
     def test_half_duration_must_align_with_intervals(self):
         with pytest.raises(ValueError, match="whole number"):
             polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 360, 0.3)
+
+    @pytest.mark.parametrize(
+        "interval, window_size, message",
+        [
+            (0.0, 360, "interval must be > 0, got 0.0"),
+            (math.nan, 360, "interval must be > 0, got nan"),
+            (math.inf, 360, "interval must be finite, got inf"),
+            (1.0 / 32.0, 0, "window size must be >= 1, got 0"),
+        ],
+    )
+    def test_slice_settings_are_checked_first(self, interval, window_size, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            polarity_flip_report(SCENE, 64.0, interval, window_size, 0.3125)
 
 
 class TestSweeps:

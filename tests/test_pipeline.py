@@ -84,6 +84,31 @@ class TestRunAccumulation:
         assert stats.frames >= 10
         assert stats.build_seconds < 0.01 * stats.frames / 2
 
+    def test_build_time_leaves_out_the_source(self):
+        events = uniform_events(200, SMALL_GEOMETRY, t_end=1.0)
+        parts = [events[i : i + 20] for i in range(0, len(events), 20)]
+
+        def slow_source():
+            for part in parts:
+                time.sleep(0.01)
+                yield part
+
+        stats = run_accumulation(slow_source(), btn_config(), SPEC)
+        assert stats.events_in == 200
+        assert stats.build_seconds < 0.01 * len(parts) / 2
+
+    @pytest.mark.parametrize(
+        "method, ignored",
+        [
+            (SliceMethod.BY_NUMBER, {"interval": math.inf}),
+            (SliceMethod.BY_TIME, {"window_size": 0}),
+        ],
+    )
+    def test_a_setting_the_method_ignores_is_never_checked(self, method, ignored):
+        events = uniform_events(200, SMALL_GEOMETRY, t_end=1.0)
+        frames, stats = accumulate_stream(events, btn_config(slice_method=method, **ignored), SPEC)
+        assert stats.frames == len(frames) > 0
+
     def test_batched_source_matches_single_array(self):
         events = uniform_events(300, SMALL_GEOMETRY, t_end=1.5)
         whole_frames, whole = accumulate_stream(events, btn_config(), SPEC)
