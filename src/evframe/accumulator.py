@@ -68,11 +68,35 @@ every partial sum is exact and signed STEP matches it bit for bit.
 When too few events arrived in a publish interval the previous frame is
 republished unchanged (a "hold"), which keeps downstream consumers fed
 during motion pauses instead of handing them an empty frame.
+
+Slices are integrated in groups, so that a slice's fixed cost is paid
+once per group.  `run_accumulation` announces every slice list that one
+push cut (`FrameAccumulator._schedule`) before it calls `process` on each
+slice.  The first `process` call of a group takes the integrated slices
+that follow it in that list, up to `_GROUP_EVENTS` events.  Each slice's
+events are sorted by pixel, so the group's (slice, pixel) runs lie slice
+by slice in one set of arrays, and one batched pass composes every
+run's maps, settles every signed linear run that its last _SUFFIX
+events decide, and counts every signed STEP run: the same maps and the
+same end-aligned tree as for a slice alone, so the frames are the same
+bit for bit.  Work arrays grow with the group's events and runs, never
+with its slices times the pixel count.  Each `process` call then only
+builds its own frame: it decays the carry by one interval, applies the
+composed maps of its touched pixels (signed linear: runs their few
+unsettled rank passes from the carried values), decays them to the
+stamp, and returns the frame, so every frame reaches the sink before
+the next is built.  A slice called alone is a group of one.  Holds stay
+out of groups, and each slice starts from the last integrated stamp.  A
+slice that fails a check ends its group, so the frames before it are
+published before its own `process` call raises.  Rectified STEP keeps
+one `bincount` per slice.
 """
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
-from typing import Optional
+from itertools import chain
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -80,6 +104,7 @@ from .core import (
     AccumulatorConfig,
     Decay,
     DecayKind,
+    EventArray,
     EventFrame,
     NonMonotonicTimestamps,
     OutOfBoundsEvent,
@@ -136,18 +161,34 @@ def _decay_values(pixels: np.ndarray, dt, decay: Decay, neutral: float) -> np.nd
     return d
 
 
-def _validate_slice_events(slc: Slice, geometry: SensorGeometry) -> None:
+def _event_fault(slc: Slice, geometry: SensorGeometry) -> Optional[ValueError]:
+    """Why `slc`'s events cannot be integrated on `geometry`, or None."""
     ev = slc.events
     if len(ev) == 0:
-        return
+        return None
     w, h = geometry.width, geometry.height
     if ev.x.max() >= w or ev.y.max() >= h:
         bad = int(np.argmax((ev.x >= w) | (ev.y >= h)))
-        raise OutOfBoundsEvent(
+        return OutOfBoundsEvent(
             f"event at ({int(ev.x[bad])}, {int(ev.y[bad])}) outside {w}x{h} frame"
         )
     if (ev.t[1:] < ev.t[:-1]).any():
-        raise NonMonotonicTimestamps("slice events are not in time order")
+        return NonMonotonicTimestamps("slice events are not in time order")
+    return None
+
+
+def _buffer_fault(slc: Slice, begin: float) -> Optional[ValueError]:
+    """Why `slc` cannot extend a decaying buffer stamped `begin`, or None."""
+    ev = slc.events
+    if len(ev) and float(ev.t[0]) < begin:
+        return ValueError(
+            "slice reaches back before the accumulated buffer; overlapping "
+            "windows cannot be combined with a decaying buffer"
+        )
+    # Events are in time order and start no earlier than `begin`.
+    if slc.publish_stamp < (float(ev.t[-1]) if len(ev) else begin):
+        return ValueError("slice events run past the publish stamp")
+    return None
 
 
 def _stable_order(keys: np.ndarray) -> np.ndarray:
@@ -167,21 +208,44 @@ def _stable_order(keys: np.ndarray) -> np.ndarray:
     return order
 
 
-def _pixel_runs(idx: np.ndarray):
-    """Group a slice's events by pixel, keeping time order inside each group.
+def _pixel_index(ev: EventArray, width: int) -> np.ndarray:
+    """Row-major pixel index of each event."""
+    idx = np.multiply(ev.y, width, dtype=np.intp)
+    idx += ev.x
+    return idx
 
-    Returns `order` (the stable argsort of `idx`), the sorted pixel
-    indices, the position in `order` where each pixel's run starts, and
-    every event's rank inside its run.
+
+def _joined(arrays: List[np.ndarray]) -> np.ndarray:
+    """`arrays` end to end; a lone array is returned as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _pixel_runs(parts: List[np.ndarray]):
+    """Group each part's events by pixel, keeping time order inside each group.
+
+    `parts` holds each slice's pixel indices, and a run is one pixel's
+    events in one part.  Each part is sorted on its own, stably, so the
+    runs come part by part.  Returns `order` (the joined parts' argsort
+    by part, then pixel), the sorted pixel indices, the position in
+    `order` where each run starts, and each part's first run, followed
+    by the number of runs.
     """
-    n = len(idx)
-    order = _stable_order(idx)
-    pix = idx[order]
+    orders, firsts = [], [0]
+    for part in parts:
+        if len(part):
+            orders.append(_stable_order(part))
+            if firsts[-1]:
+                orders[-1] += firsts[-1]
+        firsts.append(firsts[-1] + len(part))
+    order = _joined(orders)
+    pix = _joined(parts)[order]
+    n = len(pix)
     first = np.ones(n, dtype=bool)
     np.not_equal(pix[1:], pix[:-1], out=first[1:])
+    if len(parts) > 1:
+        first[[at for at in firsts[1:-1] if at < n]] = True
     starts = np.flatnonzero(first)
-    rank = np.arange(n) - np.repeat(starts, _run_lengths(starts, n))
-    return order, pix, starts, rank
+    return order, pix, starts, np.searchsorted(starts, firsts).tolist()
 
 
 def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
@@ -190,6 +254,18 @@ def _run_lengths(starts: np.ndarray, n: int) -> np.ndarray:
     np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
     lengths[-1] = n - starts[-1]
     return lengths
+
+
+def _subruns(starts, lengths, chosen):
+    """The chosen runs packed end to end, at a cost that follows their events.
+
+    Returns the index of each of their events, the packed runs' starts,
+    and each event's rank inside its run.
+    """
+    lengths = lengths[chosen]
+    packed = np.cumsum(lengths) - lengths
+    rank = np.arange(int(lengths.sum())) - np.repeat(packed, lengths)
+    return rank + np.repeat(starts[chosen], lengths), packed, rank
 
 
 def _compose_runs(a, b, lo, hi, starts, rank):
@@ -244,88 +320,86 @@ def _suffix_bounds(a, b, lo, hi, ends):
     return lo[:, 0], hi[:, 0]
 
 
-def _run_values(x, a, b, lo, hi, starts, rank):
-    """Each run's maps x -> clip(a*x + b, lo, hi) applied in order to its x.
+class _ComposedRuns:
+    """Each run of maps x -> clip(a*x + b, lo, hi) composed into one map.
 
     A run longer than _SUFFIX whose last _SUFFIX maps compose to a
-    constant (lo == hi) has that constant as its value: every later
-    combination in `_compose_runs` keeps the end's lo = hi, so its
-    clip(A*x + B, LO, HI) returns it too.  The other runs are composed
-    whole.  The arrays may be overwritten.
+    constant L (lo == hi) takes the map x -> L, (a, b, lo, hi) =
+    (0, L, L, L): every later combination in `_compose_runs` keeps the
+    end's lo = hi, so its clip(A*x + B, LO, HI) returns L too.  A run of
+    one event keeps its map.  The other runs are composed whole: in
+    place, all runs at once, when no run is constant and they hold over
+    a quarter of the events, else apart, at a cost that follows their
+    events.  Writable arrays may be overwritten; read-only ones, such as
+    broadcast constants, are copied first.
     """
-    lengths = _run_lengths(starts, len(a))
-    values = np.empty(len(starts))
-    rest = np.ones(len(starts), dtype=bool)
-    deep = np.flatnonzero(lengths > _SUFFIX)
-    if deep.size:
-        low, high = _suffix_bounds(a, b, lo, hi, (starts + lengths - 1)[deep])
-        constant = low == high
-        values[deep[constant]] = low[constant]
-        rest[deep[constant]] = False
-        if not rest.any():
-            return values
-    if not rest.all():
-        keep = np.repeat(rest, lengths)
-        a, b, lo, hi, rank = a[keep], b[keep], lo[keep], hi[keep], rank[keep]
-        x, lengths = x[rest], lengths[rest]
-        starts = np.cumsum(lengths) - lengths
-    a, b, lo, hi = _compose_runs(a, b, lo, hi, starts, rank)
-    values[rest] = np.minimum(np.maximum(a * x + b, lo), hi)
-    return values
+
+    def __init__(self, a, b, lo, hi, starts) -> None:
+        lengths = _run_lengths(starts, len(a))
+        ends = starts + lengths - 1
+        whole = lengths > 1
+        constant = np.flatnonzero(lengths > _SUFFIX)
+        if constant.size:
+            low, high = _suffix_bounds(a, b, lo, hi, ends[constant])
+            constant, level = constant[low == high], low[low == high]
+            whole[constant] = False
+        if not constant.size and 4 * (len(a) - np.count_nonzero(~whole)) > len(a):
+            maps = (np.require(m, requirements="W") for m in (a, b, lo, hi))
+            self.maps = _compose_runs(*maps, starts, np.arange(len(a)) - np.repeat(starts, lengths))
+            return
+        self.maps = (a[ends], b[ends], lo[ends], hi[ends])
+        if constant.size:
+            self.maps[0][constant] = 0.0
+            for m in self.maps[1:]:
+                m[constant] = level
+        if whole.any():
+            keep, packed, rank = _subruns(starts, lengths, whole)
+            composed = _compose_runs(a[keep], b[keep], lo[keep], hi[keep], packed, rank)
+            for m, part in zip(self.maps, composed):
+                m[whole] = part
+
+    def values(self, x, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Runs lo..hi applied to their values `x`."""
+        a, b, low, high = (m[lo:hi] for m in self.maps)
+        return np.minimum(np.maximum(a * x + b, low), high)
 
 
-def _integrate_step(slc: Slice, config: AccumulatorConfig, geometry: SensorGeometry) -> np.ndarray:
-    """Vectorized from-reset integration for STEP decay.
+def _signed_step_values(up, starts, c: float) -> np.ndarray:
+    """Signed STEP value of each run from neutral; `up` flags each positive event.
 
     Per-pixel counting is exact wherever the running value is monotone,
-    so clamping commutes with summing: every RECTIFIED pixel, and every
-    SIGNED pixel whose events share one sign.  A mixed SIGNED pixel also
-    takes its net sum where no ordering of its events could have touched
-    a clamp; the mixed pixels that could are composed in order by
-    `_compose_runs`.  Counting rounds once (count * c) instead of once
-    per event, which is the closest float64 to the real-arithmetic
-    pixel value.  An empty slice gets the shared read-only neutral
-    pixels, so an idle gap costs no frame buffers.
+    so clamping commutes with summing: every run whose events share one
+    sign.  A mixed run also takes its net sum where no ordering of its
+    events could have touched a clamp; the mixed runs that could are
+    composed in order.  Counting rounds once (count * c) instead of once
+    per event, which is the closest float64 to the real-arithmetic pixel
+    value.
     """
-    ev = slc.events
-    h, w = geometry.height, geometry.width
-    c = config.contribution
-    if len(ev) == 0:
-        return _neutral_pixels(geometry, config.polarity_mode)
-    idx = ev.y.astype(np.intp) * w + ev.x.astype(np.intp)
-    if config.polarity_mode is PolarityMode.RECTIFIED:
-        counts = np.bincount(idx, minlength=h * w)
-        return np.minimum(counts.reshape(h, w) * c, 1.0)
-
-    order, pix, starts, rank = _pixel_runs(idx)
-    lengths = _run_lengths(starts, len(idx))
-    up = ev.p[order] > 0
+    lengths = _run_lengths(starts, len(up))
     pos = np.add.reduceat(up, starts, dtype=np.intp)
     neg = lengths - pos
     values = np.minimum(np.maximum(0.5 + c * (pos - neg), 0.0), 1.0)
     # Worst-case prefix excursion of a mixed pixel: all of one sign first.
     clampable = (pos > 0) & (neg > 0) & ((0.5 + c * pos > 1.0) | (0.5 - c * neg < 0.0))
     if clampable.any():
-        replay = np.repeat(clampable, lengths)
+        replay, packed, _ = _subruns(starts, lengths, clampable)
         b = np.where(up[replay], c, -c)
-        n = len(b)
-        runs = lengths[clampable]
-        values[clampable] = _run_values(
-            np.full(len(runs), 0.5),
-            np.ones(n), b, np.zeros(n), np.ones(n), np.cumsum(runs) - runs, rank[replay],
-        )
-    flat = np.full(h * w, 0.5)
-    flat[pix[starts]] = values
-    return flat.reshape(h, w)
+        one = np.broadcast_to(1.0, len(b))
+        zero = np.broadcast_to(0.0, len(b))
+        values[clampable] = _ComposedRuns(one, b, zero, one, packed).values(0.5)
+    return values
 
 
 # A run longer than _SUFFIX events is first integrated over its last
-# _SUFFIX events alone (`_run_values`, `_settle_suffixes`): a pixel that
+# _SUFFIX events alone (`_ComposedRuns`, `_settle_suffixes`): a pixel that
 # clamped within them has forgotten every earlier event.  On the
 # benchmark's hot pixels the last 5-42 events decide every run.
 # _SUFFIX must be a power of two, so that its pairwise tree is the
 # end-aligned one of `_compose_runs`.
 _SUFFIX = 64
+# A group integrates consecutive slices of up to _GROUP_EVENTS events in
+# one batched pass; a larger slice is a group of its own.
+_GROUP_EVENTS = 2**15
 
 
 def _rank_passes(u, run, rank, width, signs) -> None:
@@ -378,99 +452,153 @@ def _settle_suffixes(u, ends, width, signs) -> np.ndarray:
     return settled
 
 
-def _integrate_signed_linear(x, starts, rank, dt, signs, rate: float) -> np.ndarray:
-    """Signed LINEAR integration of each run's pixel from its value `x`.
+class _SignedLinearRuns:
+    """Signed LINEAR runs, integrated from their carried values.
 
     Linear decay toward 0.5 is a soft threshold, which is not of the
-    form clip(a*x + b, lo, hi), so these events cannot be composed.
-    The runs that their last _SUFFIX events decide are settled first
-    (`_settle_suffixes`); the events of the others run one pass per
-    rank.  Returns the integrated values, run by run.
+    form clip(a*x + b, lo, hi), so these events cannot be composed.  The
+    runs that their last _SUFFIX events decide are settled up front
+    (`_settle_suffixes`); `values` runs the events of the others from
+    their carried values, one pass per rank.
     """
-    lengths = _run_lengths(starts, len(rank))
-    run = np.repeat(np.arange(len(starts)), lengths)
-    width = rate * dt
-    # Signed distance of each touched pixel from neutral.
-    u = x - 0.5
-    settled = _settle_suffixes(u, starts + lengths, width, signs)
-    if settled.any():
-        left = np.repeat(~settled, lengths)
-        run, rank, width, signs = run[left], rank[left], width[left], signs[left]
-    _rank_passes(u, run, rank, width, signs)
-    return u + 0.5
 
+    def __init__(self, starts, width, signs) -> None:
+        lengths = _run_lengths(starts, len(width))
+        level = np.zeros(len(starts))
+        settled = _settle_suffixes(level, starts + lengths, width, signs)
+        self.fixed = np.flatnonzero(settled)
+        self.level = level[self.fixed]  # each settled run's distance from 0.5
+        if self.fixed.size:
+            left, _, self.rank = _subruns(starts, lengths, ~settled)
+            width, signs = width[left], signs[left]
+            lengths[self.fixed] = 0
+        else:
+            self.rank = np.arange(len(width)) - np.repeat(starts, lengths)
+        # The unsettled events in run order: run r holds first[r]..first[r + 1].
+        self.first = np.concatenate(([0], np.cumsum(lengths)))
+        self.run = np.repeat(np.arange(len(starts)), lengths)
+        self.width, self.signs = width, signs
+        self.u = np.empty(len(starts))  # each run's distance from 0.5
 
-def _integrate_decaying(
-    slc: Slice,
-    config: AccumulatorConfig,
-    geometry: SensorGeometry,
-    integrated: Optional[EventFrame],
-) -> np.ndarray:
-    """Persistent-buffer integration for LINEAR / EXPONENTIAL decay.
-
-    Decay acts on each pixel independently, so it can be applied
-    lazily: each pixel is decayed from its own last touch to the event
-    (or publish) timestamp, which matches advancing the whole frame to
-    every event time in order.  The buffer is the pixels of
-    `integrated`, the last integrated frame, at its stamp; before any
-    it is neutral at the slice's first event.  The whole buffer is
-    first decayed to the publish stamp by the one interval since its
-    own stamp; the pixels the slice touches are then overwritten.
-    Each event is one map x -> clip(a*x + b, lo, hi) of its pixel, and
-    each pixel's maps are composed by `_compose_runs`; signed LINEAR,
-    outside that family, goes through `_integrate_signed_linear`.  A
-    touched pixel finally decays from its own last event to the
-    publish stamp.
-    """
-    ev = slc.events
-    stamp = slc.publish_stamp
-    neutral = neutral_value(config.polarity_mode)
-    if integrated is not None:
-        buffer = integrated.pixels.ravel()
-        start = integrated.stamp
-    else:
-        buffer = np.full(geometry.pixel_count, neutral)
-        start = float(ev.t[0]) if len(ev) else stamp
-    if len(ev) and float(ev.t[0]) < start:
-        raise ValueError(
-            "slice reaches back before the accumulated buffer; overlapping "
-            "windows cannot be combined with a decaying buffer"
+    def values(self, x, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+        """Runs lo..hi integrated from their values `x`."""
+        hi = len(self.u) if hi is None else hi
+        u = self.u[lo:hi]
+        np.subtract(x, 0.5, out=u)
+        self.u[self.fixed] = self.level  # runs outside lo..hi are rewritten before use
+        events = slice(self.first[lo], self.first[hi])
+        _rank_passes(
+            self.u, self.run[events], self.rank[events], self.width[events], self.signs[events]
         )
-    # Events are in time order and start no earlier than `start`.
-    if stamp < (float(ev.t[-1]) if len(ev) else start):
-        raise ValueError("slice events run past the publish stamp")
-    c = config.contribution
-    decay = config.decay
-    out = _decay_values(buffer, stamp - start, decay, neutral)
-    if len(ev):
-        idx = ev.y.astype(np.intp) * geometry.width + ev.x.astype(np.intp)
-        order, pix, starts, rank = _pixel_runs(idx)
-        t = ev.t[order]
-        dt = np.empty(len(t))
+        return u + 0.5
+
+
+class _Group:
+    """Consecutive integrated slices whose runs are built in one batched pass.
+
+    Slice k's buffer starts at `begins[k]`, and its runs are
+    `bounds[k]`..`bounds[k + 1]`, each with its pixel in `touched`.
+    `publish` builds the slices' pixels one at a time, in order, and
+    `published` counts them.
+    """
+
+    def __init__(
+        self,
+        slices: List[Slice],
+        begins: List[float],
+        config: AccumulatorConfig,
+        geometry: SensorGeometry,
+    ) -> None:
+        self.slices, self.begins, self.published = slices, begins, 0
+        self.config, self.geometry = config, geometry
+        self.bounds = [0] * (len(slices) + 1)
+        step = config.decay.kind is DecayKind.STEP
+        if not any(len(s) for s in slices) or (
+            step and config.polarity_mode is PolarityMode.RECTIFIED
+        ):
+            return
+        order, pix, starts, self.bounds = _pixel_runs(
+            [_pixel_index(s.events, geometry.width) for s in slices]
+        )
+        self.touched = pix[starts]
+        # Each per-event array is dropped once used: a group's peak memory
+        # grows with its events, so it is kept to a few arrays of them.
+        del pix
+        c = config.contribution
+        signed = config.polarity_mode is PolarityMode.SIGNED
+        up = _joined([s.events.p for s in slices])[order] > 0 if signed else None
+        if step:
+            self.values = _signed_step_values(up, starts, c)
+            return
+        t = _joined([s.events.t for s in slices])[order]
+        del order
+        n = len(t)
+        dt = np.empty(n)
         np.subtract(t[1:], t[:-1], out=dt[1:])
-        dt[starts] = t[starts] - start
-        touched = pix[starts]
-        x = buffer[touched]
-        if config.polarity_mode is PolarityMode.SIGNED:
-            s = np.where(ev.p[order] > 0, c, -c)
-        else:
-            s = np.full(len(t), c)
-        if config.polarity_mode is PolarityMode.SIGNED and decay.kind is DecayKind.LINEAR:
-            x = _integrate_signed_linear(x, starts, rank, dt, s, decay.rate)
-        else:
-            if decay.kind is DecayKind.LINEAR:
-                # Rectified: x -> min(max(x - r*dt, 0) + c, 1).
-                a = np.ones(len(t))
-                b = s - decay.rate * dt
-                lo = np.full(len(t), c)
+        begin = begins[0] if len(slices) == 1 else np.repeat(begins, np.diff(self.bounds))
+        dt[starts] = t[starts] - begin
+        self.last = t[starts + _run_lengths(starts, n) - 1]
+        del t
+        s = np.where(up, c, -c) if signed else c
+        decay = config.decay
+        one = np.broadcast_to(1.0, n)
+        if decay.kind is DecayKind.LINEAR:
+            dt *= decay.rate
+            if signed:
+                self.runs = _SignedLinearRuns(starts, dt, s)
             else:
-                a = np.exp(-dt / decay.tau)
-                b = neutral * (1.0 - a) + s
-                lo = np.zeros(len(t))
-            x = _run_values(x, a, b, lo, np.ones(len(t)), starts, rank)
-        last = t[starts + _run_lengths(starts, len(t)) - 1]
-        out[touched] = _decay_values(x, stamp - last, decay, neutral)
-    return out.reshape(geometry.height, geometry.width)
+                # x -> min(max(x - r*dt, 0) + c, 1).
+                b = np.subtract(s, dt, out=dt)
+                self.runs = _ComposedRuns(one, b, np.broadcast_to(c, n), one, starts)
+            return
+        a = np.negative(dt, out=dt)
+        a /= decay.tau
+        np.exp(a, out=a)
+        b = np.subtract(1.0, a)
+        b *= neutral_value(config.polarity_mode)
+        b += s
+        self.runs = _ComposedRuns(a, b, np.broadcast_to(0.0, n), one, starts)
+
+    def publish(self, integrated: Optional[EventFrame]) -> np.ndarray:
+        """Pixels of the next slice; `integrated` is the decaying buffer, if any.
+
+        STEP integrates from a neutral frame, and an empty STEP slice
+        gets the shared read-only neutral pixels, so an idle gap costs no
+        frame buffers.  LINEAR / EXPONENTIAL decay the whole buffer to the
+        publish stamp by the one interval since its own stamp, then
+        overwrite the touched pixels: each takes its runs' maps from its
+        carried value and decays from its own last event to the stamp.
+        Decay acts on each pixel independently, so this matches
+        advancing the whole frame to every event time in order.
+        """
+        k = self.published
+        self.published += 1
+        slc, config, geometry = self.slices[k], self.config, self.geometry
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        h, w = geometry.height, geometry.width
+        decay = config.decay
+        if decay.kind is DecayKind.STEP:
+            ev = slc.events
+            if len(ev) == 0:
+                return _neutral_pixels(geometry, config.polarity_mode)
+            if config.polarity_mode is PolarityMode.RECTIFIED:
+                counts = np.bincount(_pixel_index(ev, w), minlength=h * w)
+                return np.minimum(counts.reshape(h, w) * config.contribution, 1.0)
+            flat = np.full(h * w, 0.5)
+            flat[self.touched[lo:hi]] = self.values[lo:hi]
+            return flat.reshape(h, w)
+        neutral = neutral_value(config.polarity_mode)
+        if integrated is not None:
+            buffer = integrated.pixels.ravel()
+        else:
+            buffer = np.full(geometry.pixel_count, neutral)
+        stamp = slc.publish_stamp
+        out = _decay_values(buffer, stamp - self.begins[k], decay, neutral)
+        if hi > lo:
+            touched = self.touched[lo:hi]
+            x = self.runs.values(buffer[touched], lo, hi)
+            out[touched] = _decay_values(x, stamp - self.last[lo:hi], decay, neutral)
+        return out.reshape(h, w)
 
 
 class FrameAccumulator:
@@ -484,6 +612,8 @@ class FrameAccumulator:
     LINEAR / EXPONENTIAL from the last integrated frame, whose pixels
     and stamp are the decaying buffer and its time.  A held frame is
     never that buffer, so decay runs on from the last integrated stamp.
+    Slices announced by `_schedule` are integrated in groups (see the
+    module docstring); `process` returns the same frames either way.
     """
 
     def __init__(self, config: AccumulatorConfig, geometry: SensorGeometry) -> None:
@@ -491,24 +621,75 @@ class FrameAccumulator:
         self._geometry = geometry
         self._previous: Optional[EventFrame] = None  # the last published frame
         self._integrated: Optional[EventFrame] = None  # the decaying buffer; None under STEP
+        self._ahead: Deque[Slice] = deque()  # scheduled slices not yet processed
+        self._group: Optional[_Group] = None
+
+    def _schedule(self, slices: List[Slice]) -> None:
+        """Announce the slices that the next `process` calls take, in order."""
+        self._ahead.extend(slices)
+
+    def _holds(self, slc: Slice) -> bool:
+        threshold = self._config.no_motion_threshold
+        return bool(threshold) and slc.interval_event_count < threshold
+
+    def _gather(self, first: Slice) -> _Group:
+        """The group that `first` starts: it and the integrated slices scheduled after it.
+
+        The group ends before the slice that would take it past
+        _GROUP_EVENTS events, and before a slice that fails a check, so
+        that slice raises in its own `process` call.
+        """
+        decaying = self._config.decay.kind is not DecayKind.STEP
+        if self._integrated is not None:
+            begin = self._integrated.stamp
+        else:
+            begin = float(first.events.t[0]) if len(first) else first.publish_stamp
+        slices: List[Slice] = []
+        begins: List[float] = []
+        events = 0
+        for slc in chain([first], self._ahead):
+            if slices:
+                if self._holds(slc):
+                    continue
+                if events + len(slc) > _GROUP_EVENTS or _event_fault(slc, self._geometry):
+                    break
+            if decaying:
+                fault = _buffer_fault(slc, begin)
+                if fault is not None:
+                    if not slices:
+                        raise fault
+                    break
+            slices.append(slc)
+            begins.append(begin)
+            events += len(slc)
+            begin = slc.publish_stamp
+        return _Group(slices, begins, self._config, self._geometry)
 
     def process(self, slc: Slice) -> EventFrame:
         config, geometry = self._config, self._geometry
-        _validate_slice_events(slc, geometry)
-        threshold = config.no_motion_threshold
-        if threshold and slc.interval_event_count < threshold:
-            if self._previous is None:
-                pixels = _neutral_pixels(geometry, config.polarity_mode)
-            else:
-                pixels = self._previous.pixels
-            self._previous = EventFrame(geometry, pixels, slc.publish_stamp, held=True)
-            return self._previous
-        if config.decay.kind is DecayKind.STEP:
-            frame = EventFrame(geometry, _integrate_step(slc, config, geometry), slc.publish_stamp)
+        if self._ahead and self._ahead[0] is slc:
+            self._ahead.popleft()
         else:
-            pixels = _integrate_decaying(slc, config, geometry, self._integrated)
+            self._ahead.clear()  # called off schedule: slc is a group of one
+        group = self._group
+        if group is None or group.slices[group.published] is not slc:
+            fault = _event_fault(slc, geometry)
+            if fault is not None:
+                raise fault
+            if self._holds(slc):
+                if self._previous is None:
+                    pixels = _neutral_pixels(geometry, config.polarity_mode)
+                else:
+                    pixels = self._previous.pixels
+                self._previous = EventFrame(geometry, pixels, slc.publish_stamp, held=True)
+                return self._previous
+            group = self._group = self._gather(slc)
+        frame = EventFrame(geometry, group.publish(self._integrated), slc.publish_stamp)
+        if group.published == len(group.slices):
+            self._group = None  # neither its slices nor its arrays outlive its last frame
+        if config.decay.kind is not DecayKind.STEP:
             # The frame makes its pixels read-only and the next slice only
             # reads them, so the frame can be the buffer.
-            frame = self._integrated = EventFrame(geometry, pixels, slc.publish_stamp)
+            self._integrated = frame
         self._previous = frame
         return frame

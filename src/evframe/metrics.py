@@ -418,6 +418,8 @@ def polarity_flip_report(
     _check_speed(speed)
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
+    if not 0.0 < float(half_duration) < math.inf:
+        raise ValueError(f"half_duration must be a finite number > 0 s, got {half_duration:g}")
     m = int(round(half_duration / interval))
     if abs(m * interval - half_duration) > 1e-9:
         raise ValueError("half_duration must be a whole number of intervals")

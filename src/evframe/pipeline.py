@@ -75,6 +75,7 @@ def run_accumulation(
     def consume(batch: Optional[EventArray]) -> None:
         start = perf_counter()
         slices = slicer.push_batch(batch) if batch is not None else slicer.flush()
+        accumulator._schedule(slices)
         for slc in slices:
             frame = accumulator.process(slc)
             stats.build_seconds += perf_counter() - start

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,9 +22,12 @@ from evframe import (
     SensorGeometry,
     Slice,
     SliceMethod,
+    StreamSlicer,
+    accumulate_stream,
     apply_decay,
     neutral_value,
     quantize_frame,
+    run_accumulation,
 )
 from evframe import accumulator
 
@@ -647,7 +651,7 @@ class TestGrouping:
         idx = np.array(keys, dtype=np.intp)
         n = len(idx)
         expected = np.argsort(idx * n + np.arange(n))
-        order, pix, _, _ = accumulator._pixel_runs(idx)
+        order, pix, _, _ = accumulator._pixel_runs([idx])
         assert order.tolist() == expected.tolist()
         assert pix.tolist() == sorted(keys)
         assert accumulator._stable_order(idx).tolist() == expected.tolist()
@@ -657,9 +661,29 @@ class TestGrouping:
         idx = rng.integers(0, 320 * 240, 20_000).astype(np.intp)
         idx[:50] = 320 * 240 - 1  # a run above 2**16 with ties
         n = len(idx)
-        order, _, _, rank = accumulator._pixel_runs(idx)
+        order, _, starts, _ = accumulator._pixel_runs([idx])
         assert order.tolist() == np.argsort(idx * n + np.arange(n)).tolist()
+        lengths = accumulator._run_lengths(starts, n)
+        every, _, rank = accumulator._subruns(starts, lengths, lengths > 0)
+        assert every.tolist() == list(range(n))
         assert accumulator._stable_order(rank).tolist() == np.argsort(rank, kind="stable").tolist()
+
+    @given(
+        st.lists(st.lists(st.integers(0, 320 * 240 - 1), max_size=60), min_size=2, max_size=5)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_parts_sort_by_part_then_pixel(self, parts):
+        # Each part is one slice's pixels; a run is one pixel's events in one part.
+        arrays = [np.array(part, dtype=np.intp) for part in parts]
+        keys = np.concatenate([a + k * 320 * 240 for k, a in enumerate(arrays)])
+        if not len(keys):
+            return
+        order, pix, starts, firsts = accumulator._pixel_runs(arrays)
+        assert order.tolist() == np.argsort(keys, kind="stable").tolist()
+        assert starts.tolist() == np.flatnonzero(np.diff(keys[order], prepend=-1)).tolist()
+        assert pix.tolist() == (keys[order] % (320 * 240)).tolist()
+        runs = np.repeat(np.arange(len(arrays)), [len(a) for a in arrays])[order][starts]
+        assert firsts == np.searchsorted(runs, np.arange(len(arrays) + 1)).tolist()
 
 
 def _column_events(cells, rng) -> EventArray:
@@ -936,7 +960,8 @@ class TestSuffixRuns:
         lengths = np.diff(starts, append=len(rank))
         for x0 in (0.0, 0.5, 1.0):
             x = np.full(len(starts), x0)
-            got = accumulator._run_values(x, *(m.copy() for m in maps), starts, rank)
+            runs = accumulator._ComposedRuns(*(m.copy() for m in maps), starts)
+            got = runs.values(x)
             a, b, lo, hi = compose_runs(*(m.copy() for m in maps), starts, rank)
             assert got.tobytes() == np.clip(a * x + b, lo, hi).tobytes()
         # Every kind of run is there: the deep clamping ones are decided by
@@ -1145,7 +1170,174 @@ class TestSettledSignedLinear:
         dt = rng.exponential(10.0**log_w, n)
         signs = np.where(rng.random(n) < up, c, -c)
         x = rng.uniform(0.0, 1.0, len(lengths))
-        got = accumulator._integrate_signed_linear(x, starts, rank, dt, signs, 1.0)
+        got = accumulator._SignedLinearRuns(starts, 1.0 * dt, signs).values(x)
         for r, (start, length) in enumerate(zip(starts, lengths)):
             events = slice(start, start + length)
             assert got[r] == run_orbit(x[r] - 0.5, dt[events], signs[events]) + 0.5
+
+
+# Streams for the group tests are drawn as segments laid end to end:
+# ("noise", n) spreads n events over 0.1 s of the 8x6 frame, ("hot", n)
+# puts n events on pixel (2, 3) within 1 ms, more than _SUFFIX when n is
+# large, and ("gap", s) leaves s seconds without events.
+SEGMENTS = st.one_of(
+    st.tuples(st.just("noise"), st.integers(1, 60)),
+    st.tuples(st.just("hot"), st.integers(SUFFIX - 4, 2 * SUFFIX + 9)),
+    st.tuples(st.just("gap"), st.sampled_from([0.0, 0.013, 0.2])),
+)
+
+
+def segment_stream(segments, seed: int) -> EventArray:
+    rng = np.random.default_rng(seed)
+    t, x, y, p, now = [], [], [], [], 0.0
+    for kind, size in segments:
+        if kind == "gap":
+            now += size
+            continue
+        span = 0.1 if kind == "noise" else 1e-3
+        t.append(now + np.sort(rng.uniform(0.0, span, size)))
+        if kind == "noise":
+            x.append(rng.integers(0, SPEC.width, size))
+            y.append(rng.integers(0, SPEC.height, size))
+        else:
+            x.append(np.full(size, 2))
+            y.append(np.full(size, 3))
+        p.append(rng.choice([-1, 1], size))
+        now += span
+    if not t:
+        return EventArray.empty()
+    return EventArray.from_columns(*(np.concatenate(c) for c in (t, x, y, p)))
+
+
+def frame_bytes(frames):
+    return [(f.pixels.tobytes(), f.stamp, f.held) for f in frames]
+
+
+def slice_by_slice(events: EventArray, config: AccumulatorConfig, geometry=SPEC):
+    """Frames of `process` called on each slice alone: every group holds one slice."""
+    slicer = StreamSlicer(
+        config.slice_method, window_size=config.window_size, interval=config.interval
+    )
+    acc = FrameAccumulator(config, geometry)
+    return [acc.process(slc) for slc in slicer.slices(events)]
+
+
+def scheduled(slices, config: AccumulatorConfig, geometry=SPEC):
+    """`run_accumulation`'s calls for one push of `slices`: the frames sunk, then the error."""
+    acc, frames = FrameAccumulator(config, geometry), []
+    acc._schedule(slices)
+    try:
+        for slc in slices:
+            frames.append(acc.process(slc))
+    except ValueError as exc:
+        return frames, exc
+    return frames, None
+
+
+class TestGroups:
+    """Slices integrated in groups against slices integrated one at a time."""
+
+    @given(
+        polarity=st.sampled_from(list(PolarityMode)),
+        decay=st.sampled_from(
+            [Decay.step(), Decay.linear(0.5), Decay.linear(40.0), Decay.exponential(0.02)]
+        ),
+        method=st.sampled_from(list(SliceMethod)),
+        window=st.sampled_from([3, 7, 2 * SUFFIX + 5]),
+        interval=st.sampled_from([0.01, 0.04]),
+        threshold=st.sampled_from([0, 2]),
+        c=st.sampled_from([0.2, 0.3, 0.25, 0.5, 1.0]),
+        segments=st.lists(SEGMENTS, min_size=1, max_size=6),
+        seed=st.integers(0, 2**16),
+        cap=st.sampled_from([SUFFIX, accumulator._GROUP_EVENTS]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_groups_publish_the_frames_of_single_slices(
+        self, polarity, decay, method, window, interval, threshold, c, segments, seed, cap
+    ):
+        if method is SliceMethod.BY_TIME_AND_NUMBER and decay.kind is not DecayKind.STEP:
+            return  # rejected up front: decaying buffers need disjoint slices
+        config = AccumulatorConfig(
+            slice_method=method, window_size=window, interval=interval, contribution=c,
+            polarity_mode=polarity, decay=decay, no_motion_threshold=threshold,
+        )
+        events = segment_stream(segments, seed)
+        expected = frame_bytes(slice_by_slice(events, config))
+        with mock.patch.object(accumulator, "_GROUP_EVENTS", cap):
+            pushed, _ = accumulate_stream(events, config, SPEC)
+            packets, _ = accumulate_stream(
+                (events[i : i + 1] for i in range(len(events))), config, SPEC
+            )
+        assert frame_bytes(pushed) == expected
+        assert frame_bytes(packets) == expected
+
+    def test_a_push_integrates_its_slices_in_groups(self, monkeypatch):
+        # 40 slices of 50 events: groups of up to 2 * SUFFIX events hold two.
+        groups = []
+        gather = FrameAccumulator._gather
+
+        def spy(acc, first):
+            group = gather(acc, first)
+            groups.append(len(group.slices))
+            return group
+
+        monkeypatch.setattr(FrameAccumulator, "_gather", spy)
+        monkeypatch.setattr(accumulator, "_GROUP_EVENTS", 2 * SUFFIX)
+        events = uniform_events(2000, SPEC, t_end=1.0, seed=3)
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_NUMBER, window_size=50, decay=Decay.exponential(0.1)
+        )
+        frames, _ = accumulate_stream(events, config, SPEC)
+        assert groups == [2] * 20
+        monkeypatch.undo()
+        assert frame_bytes(frames) == frame_bytes(slice_by_slice(events, config))
+
+    def test_an_out_of_bounds_slice_ends_its_group(self):
+        # The event at x = 8 lies outside the 8x6 frame, in the fourth of
+        # five slices, which one push would integrate as one group.
+        events = uniform_events(250, SPEC, t_end=1.0, seed=4)
+        x = events.x.copy()
+        x[170] = SPEC.width
+        bad = EventArray.from_columns(events.t, x, events.y, events.p)
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_NUMBER, window_size=50, decay=Decay.linear(5.0)
+        )
+        sunk = []
+        with pytest.raises(OutOfBoundsEvent, match=r"event at \(8, \d\) outside 8x6 frame"):
+            run_accumulation(bad, config, SPEC, on_frame=sunk.append)
+        assert frame_bytes(sunk) == frame_bytes(slice_by_slice(events[:150], config))
+
+    @pytest.mark.parametrize("decay", [Decay.linear(5.0), Decay.exponential(0.05)])
+    def test_a_slice_before_the_buffer_ends_its_group(self, decay):
+        events = uniform_events(120, SPEC, t_end=1.2, seed=6)
+        cut = [events[k * 30 : (k + 1) * 30] for k in range(4)]
+        slices = [make_slice(part, float(part.t[-1])) for part in cut]
+        # The third slice starts before the second one's stamp.
+        slices[2] = make_slice(events[55:90], float(events.t[89]))
+        config = AccumulatorConfig(slice_method=SliceMethod.BY_TIME, decay=decay)
+        frames, error = scheduled(slices, config)
+        assert str(error) == (
+            "slice reaches back before the accumulated buffer; overlapping "
+            "windows cannot be combined with a decaying buffer"
+        )
+        acc = FrameAccumulator(config, SPEC)
+        assert frame_bytes(frames) == frame_bytes([acc.process(s) for s in slices[:2]])
+
+    def test_holds_stay_out_of_groups(self):
+        # Slices of 30, 1, 30 and 1 events at threshold 2: the second and
+        # fourth are holds, and the third decays from the first one's stamp.
+        events = uniform_events(62, SPEC, t_end=0.62, seed=7)
+        bounds = [0, 30, 31, 61, 62]
+        slices = [
+            make_slice(events[lo:hi], float(events.t[hi - 1]) + 1e-3)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, no_motion_threshold=2, decay=Decay.exponential(0.05)
+        )
+        frames, error = scheduled(slices, config)
+        assert error is None
+        assert [f.held for f in frames] == [False, True, False, True]
+        assert frames[1].pixels is frames[0].pixels and frames[3].pixels is frames[2].pixels
+        acc = FrameAccumulator(config, SPEC)
+        assert frame_bytes(frames) == frame_bytes([acc.process(s) for s in slices])

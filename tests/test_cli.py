@@ -495,6 +495,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert err == f"evframe: error: interval must be > 0, got {float(interval)}\n"
 
+    @pytest.mark.parametrize("half", ["inf", "nan", "0", "-1"])
+    def test_polarity_flip_rejects_a_bad_half_duration_in_one_line(self, half, tmp_path, capsys):
+        code = run("eval", "polarity-flip", f"--half-duration={half}", "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"evframe: error: half_duration must be a finite number > 0 s, got {float(half):g}\n"
+        )
+        assert not (tmp_path / "polarity_flip.csv").exists()
+
     def test_polarity_flip_csv_and_panels(self, tmp_path, capsys):
         code = run("eval", "polarity-flip", "--out", str(tmp_path), "--panels")
         assert code == 0

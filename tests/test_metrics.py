@@ -216,6 +216,12 @@ class TestPolarityFlipReport:
         with pytest.raises(ValueError, match="whole number"):
             polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 360, 0.3)
 
+    @pytest.mark.parametrize("half_duration", [math.inf, math.nan, 0.0, -1.0])
+    def test_half_duration_must_be_finite_and_positive(self, half_duration):
+        message = f"half_duration must be a finite number > 0 s, got {half_duration:g}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 360, half_duration)
+
     @pytest.mark.parametrize(
         "interval, window_size, message",
         [

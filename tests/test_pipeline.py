@@ -173,6 +173,29 @@ class TestRunAccumulation:
         assert whole_frames == batched_frames == 2000
         assert whole - batched < 4_000_000
 
+    def test_a_push_of_full_frames_keeps_its_groups_small(self):
+        # 300 decaying 240x180 frames from one push: the slices are integrated
+        # in groups, whose work arrays grow with their events, not their
+        # frames, so the peak stays near that of 8,192-event batches.
+        geometry = SensorGeometry(240, 180)
+        events = uniform_events(200_000, geometry, t_end=0.3, seed=5)
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=1e-3, decay=Decay.linear(5.0)
+        )
+
+        def peak(source):
+            tracemalloc.start()
+            try:
+                stats = run_accumulation(source, config, geometry, on_frame=lambda frame: None)
+                return tracemalloc.get_traced_memory()[1], stats.frames
+            finally:
+                tracemalloc.stop()
+
+        whole, whole_frames = peak(events)
+        batched, batched_frames = peak(events[i : i + 8192] for i in range(0, len(events), 8192))
+        assert whole_frames == batched_frames == 300
+        assert whole - batched < 4_000_000
+
     @given(event_arrays(min_size=1, max_size=80), st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
     def test_by_number_frame_count_is_total_div_n(self, events, n):
