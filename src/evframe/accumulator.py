@@ -327,23 +327,23 @@ class _ComposedRuns:
     constant L (lo == hi) takes the map x -> L, (a, b, lo, hi) =
     (0, L, L, L): every later combination in `_compose_runs` keeps the
     end's lo = hi, so its clip(A*x + B, LO, HI) returns L too.  A run of
-    one event keeps its map.  The other runs are composed whole: in
-    place, all runs at once, when no run is constant and they hold over
-    a quarter of the events, else apart, at a cost that follows their
-    events.  Writable arrays may be overwritten; read-only ones, such as
-    broadcast constants, are copied first.
+    one event keeps its map.  The other runs are composed whole.  When
+    no run is constant and runs of more than one event hold over a
+    quarter of the events, every run is composed in place at once,
+    which spares the gathers.  Otherwise the runs left are packed end
+    to end, so constant runs cost nothing past their suffix and single
+    events no copies.  Writable arrays may be overwritten; read-only
+    ones, such as broadcast constants, are copied first.
     """
 
     def __init__(self, a, b, lo, hi, starts) -> None:
         lengths = _run_lengths(starts, len(a))
         ends = starts + lengths - 1
-        whole = lengths > 1
         constant = np.flatnonzero(lengths > _SUFFIX)
         if constant.size:
             low, high = _suffix_bounds(a, b, lo, hi, ends[constant])
             constant, level = constant[low == high], low[low == high]
-            whole[constant] = False
-        if not constant.size and 4 * (len(a) - np.count_nonzero(~whole)) > len(a):
+        if not constant.size and 4 * (len(a) - np.count_nonzero(lengths == 1)) > len(a):
             maps = (np.require(m, requirements="W") for m in (a, b, lo, hi))
             self.maps = _compose_runs(*maps, starts, np.arange(len(a)) - np.repeat(starts, lengths))
             return
@@ -352,6 +352,8 @@ class _ComposedRuns:
             self.maps[0][constant] = 0.0
             for m in self.maps[1:]:
                 m[constant] = level
+        whole = lengths > 1
+        whole[constant] = False
         if whole.any():
             keep, packed, rank = _subruns(starts, lengths, whole)
             composed = _compose_runs(a[keep], b[keep], lo[keep], hi[keep], packed, rank)
@@ -478,17 +480,16 @@ class _SignedLinearRuns:
         self.first = np.concatenate(([0], np.cumsum(lengths)))
         self.run = np.repeat(np.arange(len(starts)), lengths)
         self.width, self.signs = width, signs
-        self.u = np.empty(len(starts))  # each run's distance from 0.5
 
     def values(self, x, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
         """Runs lo..hi integrated from their values `x`."""
-        hi = len(self.u) if hi is None else hi
-        u = self.u[lo:hi]
-        np.subtract(x, 0.5, out=u)
-        self.u[self.fixed] = self.level  # runs outside lo..hi are rewritten before use
+        hi = len(self.first) - 1 if hi is None else hi
+        u = np.subtract(x, 0.5)  # each run's distance from 0.5
+        fixed = slice(*np.searchsorted(self.fixed, [lo, hi]))
+        u[self.fixed[fixed] - lo] = self.level[fixed]
         events = slice(self.first[lo], self.first[hi])
         _rank_passes(
-            self.u, self.run[events], self.rank[events], self.width[events], self.signs[events]
+            u, self.run[events] - lo, self.rank[events], self.width[events], self.signs[events]
         )
         return u + 0.5
 
