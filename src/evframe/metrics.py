@@ -268,6 +268,16 @@ def speed_invariance_report(
         raise ValueError("need at least 2 speeds to compare")
     for s in speeds:
         _check_speed(s)
+    # Each run publishes travel / (interval * slowest) frames.  A frame may
+    # cover part of a simulation step, and then shows no new step, but
+    # splitting a step into more than four frames is rejected.
+    slowest = float(min(speeds))
+    if interval > 0.0 and interval * slowest < _STEP_PX / 4:
+        raise ValueError(
+            f"interval {interval:g} s at the slowest speed {slowest:g} px/s moves the scene "
+            f"{interval * slowest:g} px a frame, under a quarter of the {_STEP_PX:g} px "
+            "simulation step"
+        )
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
     if travel is None:

@@ -16,6 +16,13 @@ Three methods are supported:
   events arrive per interval, and a window with fewer than N available
   events is emitted flagged as partial.
 
+All three are one cut over stream positions.  Number the events 0, 1,
+2, ... in arrival order; every slice is ``stream[lo:hi]``.  By number
+``hi = lo + N``.  By time ``lo`` is the previous slice's ``hi`` and
+``hi`` is the first event at or past t_k.  By time and number ``hi`` is
+the same and ``lo = hi - N``, but never before the previous window's
+start.
+
 :class:`StreamSlicer` is a single-owner state machine fed in timestamp
 order in :class:`EventArray` batches of any size, down to one event.
 :meth:`StreamSlicer.slices` runs it over a whole stream, and the module
@@ -85,6 +92,15 @@ class StreamSlicer:
     them.  Call :meth:`flush` once at end of stream to publish
     the final ticks.  For BY_NUMBER a trailing remainder of fewer than
     N events is withheld and exposed through :attr:`pending`.
+
+    It keeps only the pushed batches that a later slice may still
+    reach: the events from the position where the next slice may start
+    (the previous cut; by time and number, the last window's start).  A
+    push that completes no slice only appends its batch.  A push that
+    completes slices joins the kept batches once, takes each slice as a
+    view of that join (the pushed batch itself when it is the only one
+    kept), and keeps the join's suffix from the new cut.  Slices
+    without events share :meth:`EventArray.empty`.
     """
 
     def __init__(
@@ -104,44 +120,43 @@ class StreamSlicer:
         self._dt = float(interval) if method.uses_interval else 0.0
         self._t0 = float(t0) if t0 is not None else None
         self._k = 1  # next tick index; stamps are t0 + k * dt
-        self._recent = EventArray.empty()  # last <= N events with t < next tick
-        self._boundary: List[EventArray] = []  # events exactly at the next tick
-        self._bucket: List[EventArray] = []  # current interval (BY_TIME)
-        self._group: List[EventArray] = []  # partial group (BY_NUMBER)
-        self._count = 0  # events counted toward the pending interval
+        self._kept: List[EventArray] = []  # pushed batches a later slice may reach
+        self._base = 0  # stream position of the first kept event
+        self._end = 0  # stream position past the last pushed event
+        self._cut = 0  # stream position where the next slice may start
         self._t_last: Optional[float] = None
         self._finished = False
 
     @property
     def pending(self) -> EventArray:
         """Withheld remainder for BY_NUMBER; empty for other methods."""
-        return EventArray.concatenate(self._group)
+        if self._method is not SliceMethod.BY_NUMBER:
+            return EventArray.empty()
+        return EventArray.concatenate(self._kept)
 
-    def _next_stamp(self) -> float:
+    def _stamp(self, k: int) -> float:
         # Multiplying rather than repeatedly adding keeps tick k at one
         # rounding error from t0 + k * dt no matter how long the run is.
-        return self._t0 + self._k * self._dt
+        return self._t0 + k * self._dt
 
     def push_batch(self, events: EventArray) -> List[Slice]:
         if self._finished:
             raise RuntimeError("slicer already flushed")
         if len(events) == 0:
             return []
-        if self._t_last is not None and float(events.t[0]) < self._t_last:
-            raise ValueError(
-                f"events must arrive in time order: {float(events.t[0])} after {self._t_last}"
-            )
-        if len(events) > 1 and np.any(np.diff(events.t) < 0.0):
+        first = float(events.t[0])
+        if self._t_last is not None and first < self._t_last:
+            raise ValueError(f"events must arrive in time order: {first} after {self._t_last}")
+        if np.any(events.t[1:] < events.t[:-1]):
             raise ValueError("events within a batch must be in time order")
+        if self._t0 is None and self._method.uses_interval:
+            self._t0 = first
+        if self._method is SliceMethod.BY_TIME and first < self._t0:
+            raise ValueError(f"event at {first} precedes the window origin {self._t0}")
         self._t_last = float(events.t[-1])
-
-        if self._method is SliceMethod.BY_NUMBER:
-            return self._push_by_number(events)
-        if self._t0 is None:
-            self._t0 = float(events.t[0])
-        if self._method is SliceMethod.BY_TIME:
-            return self._push_by_time(events)
-        return self._push_by_time_and_number(events)
+        self._kept.append(events)
+        self._end += len(events)
+        return self._publish(flush=False)
 
     def slices(self, source: Source) -> Iterator[Slice]:
         """Push every batch of `source`, then flush, yielding each slice as it is cut."""
@@ -156,120 +171,67 @@ class StreamSlicer:
         self._finished = True
         if self._method is SliceMethod.BY_NUMBER or self._t_last is None:
             return []
-        out: List[Slice] = []
-        if self._method is SliceMethod.BY_TIME:
-            out.append(self._publish_interval())
-            return out
-        # Windowed ticks: every tick at or before the last event, then one
-        # final tick strictly past it so the tail events get sliced.
-        while self._next_stamp() <= self._t_last:
-            out.append(self._publish_window())
-        out.append(self._publish_window())
+        return self._publish(flush=True)
+
+    def _close_ticks(self, flush: bool) -> List[float]:
+        """Stamps of the ticks the stream so far completes; k moves past them.
+
+        An event at or past a tick completes it by time.  By time and
+        number only an event past it does, as more events at exactly the
+        tick still count toward its interval.  A flush completes every
+        tick up to the last event, then one tick past it for the tail.
+        """
+        held = self._method is SliceMethod.BY_TIME_AND_NUMBER and not flush
+        stamps: List[float] = []
+        stamp = self._stamp(self._k)
+        while stamp < self._t_last or (stamp == self._t_last and not held):
+            stamps.append(stamp)
+            self._k += 1
+            stamp = self._stamp(self._k)
+        if flush:
+            stamps.append(stamp)
+            self._k += 1
+        return stamps
+
+    def _publish(self, flush: bool) -> List[Slice]:
+        if self._method is SliceMethod.BY_NUMBER:
+            if self._end - self._cut < self._n:
+                return []
+        else:
+            stamps = self._close_ticks(flush)
+            if not stamps:
+                return []
+        events = EventArray.concatenate(self._kept)
+        t = events.t
+        cut = self._cut - self._base  # positions below are relative to the join
+        if self._method is SliceMethod.BY_NUMBER:
+            his = range(cut + self._n, len(t) + 1, self._n)
+            stamps = t[cut + self._n - 1 :: self._n].tolist()
+        else:
+            his = t.searchsorted(stamps, "left").tolist()
+        if self._method is SliceMethod.BY_TIME_AND_NUMBER:
+            los = [max(hi - self._n, cut) for hi in his]
+            # Interval k counts the events in (t_{k-1}, t_k].  Both ends lie
+            # in the join, which starts at the last window's start, before
+            # t_{k-1}'s events; the first interval counts from the stream's
+            # start, which is still kept.
+            k = self._k - len(stamps)
+            last = self._stamp(k - 1) if k > 1 else -math.inf
+            ends = t.searchsorted([last, *stamps], "right").tolist()
+            counts = [b - a for a, b in zip(ends, ends[1:])]
+            cut = los[-1]
+        else:
+            los = [cut, *his[:-1]]
+            counts = [hi - lo for lo, hi in zip(los, his)]
+            cut = his[-1]
+        # Only a short time-and-number window is partial, as _n is 0 by time.
+        out = [
+            Slice(events[lo:hi] if hi > lo else EventArray.empty(), stamp, count, hi - lo < self._n)
+            for lo, hi, stamp, count in zip(los, his, stamps, counts)
+        ]
+        self._kept = [events[cut:]] if cut < len(t) else []
+        self._base = self._cut = self._base + cut
         return out
-
-    # -- by number ---------------------------------------------------
-
-    def _push_by_number(self, events: EventArray) -> List[Slice]:
-        out: List[Slice] = []
-        combined = EventArray.concatenate([*self._group, events])
-        self._group = []
-        pos = 0
-        while len(combined) - pos >= self._n:
-            group = combined[pos : pos + self._n]
-            out.append(
-                Slice(
-                    events=group,
-                    publish_stamp=float(group.t[-1]),
-                    interval_event_count=self._n,
-                    partial=False,
-                )
-            )
-            pos += self._n
-        if pos < len(combined):
-            self._group = [combined[pos:]]
-        return out
-
-    # -- by time -----------------------------------------------------
-
-    def _push_by_time(self, events: EventArray) -> List[Slice]:
-        if float(events.t[0]) < self._t0:
-            raise ValueError(
-                f"event at {float(events.t[0])} precedes the window origin {self._t0}"
-            )
-        out: List[Slice] = []
-        pos = 0
-        n = len(events)
-        while pos < n:
-            ts = self._next_stamp()
-            cut = int(np.searchsorted(events.t, ts, side="left"))
-            if cut > pos:
-                self._bucket.append(events[pos:cut])
-                pos = cut
-            if pos < n:
-                # Next event is at or past the tick, so the interval is done.
-                out.append(self._publish_interval())
-        return out
-
-    def _publish_interval(self) -> Slice:
-        stamp = self._next_stamp()
-        batch = EventArray.concatenate(self._bucket)
-        self._bucket = []
-        self._k += 1
-        return Slice(
-            events=batch,
-            publish_stamp=stamp,
-            interval_event_count=len(batch),
-            partial=False,
-        )
-
-    # -- by time and number -------------------------------------------
-
-    def _push_by_time_and_number(self, events: EventArray) -> List[Slice]:
-        out: List[Slice] = []
-        pos = 0
-        n = len(events)
-        while pos < n:
-            ts = self._next_stamp()
-            before = int(np.searchsorted(events.t, ts, side="left"))
-            through = int(np.searchsorted(events.t, ts, side="right"))
-            if before > pos:
-                self._admit(events[pos:before])
-                self._count += before - pos
-                pos = before
-            if through > pos:
-                # Events exactly at the tick count toward this interval but
-                # are only eligible for later windows (strictly-before rule).
-                self._count += through - pos
-                self._boundary.append(events[pos:through])
-                pos = through
-            if pos < n:
-                # An event strictly past the tick proves the interval is
-                # complete.  Otherwise hold the tick open: more events at
-                # exactly ts may still arrive and belong to it.
-                out.append(self._publish_window())
-        return out
-
-    def _admit(self, batch: EventArray) -> None:
-        merged = EventArray.concatenate([self._recent, batch])
-        if len(merged) > self._n:
-            merged = merged[len(merged) - self._n :]
-        self._recent = merged
-
-    def _publish_window(self) -> Slice:
-        stamp = self._next_stamp()
-        window = self._recent
-        count = self._count
-        self._count = 0
-        self._k += 1
-        if self._boundary:
-            self._admit(EventArray.concatenate(self._boundary))
-            self._boundary = []
-        return Slice(
-            events=window,
-            publish_stamp=stamp,
-            interval_event_count=count,
-            partial=len(window) < self._n,
-        )
 
 
 def slice_by_number(stream: EventArray, window_size: int) -> List[Slice]:

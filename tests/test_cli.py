@@ -549,6 +549,17 @@ class TestEval:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "speed_invariance.csv").exists()
 
+    def test_speed_too_slow_for_the_interval_fails_with_one_line(self, tmp_path, capsys):
+        # Each run would publish travel / (interval * 1e-300) frames.
+        code = run("eval", "speed-invariance", "--speeds", "1e-300,1", "--out", str(tmp_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "evframe: error: interval 0.03125 s at the slowest speed 1e-300 px/s moves the scene "
+        )
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "speed_invariance.csv").exists()
+
 
 def old_speed_panels(speeds, out_dir):
     """Panels selected from a second sweep, as the CLI once did: the oracle."""

@@ -199,6 +199,15 @@ class TestSpeedInvarianceReport:
         with pytest.raises(ValueError, match="2 speeds"):
             speed_invariance_report(SCENE, (64.0,), 1.0 / 32.0, 360)
 
+    def test_rejects_frames_finer_than_the_simulation_step(self):
+        # 1/32 s at 1 px/s is 1/32 px a frame, an eighth of a step.
+        with pytest.raises(
+            ValueError,
+            match=r"^interval 0\.03125 s at the slowest speed 1 px/s moves the scene 0\.03125 px "
+            r"a frame, under a quarter of the 0\.25 px simulation step$",
+        ):
+            speed_invariance_report(SCENE, (1.0, 64.0), 1.0 / 32.0, 360)
+
 
 class TestPolarityFlipReport:
     def test_signed_band_flips_sides(self, flip_report):

@@ -1,6 +1,7 @@
 """Slicer behavior against hand enumerations and brute-force oracles."""
 from __future__ import annotations
 
+import tracemalloc
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,13 +22,20 @@ from evframe import (
     slice_by_time_and_number,
 )
 
-from conftest import event_arrays
+from conftest import event_arrays, uniform_events
 
 
 def stream(times: Sequence[float]) -> EventArray:
     """Events at the given times, coordinates tagging their index."""
     i = np.arange(len(times))
     return EventArray.from_columns(times, i % 8, i % 6, np.where(i % 2 == 0, 1, -1))
+
+
+@st.composite
+def half_tick_streams(draw, dt: float = 0.3) -> EventArray:
+    """Stamps on multiples of dt / 2 with repeats, so many sit exactly on ticks."""
+    steps = sorted(draw(st.lists(st.integers(0, 12), min_size=1, max_size=60)))
+    return stream([i * (dt / 2) for i in steps])
 
 
 def times_of(slc: Slice) -> List[float]:
@@ -290,7 +298,7 @@ class TestByTimeAndNumber:
 
 class TestStreaming:
     @given(
-        event_arrays(min_size=1, max_size=60),
+        st.one_of(event_arrays(min_size=1, max_size=60), half_tick_streams()),
         st.sampled_from(
             [
                 (SliceMethod.BY_NUMBER, None),
@@ -333,6 +341,24 @@ class TestStreaming:
             one_by_one.extend(single.push_batch(ev[i : i + 1]))
         one_by_one.extend(single.flush())
         assert_same_slices(expected, one_by_one)
+
+    @pytest.mark.parametrize("method", list(SliceMethod))
+    def test_memory_stays_bounded(self, method):
+        # Only the batches a later slice may reach are kept, so the peak
+        # does not grow with the stream.
+        def peak(seconds: float) -> int:
+            ev = uniform_events(int(200_000 * seconds), SensorGeometry(240, 180), t_end=seconds)
+            packets = (ev[i : i + 256] for i in range(0, len(ev), 256))
+            slicer = StreamSlicer(method, window_size=2000, interval=0.01)
+            tracemalloc.start()
+            try:
+                for _ in slicer.slices(packets):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1.0) <= 1.25 * peak(0.25)
 
     def test_rejects_out_of_order_batches(self):
         slicer = StreamSlicer(SliceMethod.BY_NUMBER, window_size=2)
