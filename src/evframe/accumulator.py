@@ -1,61 +1,11 @@
 """Integrating event slices into normalized frames.
 
-Each event adds a contribution c to its pixel's potential, clamped to
-[0, 1].  In RECTIFIED mode both polarities add the same positive
-contribution onto a neutral value of 0.0, so the frame ignores the sign
-of brightness change.  In SIGNED mode positive events add and negative
-events subtract around a neutral value of 0.5.
-
-Decay controls what survives between slices.  STEP resets the frame for
-every slice, so a frame is exactly its slice and nothing older.  LINEAR
-and EXPONENTIAL keep a persistent pixel buffer that relaxes toward
-neutral as event time advances; integration interleaves decay up to
-each event's timestamp with the event's contribution, then decays the
-whole buffer to the publish stamp.  A slice's cost follows its events:
-every pixel the slice leaves untouched decays by the one interval
-since the buffer's stamp, and only the touched pixels are integrated,
-each then decayed from its own last event.
-
-Decay acts on each pixel alone, so a slice is integrated pixel by
-pixel: its events are grouped by pixel in time order, and each event,
-decay from the pixel's previous event included, is one map of the
-pixel value.  Nearly every mode's map has the form
-x -> clip(a*x + b, lo, hi) with a > 0:
-
-* exponential decay by dt then +s: a = exp(-dt/tau),
-  b = neutral*(1 - a) + s, bounds [0, 1];
-* signed STEP: a = 1, b = +-c, bounds [0, 1];
-* rectified linear decay by dt then +c: a = 1, b = c - rate*dt,
-  bounds [c, 1].
-
-That family is closed under composition, so `_compose_runs` reduces
-each pixel's maps to one in ceil(log2 n) vectorized passes for a pixel
-with n events, and the pixel's value is that map applied to its
-carried value.  Rectified STEP is a clipped per-pixel count, and so is
-signed STEP on a pixel whose events share one sign, which is monotone;
-only mixed-sign pixels that could reach a bound are composed.  An empty
-STEP slice publishes one shared read-only neutral buffer.
-
-Signed linear decay is a soft threshold toward 0.5, which is not in the
-family.  Its events run one vectorized pass per event rank, the k-th
-event of every pixel at once: with u the distance from 0.5 and
-w = rate*dt, an event is u -> clip(u - clip(u, -w, w) + s, -1/2, 1/2).
-
-A saturated pixel forgets its past.  Every event map is monotone and
-clamps to [0, 1], so once some stretch of a pixel's events sends every
-starting value to one value (the pixel clamped within it, or linear
-decay stopped it at neutral), nothing before that stretch reaches the
-frame.  A hot pixel clamps all the time, so a run longer than W =
-`_SUFFIX` events is first integrated over its last W events alone.
-Composed runs build the same end-aligned pairwise tree over those W
-maps that `_compose_runs` would build; where it is a constant L (lo ==
-hi), every later combination of the whole run keeps lo = hi = L
-exactly, so L is bit for bit the full composition's value.  Signed
-linear runs the last W events from both ends of the state range, u =
--1/2 and u = +1/2, as two rows of the rank passes; each event is
-monotone in floating point, so the pixel's own orbit stays between the
-two and ends where they end equal.  Runs whose last W events do not
-decide them take the paths above over all their events.
+README's "Accumulation and decay" section is the map of this module:
+the per-event map x -> clip(a*x + b, lo, hi) of each mode, how
+`_compose_runs` reduces a pixel's maps to one, and the modes that take
+other paths (STEP counts, signed linear rank passes, the shared neutral
+buffer of an empty STEP slice).  What follows are the contracts the
+code must hold.
 
 Rounding: where a pixel's events share one sign, or where no ordering
 of them could reach a clamp, STEP computes count*c, one rounding, the
@@ -65,31 +15,41 @@ composed maps round in a different order than event-by-event
 integration and agree with it to within 1e-12; with a power-of-two c
 every partial sum is exact and signed STEP matches it bit for bit.
 
-When too few events arrived in a publish interval the previous frame is
-republished unchanged (a "hold"), which keeps downstream consumers fed
-during motion pauses instead of handing them an empty frame.
+Suffix settling: every event map is monotone and clamps to [0, 1], so
+once some stretch of a pixel's events sends every starting value to
+one value, nothing before that stretch reaches the frame.  A run longer
+than W = `_SUFFIX` events is first integrated over its last W events
+alone.  Composed runs build the same end-aligned pairwise tree over
+those W maps that `_compose_runs` would build; where it is a constant L
+(lo == hi), every later combination of the whole run keeps lo = hi = L
+exactly, so L is bit for bit the full composition's value.  Signed
+linear runs the last W events from both ends of the state range,
+u = -1/2 and u = +1/2, as two rows of the rank passes; each event is
+monotone in floating point, so the pixel's own orbit stays between the
+two and ends where they end equal.  Runs whose last W events do not
+decide them take the full paths over all their events.
 
-Slices are integrated in groups, so that a slice's fixed cost is paid
-once per group.  `run_accumulation` announces every slice list that one
-push cut (`FrameAccumulator._schedule`) before it calls `process` on each
-slice.  The first `process` call of a group takes the integrated slices
-that follow it in that list, up to `_GROUP_EVENTS` events.  Each slice's
-events are sorted by pixel, so the group's (slice, pixel) runs lie slice
-by slice in one set of arrays, and one batched pass composes every
-run's maps, settles every signed linear run that its last _SUFFIX
-events decide, and counts every signed STEP run: the same maps and the
-same end-aligned tree as for a slice alone, so the frames are the same
-bit for bit.  Work arrays grow with the group's events and runs, never
-with its slices times the pixel count.  Each `process` call then only
-builds its own frame: it decays the carry by one interval, applies the
-composed maps of its touched pixels (signed linear: runs their few
-unsettled rank passes from the carried values), decays them to the
-stamp, and returns the frame, so every frame reaches the sink before
-the next is built.  A slice called alone is a group of one.  Holds stay
-out of groups, and each slice starts from the last integrated stamp.  A
-slice that fails a check ends its group, so the frames before it are
-published before its own `process` call raises.  Rectified STEP keeps
-one `bincount` per slice.
+Groups: a slice's fixed cost is paid once per group.
+`run_accumulation` announces every slice list that one push cut
+(`FrameAccumulator._schedule`) before it calls `process` on each slice.
+The first `process` call of a group takes the integrated slices that
+follow it in that list, up to `_GROUP_EVENTS` events.  Each slice's
+events are sorted by pixel, so the group's (slice, pixel) runs lie
+slice by slice in one set of arrays, and one batched pass composes
+every run's maps, settles every signed linear run that its last
+_SUFFIX events decide, and counts every signed STEP run: the same maps
+and the same end-aligned tree as for a slice alone, so the frames are
+the same bit for bit.  Work arrays grow with the group's events and
+runs, never with its slices times the pixel count.  Each `process`
+call then only builds its own frame: it decays the carry by one
+interval, applies the composed maps of its touched pixels (signed
+linear: runs their few unsettled rank passes from the carried values),
+decays them to the stamp, and returns the frame, so every frame reaches
+the sink before the next is built.  A slice called alone is a group of
+one.  Holds stay out of groups, and each slice starts from the last
+integrated stamp.  A slice that fails a check ends its group, so the
+frames before it are published before its own `process` call raises.
+Rectified STEP keeps one `bincount` per slice.
 """
 from __future__ import annotations
 
@@ -114,7 +74,7 @@ from .core import (
 )
 from .slicer import Slice
 
-__all__ = ["FrameAccumulator", "apply_decay"]
+__all__ = ["FrameAccumulator"]
 
 
 @lru_cache(maxsize=16)
@@ -125,27 +85,6 @@ def _neutral_pixels(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np
     gaps allocate no pixels.
     """
     return np.broadcast_to(neutral_value(polarity_mode), (geometry.height, geometry.width))
-
-
-def apply_decay(
-    pixels: np.ndarray,
-    dt: float,
-    decay: Decay,
-    neutral: float,
-) -> np.ndarray:
-    """Relax pixel potentials toward neutral across a time gap.
-
-    STEP leaves the buffer untouched (slice reset happens elsewhere).
-    LINEAR subtracts rate * dt from the distance to neutral, stopping
-    exactly at neutral.  EXPONENTIAL scales the distance by
-    exp(-dt / tau), which preserves its sign for every dt.
-    Returns a new array.
-    """
-    if dt < 0.0:
-        raise ValueError(f"decay over a negative interval: dt={dt}")
-    if decay.kind is DecayKind.STEP or dt == 0.0:
-        return pixels.copy()
-    return _decay_values(pixels, dt, decay, neutral)
 
 
 def _decay_values(pixels: np.ndarray, dt, decay: Decay, neutral: float) -> np.ndarray:

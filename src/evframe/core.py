@@ -34,7 +34,6 @@ __all__ = [
     "AccumulatorConfig",
     "neutral_value",
     "quantize_frame",
-    "window_size_for",
 ]
 
 
@@ -366,15 +365,3 @@ def quantize_frame(frame: EventFrame, bit_depth: int = 8) -> np.ndarray:
     max_value = (1 << bit_depth) - 1
     # Pixels are in [0, 1], so round-half-away-from-zero is floor(x + 0.5).
     return np.floor(frame.pixels * max_value + 0.5).astype(dtype)
-
-
-def window_size_for(events_per_pixel: float, geometry: SensorGeometry) -> int:
-    """Window size N for a target event density in events per pixel.
-
-    N = round(events_per_pixel * width * height), never below 1, with
-    ties rounded half away from zero.
-    """
-    if not events_per_pixel > 0.0:
-        raise ValueError(f"events per pixel must be > 0, got {events_per_pixel}")
-    n = int(math.floor(events_per_pixel * geometry.pixel_count + 0.5))
-    return max(1, n)

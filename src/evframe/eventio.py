@@ -75,7 +75,6 @@ __all__ = [
     "write_pgm",
     "read_pgm",
     "write_frame_index",
-    "read_frame_index",
 ]
 
 _BATCH_LINES = 8192
@@ -468,18 +467,3 @@ def write_frame_index(
             fh.write("stamp,filename,held\n")
         for stamp, filename, held in entries:
             fh.write(f"{stamp:.9f},{filename},{1 if held else 0}\n")
-
-
-def read_frame_index(path: Union[str, Path]) -> List[Tuple[float, str, bool]]:
-    """Parse a frame index CSV back into (stamp, filename, held) rows."""
-    out: List[Tuple[float, str, bool]] = []
-    with _open(path, "r") as fh:
-        header = fh.readline().strip()
-        if header != "stamp,filename,held":
-            raise ValueError(f"unexpected index header: {header!r}")
-        for line in fh:
-            if not line.strip():
-                continue
-            stamp, filename, held = line.strip().split(",")
-            out.append((float(stamp), filename, held == "1"))
-    return out

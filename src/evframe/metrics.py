@@ -32,6 +32,7 @@ import numpy as np
 from .accumulator import FrameAccumulator
 from .core import (
     AccumulatorConfig,
+    EventArray,
     EventFrame,
     PolarityMode,
     SensorGeometry,
@@ -39,7 +40,7 @@ from .core import (
     neutral_value,
     quantize_frame,
 )
-from .slicer import Slice, Source, StreamSlicer, _batches, slice_by_time, slice_by_time_and_number
+from .slicer import Slice, Source, StreamSlicer, _batches
 from .synth import MotionProfile, SensorModel, SyntheticScene, generate_events
 
 __all__ = [
@@ -193,6 +194,14 @@ def _check_speed(speed: float) -> None:
 _Run = Tuple[List[Slice], FrameAccumulator]  # one sweep's slices and their accumulator
 
 
+def _slices(stream: EventArray, config: AccumulatorConfig) -> List[Slice]:
+    """Slice `stream` from t = 0 as `config` says."""
+    slicer = StreamSlicer(
+        config.slice_method, window_size=config.window_size, interval=config.interval, t0=0.0
+    )
+    return list(slicer.slices(stream))
+
+
 def _speed_runs(
     scene: SyntheticScene,
     speeds: Sequence[float],
@@ -202,17 +211,17 @@ def _speed_runs(
     travel: float,
     contribution: float,
 ) -> Tuple[Dict[float, _Run], Dict[float, _Run]]:
-    """Slice every distinct speed with both slicers over equal displacement.
+    """Slice each of the distinct `speeds` with both slicers over equal displacement.
 
     Returns ({speed: (slices, accumulator)} for the fixed-interval
     by-time runs, then the same for by-time-and-number runs whose
     interval is scaled inversely with speed).  Frames are left to the
     caller to build, one at a time.
     """
-    s_ref = float(min(speeds))
+    s_ref = min(speeds)
     btn_runs: Dict[float, _Run] = {}
     time_runs: Dict[float, _Run] = {}
-    for s in dict.fromkeys(float(s) for s in speeds):
+    for s in speeds:
         motion = MotionProfile.constant((s, 0.0), travel / s)
         stream = generate_events(scene, motion, sensor, _STEP_PX / s)
         btn_cfg = AccumulatorConfig(
@@ -226,10 +235,8 @@ def _speed_runs(
             interval=interval,
             contribution=contribution,
         )
-        btn_slices = slice_by_time_and_number(stream, btn_cfg.interval, window_size, t0=0.0)
-        btn_runs[s] = (btn_slices, FrameAccumulator(btn_cfg, scene.geometry))
-        time_slices = slice_by_time(stream, interval, t0=0.0)
-        time_runs[s] = (time_slices, FrameAccumulator(time_cfg, scene.geometry))
+        btn_runs[s] = (_slices(stream, btn_cfg), FrameAccumulator(btn_cfg, scene.geometry))
+        time_runs[s] = (_slices(stream, time_cfg), FrameAccumulator(time_cfg, scene.geometry))
     return time_runs, btn_runs
 
 
@@ -262,16 +269,19 @@ def speed_invariance_report(
     Frames are scored as they are built, so the report holds O(speeds)
     frames however long the sweeps are.
 
+    A speed given twice is compared once.
+
     Returns (by_time report, by_time_and_number report).
     """
-    if len(speeds) < 2:
-        raise ValueError("need at least 2 speeds to compare")
     for s in speeds:
         _check_speed(s)
+    speeds = sorted(set(float(s) for s in speeds))
+    if len(speeds) < 2:
+        raise ValueError("need at least 2 distinct speeds to compare")
     # Each run publishes travel / (interval * slowest) frames.  A frame may
     # cover part of a simulation step, and then shows no new step, but
     # splitting a step into more than four frames is rejected.
-    slowest = float(min(speeds))
+    slowest = speeds[0]
     if interval > 0.0 and interval * slowest < _STEP_PX / 4:
         raise ValueError(
             f"interval {interval:g} s at the slowest speed {slowest:g} px/s moves the scene "
@@ -285,9 +295,8 @@ def speed_invariance_report(
     time_runs, btn_runs = _speed_runs(
         scene, speeds, interval, window_size, sensor, travel, contribution
     )
-    ordered = sorted(float(s) for s in speeds)
-    pairs = [(sa, sb) for i, sa in enumerate(ordered) for sb in ordered[i + 1 :]]
-    extreme = len(ordered) - 2  # (slowest, fastest), the pair the panels show
+    pairs = [(sa, sb) for i, sa in enumerate(speeds) for sb in speeds[i + 1 :]]
+    extreme = len(speeds) - 2  # (slowest, fastest), the pair the panels show
     btn = _AlignedScores(pairs, extreme)
     by_time = _AlignedScores(pairs, extreme)
 
@@ -388,7 +397,6 @@ def _reversal_runs(
     """Slice an out-and-back sweep; returns its slices and a signed and a rectified accumulator."""
     motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
     stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
-    slices = slice_by_time_and_number(stream, interval, window_size, t0=0.0)
     config = AccumulatorConfig(
         slice_method=SliceMethod.BY_TIME_AND_NUMBER,
         window_size=window_size,
@@ -399,7 +407,7 @@ def _reversal_runs(
         FrameAccumulator(replace(config, polarity_mode=mode), scene.geometry)
         for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
     )
-    return slices, signed, rectified
+    return _slices(stream, config), signed, rectified
 
 
 def polarity_flip_report(

@@ -25,8 +25,7 @@ start.
 
 :class:`StreamSlicer` is a single-owner state machine fed in timestamp
 order in :class:`EventArray` batches of any size, down to one event.
-:meth:`StreamSlicer.slices` runs it over a whole stream, and the module
-functions wrap that for one in-memory batch.
+:meth:`StreamSlicer.slices` runs it over a whole stream.
 
 Slices also carry the number of events that arrived in their publish
 interval (t_{k-1}, t_k], which feeds the no-motion hold decision.  The
@@ -43,13 +42,7 @@ import numpy as np
 
 from .core import EventArray, SliceMethod
 
-__all__ = [
-    "Slice",
-    "StreamSlicer",
-    "slice_by_number",
-    "slice_by_time",
-    "slice_by_time_and_number",
-]
+__all__ = ["Slice", "StreamSlicer"]
 
 # One event batch, or an iterable of batches in time order.
 Source = Union[EventArray, Iterable[EventArray]]
@@ -232,44 +225,3 @@ class StreamSlicer:
         self._kept = [events[cut:]] if cut < len(t) else []
         self._base = self._cut = self._base + cut
         return out
-
-
-def slice_by_number(stream: EventArray, window_size: int) -> List[Slice]:
-    """Cut a stream into consecutive groups of exactly `window_size` events.
-
-    A trailing remainder shorter than the window is withheld, not
-    emitted; use :class:`StreamSlicer` directly when you need it.
-    """
-    return list(StreamSlicer(SliceMethod.BY_NUMBER, window_size=window_size).slices(stream))
-
-
-def slice_by_time(
-    stream: EventArray,
-    interval: float,
-    t0: Optional[float] = None,
-) -> List[Slice]:
-    """Cut a stream into fixed half-open time intervals.
-
-    `t0` defaults to the first event's timestamp.  Intervals with no
-    events still produce (empty) slices, so the slices tile the stream's
-    span with no gaps.
-    """
-    return list(StreamSlicer(SliceMethod.BY_TIME, interval=interval, t0=t0).slices(stream))
-
-
-def slice_by_time_and_number(
-    stream: EventArray,
-    interval: float,
-    window_size: int,
-    t0: Optional[float] = None,
-) -> List[Slice]:
-    """Publish the last `window_size` events at every interval tick.
-
-    At each tick t_k = t0 + k * interval the slice holds the most
-    recent `window_size` events strictly before t_k.  `t0` defaults to
-    the first event's timestamp.
-    """
-    slicer = StreamSlicer(
-        SliceMethod.BY_TIME_AND_NUMBER, interval=interval, window_size=window_size, t0=t0
-    )
-    return list(slicer.slices(stream))

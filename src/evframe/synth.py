@@ -42,7 +42,6 @@ __all__ = [
     "bars",
     "checker",
     "generate_events",
-    "expected_event_count",
     "add_noise",
 ]
 
@@ -92,8 +91,8 @@ class MotionProfile:
         if not self.segments:
             raise ValueError("motion profile needs at least one segment")
         for duration, _ in self.segments:
-            if not duration > 0.0:
-                raise ValueError(f"segment duration must be > 0, got {duration}")
+            if not 0.0 < duration < math.inf:
+                raise ValueError(f"segment duration must be a finite number > 0, got {duration}")
 
     @classmethod
     def constant(cls, velocity: Tuple[float, float], duration: float) -> "MotionProfile":
@@ -254,19 +253,6 @@ def _sample(field: np.ndarray, ox: float, oy: float) -> np.ndarray:
     """Bilinear sample of the field translated by (ox, oy), clamped."""
     h, w = field.shape
     return _interpolate(field, _footprint(w, ox), _footprint(h, oy))
-
-
-def expected_event_count(edge_height: float, contrast_threshold: float) -> int:
-    """Events a pixel emits when swept by an edge: floor(H / C).
-
-    The small slack keeps the count exact when H is a floating-point
-    multiple of C (0.6 / 0.2 must give 3, not 2).
-    """
-    if not contrast_threshold > 0.0:
-        raise ValueError(f"contrast threshold must be > 0, got {contrast_threshold}")
-    if edge_height < 0.0:
-        raise ValueError(f"edge height must be >= 0, got {edge_height}")
-    return int(math.floor(edge_height / contrast_threshold + _THRESHOLD_SLACK))
 
 
 def generate_events(

@@ -4,18 +4,24 @@ The library carries events only as :class:`evframe.EventArray` columns.
 These one-event-at-a-time versions, the synthesis loop that resamples
 every pixel at every step, and the report builders that hold every
 frame of every run are kept here, unchanged, so the fast and streamed
-paths can be compared with the plain definitions.
+paths can be compared with the plain definitions.  So are the small
+helpers that only the tests call: whole-stream slicing, whole-frame
+decay, reading a frame index back, and the closed forms for a window
+size and an edge's event count.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from evframe import (
     AccumulatorConfig,
+    Decay,
+    DecayKind,
     DegenerateFrame,
     EventArray,
     EventFrame,
@@ -32,6 +38,7 @@ from evframe import (
     SimilarityReport,
     Slice,
     SliceMethod,
+    StreamSlicer,
     SyntheticScene,
     distinct_levels,
     fill_ratio,
@@ -39,8 +46,6 @@ from evframe import (
     ncc,
     neutral_value,
     saturation_fraction,
-    slice_by_time,
-    slice_by_time_and_number,
 )
 from evframe.metrics import _STEP_PX, _active_mean, _check_speed
 from evframe.synth import _THRESHOLD_SLACK, _sample
@@ -61,6 +66,69 @@ def events_of(events: EventArray) -> List[Event]:
         Event(*row)
         for row in zip(events.t.tolist(), events.x.tolist(), events.y.tolist(), events.p.tolist())
     ]
+
+
+def slice_by_number(stream: EventArray, window_size: int) -> List[Slice]:
+    """Cut a stream into consecutive groups of exactly `window_size` events.
+
+    A trailing remainder shorter than the window is withheld.
+    """
+    return list(StreamSlicer(SliceMethod.BY_NUMBER, window_size=window_size).slices(stream))
+
+
+def slice_by_time(stream: EventArray, interval: float, t0: Optional[float] = None) -> List[Slice]:
+    """Cut a stream into half-open time intervals from `t0` (default: first event)."""
+    return list(StreamSlicer(SliceMethod.BY_TIME, interval=interval, t0=t0).slices(stream))
+
+
+def slice_by_time_and_number(
+    stream: EventArray, interval: float, window_size: int, t0: Optional[float] = None
+) -> List[Slice]:
+    """Publish the last `window_size` events strictly before every tick t0 + k * interval."""
+    slicer = StreamSlicer(
+        SliceMethod.BY_TIME_AND_NUMBER, interval=interval, window_size=window_size, t0=t0
+    )
+    return list(slicer.slices(stream))
+
+
+def window_size_for(events_per_pixel: float, geometry: SensorGeometry) -> int:
+    """Window size N for a target event density in events per pixel.
+
+    N = round(events_per_pixel * width * height), never below 1, with
+    ties rounded half away from zero.
+    """
+    if not events_per_pixel > 0.0:
+        raise ValueError(f"events per pixel must be > 0, got {events_per_pixel}")
+    n = int(math.floor(events_per_pixel * geometry.pixel_count + 0.5))
+    return max(1, n)
+
+
+def expected_event_count(edge_height: float, contrast_threshold: float) -> int:
+    """Events a pixel emits when swept by an edge: floor(H / C).
+
+    The small slack keeps the count exact when H is a floating-point
+    multiple of C (0.6 / 0.2 must give 3, not 2).
+    """
+    if not contrast_threshold > 0.0:
+        raise ValueError(f"contrast threshold must be > 0, got {contrast_threshold}")
+    if edge_height < 0.0:
+        raise ValueError(f"edge height must be >= 0, got {edge_height}")
+    return int(math.floor(edge_height / contrast_threshold + _THRESHOLD_SLACK))
+
+
+def read_frame_index(path: Union[str, Path]) -> List[Tuple[float, str, bool]]:
+    """Parse a frame index CSV back into (stamp, filename, held) rows."""
+    out: List[Tuple[float, str, bool]] = []
+    with open(path, encoding="ascii") as fh:
+        header = fh.readline().strip()
+        if header != "stamp,filename,held":
+            raise ValueError(f"unexpected index header: {header!r}")
+        for line in fh:
+            if not line.strip():
+                continue
+            stamp, filename, held = line.strip().split(",")
+            out.append((float(stamp), filename, held == "1"))
+    return out
 
 
 def parse_event_line(line: str, line_number: int | None = None) -> Event:
@@ -98,6 +166,30 @@ def parse_event_line(line: str, line_number: int | None = None) -> Event:
 def reset_frame(geometry: SensorGeometry, polarity_mode: PolarityMode) -> np.ndarray:
     """Fresh writable pixel buffer at the neutral value everywhere."""
     return np.full((geometry.height, geometry.width), neutral_value(polarity_mode))
+
+
+def apply_decay(pixels: np.ndarray, dt: float, decay: Decay, neutral: float) -> np.ndarray:
+    """Relax pixel potentials toward neutral across a time gap; returns a new array.
+
+    STEP leaves the buffer untouched (slice reset happens elsewhere).
+    LINEAR subtracts rate * dt from the distance to neutral, stopping
+    exactly at neutral.  EXPONENTIAL scales the distance by
+    exp(-dt / tau), which preserves its sign for every dt.  The numpy
+    operations are the accumulator's own, in its order, so an untouched
+    pixel decays to the same bits.
+    """
+    if dt < 0.0:
+        raise ValueError(f"decay over a negative interval: dt={dt}")
+    if decay.kind is DecayKind.STEP or dt == 0.0:
+        return pixels.copy()
+    d = pixels - neutral
+    if decay.kind is DecayKind.LINEAR:
+        w = decay.rate * dt
+        d -= np.clip(d, -w, w)
+    else:
+        d *= np.exp(-np.asarray(dt) / decay.tau)
+    d += neutral
+    return d
 
 
 def integrate_event(
@@ -307,18 +399,21 @@ def held_speed_invariance_report(
       slower run.  Slice event counts scale with speed, which is what
       smears fast frames and makes them look different.
 
+    A speed given twice is compared once.
+
     Returns (by_time report, by_time_and_number report).
     """
-    if len(speeds) < 2:
-        raise ValueError("need at least 2 speeds to compare")
     for s in speeds:
         _check_speed(s)
+    ordered = sorted(set(float(s) for s in speeds))
+    if len(ordered) < 2:
+        raise ValueError("need at least 2 distinct speeds to compare")
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
     if travel is None:
         travel = scene.geometry.width / 2.0
     time_frames, btn_frames = speed_runs(
-        scene, speeds, interval, window_size, sensor, travel, contribution
+        scene, ordered, interval, window_size, sensor, travel, contribution
     )
     btn_counts = {
         s: tuple(len(sl) for _, sl in runs if not sl.partial)
@@ -331,7 +426,6 @@ def held_speed_invariance_report(
     btn_degen = 0
     time_degen = 0
     btn_panel = time_panel = None
-    ordered = sorted(float(s) for s in speeds)
     for i in range(len(ordered)):
         for j in range(i + 1, len(ordered)):
             sa, sb = ordered[i], ordered[j]

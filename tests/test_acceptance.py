@@ -25,18 +25,14 @@ from evframe import (
     MotionProfile,
     accumulate_stream,
     add_noise,
-    apply_decay,
     distinct_levels,
-    expected_event_count,
     generate_events,
     polarity_flip_report,
     quantize_frame,
     read_event_batches,
-    read_frame_index,
     speed_invariance_report,
     step_edge,
     window_coverage_sweep,
-    window_size_for,
     write_events,
     write_pgm,
 )
@@ -44,6 +40,7 @@ from evframe.cli import main as cli_main
 from evframe.slicer import Slice
 
 from conftest import uniform_events
+from oracles import apply_decay, expected_event_count, read_frame_index, window_size_for
 
 GEOMETRY = SensorGeometry(80, 60)
 SPEC = SensorGeometry(80, 60)

@@ -24,7 +24,6 @@ from evframe import (
     SliceMethod,
     StreamSlicer,
     accumulate_stream,
-    apply_decay,
     neutral_value,
     quantize_frame,
     run_accumulation,
@@ -34,6 +33,7 @@ from evframe import accumulator
 from conftest import SMALL_GEOMETRY, event_arrays, uniform_events
 from oracles import (
     Event,
+    apply_decay,
     compose_runs,
     events_of,
     integrate_event,

@@ -21,14 +21,13 @@ from evframe import (
     accumulate_stream,
     quantize_frame,
     read_event_batches,
-    read_frame_index,
     read_pgm,
     write_pgm,
 )
 from evframe.cli import _panel, main
 from evframe.synth import step_edge
 
-from oracles import reversal_runs, speed_runs
+from oracles import read_frame_index, reversal_runs, speed_runs
 
 
 def run(*argv: str) -> int:
@@ -548,6 +547,23 @@ class TestEval:
         assert err.startswith("evframe: error: speed must be a finite number > 0 px/s, got ")
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "speed_invariance.csv").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["synth", "--duration", "inf"],
+             "segment duration must be a finite number > 0, got inf"),
+            (["eval", "speed-invariance", "--travel", "inf"],
+             "segment duration must be a finite number > 0, got inf"),
+            (["eval", "speed-invariance", "--speeds", "64,64"],
+             "need at least 2 distinct speeds to compare"),
+        ],
+    )
+    def test_rejected_run_settings_fail_with_one_line(self, tmp_path, capsys, argv, message):
+        code = run(*argv, "--out", str(tmp_path / "out"))
+        assert code == 2
+        assert capsys.readouterr().err == f"evframe: error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_speed_too_slow_for_the_interval_fails_with_one_line(self, tmp_path, capsys):
         # Each run would publish travel / (interval * 1e-300) frames.

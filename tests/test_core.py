@@ -22,8 +22,9 @@ from evframe import (
     accumulate_stream,
     neutral_value,
     quantize_frame,
-    window_size_for,
 )
+
+from oracles import window_size_for
 
 
 class TestSensorGeometry:

@@ -20,7 +20,6 @@ from evframe import (
     OutOfBoundsEvent,
     SensorGeometry,
     read_event_batches,
-    read_frame_index,
     read_pgm,
     write_events,
     write_frame_index,
@@ -29,7 +28,7 @@ from evframe import (
 from evframe import eventio
 
 from conftest import event_arrays
-from oracles import Event, events_of, parse_event_line
+from oracles import Event, events_of, parse_event_line, read_frame_index
 
 GEOMETRY = SensorGeometry(240, 180)
 

@@ -187,17 +187,17 @@ class TestSpeedInvarianceReport:
         fast = np.median(by_time.events_per_slice[128.0])
         assert fast == pytest.approx(2.0 * slow, rel=0.1)
 
-    def test_same_speed_twice_matches_everywhere(self):
-        by_time, btn = speed_invariance_report(
-            SCENE, (64.0, 64.0), 1.0 / 32.0, 360, travel=20.0
+    def test_a_repeated_speed_is_compared_once(self, reports):
+        repeated = speed_invariance_report(
+            SCENE, (64.0, 64, 128.0), 1.0 / 32.0, 360, travel=40.0
         )
-        for report in (by_time, btn):
-            assert report.pairs
-            assert report.min_score == pytest.approx(1.0)
+        assert repeated == reports
+        assert [len(report.pairs) for report in repeated] == [1, 1]
 
-    def test_needs_two_speeds(self):
-        with pytest.raises(ValueError, match="2 speeds"):
-            speed_invariance_report(SCENE, (64.0,), 1.0 / 32.0, 360)
+    @pytest.mark.parametrize("speeds", [(64.0,), (64.0, 64.0)])
+    def test_needs_two_distinct_speeds(self, speeds):
+        with pytest.raises(ValueError, match="^need at least 2 distinct speeds to compare$"):
+            speed_invariance_report(SCENE, speeds, 1.0 / 32.0, 360)
 
     def test_rejects_frames_finer_than_the_simulation_step(self):
         # 1/32 s at 1 px/s is 1/32 px a frame, an eighth of a step.

@@ -26,11 +26,10 @@ from evframe import (
     accumulate_stream,
     neutral_value,
     run_accumulation,
-    slice_by_time,
-    slice_by_time_and_number,
 )
 
 from conftest import SMALL_GEOMETRY, event_arrays, uniform_events
+from oracles import slice_by_time, slice_by_time_and_number
 
 SPEC = SensorGeometry(SMALL_GEOMETRY.width, SMALL_GEOMETRY.height)
 
@@ -271,13 +270,10 @@ def test_package_exports():
         "NonMonotonicTimestamps", "OutOfBoundsEvent", "PairScore", "PipelineStats",
         "PolarityFlipReport", "PolarityMode", "SensorGeometry", "SensorModel", "SimilarityReport",
         "Slice", "SliceMethod", "StreamError", "StreamSlicer", "SyntheticScene", "UnknownPreset",
-        "accumulate_stream", "add_noise", "apply_decay", "bars", "checker",
-        "contribution_level_sweep", "distinct_levels", "expected_event_count", "fill_ratio",
-        "generate_events", "ncc", "neutral_value", "polarity_flip_report", "preset",
-        "preset_names", "quantize_frame", "read_event_batches", "read_frame_index", "read_pgm",
-        "run_accumulation", "saturation_fraction", "slice_by_number", "slice_by_time",
-        "slice_by_time_and_number", "speed_invariance_report", "step_edge",
-        "window_coverage_sweep", "window_size_for", "write_events", "write_frame_index",
-        "write_pgm",
+        "accumulate_stream", "add_noise", "bars", "checker", "contribution_level_sweep",
+        "distinct_levels", "fill_ratio", "generate_events", "ncc", "neutral_value",
+        "polarity_flip_report", "preset", "preset_names", "quantize_frame", "read_event_batches",
+        "read_pgm", "run_accumulation", "saturation_fraction", "speed_invariance_report",
+        "step_edge", "window_coverage_sweep", "write_events", "write_frame_index", "write_pgm",
     ]
     assert all(hasattr(evframe, name) for name in evframe.__all__)

@@ -17,12 +17,10 @@ from evframe import (
     Slice,
     SliceMethod,
     StreamSlicer,
-    slice_by_number,
-    slice_by_time,
-    slice_by_time_and_number,
 )
 
 from conftest import event_arrays, uniform_events
+from oracles import slice_by_number, slice_by_time, slice_by_time_and_number
 
 
 def stream(times: Sequence[float]) -> EventArray:

@@ -1,6 +1,8 @@
 """Synthetic generator against its closed-form ground truth."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,13 +17,12 @@ from evframe import (
     add_noise,
     bars,
     checker,
-    expected_event_count,
     generate_events,
     step_edge,
 )
 from evframe import synth
 from evframe.synth import _sample
-from oracles import dense_generate_events
+from oracles import dense_generate_events, expected_event_count
 
 GEOMETRY = SensorGeometry(16, 8)
 
@@ -155,9 +156,10 @@ class TestMotionProfile:
         with pytest.raises(ValueError):
             MotionProfile(())
 
-    def test_rejects_zero_duration_segment(self):
-        with pytest.raises(ValueError):
-            MotionProfile.constant((1.0, 0.0), 0.0)
+    @pytest.mark.parametrize("duration", [0.0, math.inf, math.nan])
+    def test_rejects_zero_duration_segment(self, duration):
+        with pytest.raises(ValueError, match="^segment duration must be a finite number > 0, got "):
+            MotionProfile.constant((1.0, 0.0), duration)
 
 
 class TestGenerateEvents:
