@@ -24,7 +24,7 @@ from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from time import perf_counter
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -93,24 +93,19 @@ def _parse_geometry(text: str) -> SensorGeometry:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_float_list(text: str) -> Tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(cast: Callable[[str], object], noun: str) -> Callable[[str], tuple]:
+    """An argparse type for a comma-separated list of `cast` values."""
 
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(cast(tok) for tok in text.split(",") if tok)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {noun} list {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
 
-def _parse_int_list(text: str) -> Tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -175,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="frame similarity across scene speeds")
     si.set_defaults(handler=_cmd_eval_speed_invariance)
     si.add_argument("--scene", choices=sorted(_SCENES), default="step-edge")
-    si.add_argument("--speeds", type=_parse_float_list, default=(64.0, 128.0),
+    si.add_argument("--speeds", type=_list_of(float, "number"), default=(64.0, 128.0),
                     metavar="S1,S2,...")
     si.add_argument("--interval", type=float, default=1.0 / 32.0,
                     help="publish interval at the slowest speed")
@@ -184,14 +179,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ws = ev_sub.add_parser("window-sweep", parents=[recorded],
                            help="fill and saturation versus window size")
     ws.set_defaults(handler=_cmd_eval_window_sweep)
-    ws.add_argument("--windows", type=_parse_int_list, required=True, metavar="N1,N2,...")
+    ws.add_argument("--windows", type=_list_of(int, "integer"), required=True, metavar="N1,N2,...")
     ws.add_argument("--contribution", type=float, default=0.2)
     ws.add_argument("--polarity", choices=["rectified", "signed"], default="rectified")
 
     cs = ev_sub.add_parser("contribution-sweep", parents=[recorded],
                            help="gray-level depth versus contribution")
     cs.set_defaults(handler=_cmd_eval_contribution_sweep)
-    cs.add_argument("--contributions", type=_parse_float_list, required=True,
+    cs.add_argument("--contributions", type=_list_of(float, "number"), required=True,
                     metavar="C1,C2,...")
     cs.add_argument("--window-size", type=int, default=10000)
 

@@ -25,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from itertools import tee, zip_longest
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .accumulator import FrameAccumulator
 from .core import (
     AccumulatorConfig,
-    EventArray,
     EventFrame,
     PolarityMode,
     SensorGeometry,
@@ -120,14 +119,6 @@ class PairScore:
     speed_b: float
     scores: Tuple[float, ...]
 
-    @property
-    def mean_score(self) -> float:
-        return float(np.mean(self.scores)) if self.scores else float("nan")
-
-    @property
-    def min_score(self) -> float:
-        return float(min(self.scores)) if self.scores else float("nan")
-
 
 @dataclass(frozen=True)
 class SimilarityReport:
@@ -191,53 +182,12 @@ def _check_speed(speed: float) -> None:
         raise ValueError(f"speed must be a finite number > 0 px/s, got {speed:g}")
 
 
-_Run = Tuple[List[Slice], FrameAccumulator]  # one sweep's slices and their accumulator
-
-
-def _slices(stream: EventArray, config: AccumulatorConfig) -> List[Slice]:
-    """Slice `stream` from t = 0 as `config` says."""
+def _slices(source: Source, config: AccumulatorConfig, t0: float | None) -> Iterator[Slice]:
+    """Slice `source` as `config` says, yielding each slice as it is cut."""
     slicer = StreamSlicer(
-        config.slice_method, window_size=config.window_size, interval=config.interval, t0=0.0
+        config.slice_method, window_size=config.window_size, interval=config.interval, t0=t0
     )
-    return list(slicer.slices(stream))
-
-
-def _speed_runs(
-    scene: SyntheticScene,
-    speeds: Sequence[float],
-    interval: float,
-    window_size: int,
-    sensor: SensorModel,
-    travel: float,
-    contribution: float,
-) -> Tuple[Dict[float, _Run], Dict[float, _Run]]:
-    """Slice each of the distinct `speeds` with both slicers over equal displacement.
-
-    Returns ({speed: (slices, accumulator)} for the fixed-interval
-    by-time runs, then the same for by-time-and-number runs whose
-    interval is scaled inversely with speed).  Frames are left to the
-    caller to build, one at a time.
-    """
-    s_ref = min(speeds)
-    btn_runs: Dict[float, _Run] = {}
-    time_runs: Dict[float, _Run] = {}
-    for s in speeds:
-        motion = MotionProfile.constant((s, 0.0), travel / s)
-        stream = generate_events(scene, motion, sensor, _STEP_PX / s)
-        btn_cfg = AccumulatorConfig(
-            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
-            window_size=window_size,
-            interval=interval * (s_ref / s),
-            contribution=contribution,
-        )
-        time_cfg = AccumulatorConfig(
-            slice_method=SliceMethod.BY_TIME,
-            interval=interval,
-            contribution=contribution,
-        )
-        btn_runs[s] = (_slices(stream, btn_cfg), FrameAccumulator(btn_cfg, scene.geometry))
-        time_runs[s] = (_slices(stream, time_cfg), FrameAccumulator(time_cfg, scene.geometry))
-    return time_runs, btn_runs
+    return slicer.slices(source)
 
 
 def speed_invariance_report(
@@ -292,9 +242,25 @@ def speed_invariance_report(
         sensor = SensorModel(contrast_threshold=0.2)
     if travel is None:
         travel = scene.geometry.width / 2.0
-    time_runs, btn_runs = _speed_runs(
-        scene, speeds, interval, window_size, sensor, travel, contribution
-    )
+    # Per speed, the slices of one sweep and the accumulator they go to:
+    # by time at a fixed interval, and by time and number at an interval
+    # scaled inversely with speed, both over equal displacement.
+    btn_runs: Dict[float, Tuple[List[Slice], FrameAccumulator]] = {}
+    time_runs: Dict[float, Tuple[List[Slice], FrameAccumulator]] = {}
+    for s in speeds:
+        motion = MotionProfile.constant((s, 0.0), travel / s)
+        stream = generate_events(scene, motion, sensor, _STEP_PX / s)
+        btn_cfg = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
+            window_size=window_size,
+            interval=interval * (slowest / s),
+            contribution=contribution,
+        )
+        time_cfg = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, interval=interval, contribution=contribution
+        )
+        for runs, cfg in ((btn_runs, btn_cfg), (time_runs, time_cfg)):
+            runs[s] = (list(_slices(stream, cfg, 0.0)), FrameAccumulator(cfg, scene.geometry))
     pairs = [(sa, sb) for i, sa in enumerate(speeds) for sb in speeds[i + 1 :]]
     extreme = len(speeds) - 2  # (slowest, fastest), the pair the panels show
     btn = _AlignedScores(pairs, extreme)
@@ -385,31 +351,6 @@ def _active_mean(frame: EventFrame, neutral: float) -> float | None:
     return float(px[active].mean())
 
 
-def _reversal_runs(
-    scene: SyntheticScene,
-    speed: float,
-    interval: float,
-    window_size: int,
-    half_duration: float,
-    sensor: SensorModel,
-    contribution: float,
-) -> Tuple[List[Slice], FrameAccumulator, FrameAccumulator]:
-    """Slice an out-and-back sweep; returns its slices and a signed and a rectified accumulator."""
-    motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
-    stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
-    config = AccumulatorConfig(
-        slice_method=SliceMethod.BY_TIME_AND_NUMBER,
-        window_size=window_size,
-        interval=interval,
-        contribution=contribution,
-    )
-    signed, rectified = (
-        FrameAccumulator(replace(config, polarity_mode=mode), scene.geometry)
-        for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
-    )
-    return _slices(stream, config), signed, rectified
-
-
 def polarity_flip_report(
     scene: SyntheticScene,
     speed: float,
@@ -432,7 +373,12 @@ def polarity_flip_report(
     number of intervals before the reversal.  Frames are scored as they
     are built, so the report holds at most m rectified frames.
     """
-    SliceMethod.BY_TIME_AND_NUMBER.check(window_size, interval)
+    config = AccumulatorConfig(
+        slice_method=SliceMethod.BY_TIME_AND_NUMBER,
+        window_size=window_size,
+        interval=interval,
+        contribution=contribution,
+    )
     _check_speed(speed)
     if sensor is None:
         sensor = SensorModel(contrast_threshold=0.2)
@@ -441,9 +387,13 @@ def polarity_flip_report(
     m = int(round(half_duration / interval))
     if abs(m * interval - half_duration) > 1e-9:
         raise ValueError("half_duration must be a whole number of intervals")
-    slices, signed, rectified = _reversal_runs(
-        scene, speed, interval, window_size, half_duration, sensor, contribution
+    motion = MotionProfile.reversing((float(speed), 0.0), half_duration)
+    stream = generate_events(scene, motion, sensor, _STEP_PX / float(speed))
+    signed, rectified = (
+        FrameAccumulator(replace(config, polarity_mode=mode), scene.geometry)
+        for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
     )
+    slices = list(_slices(stream, config, 0.0))
     signed_means: List[float | None] = []
     rect_before: List[EventFrame] = []
     before_means: List[float] = []
@@ -512,20 +462,19 @@ def window_coverage_sweep(
     window size and measures the latest frame index that is non-partial
     everywhere, so the comparison sees identical scene state.  `events`
     is one batch or an iterable of batches; it is read once, and the
-    runs take each batch in lockstep.
+    runs take each batch in lockstep.  Every run slices by time and
+    number whatever `config.slice_method` is, so `config` must use step
+    decay; a decaying one is rejected before any batch is read.
     Returns rows of (window_size, fill_ratio, saturation_fraction).
     """
     neutral = neutral_value(config.polarity_mode)
-    runs = [
-        StreamSlicer(
-            SliceMethod.BY_TIME_AND_NUMBER, window_size=n, interval=config.interval, t0=t0
-        ).slices(branch)
-        for n, branch in zip(window_sizes, tee(_batches(events), len(window_sizes)))
+    configs = [
+        replace(config, slice_method=SliceMethod.BY_TIME_AND_NUMBER, window_size=int(n))
+        for n in window_sizes
     ]
-    accumulators = [
-        FrameAccumulator(replace(config, window_size=int(n)), geometry) for n in window_sizes
-    ]
-    frames = _last_frames(zip(*runs), accumulators)
+    branches = tee(_batches(events), len(configs))
+    runs = [_slices(branch, cfg, t0) for branch, cfg in zip(branches, configs)]
+    frames = _last_frames(zip(*runs), [FrameAccumulator(cfg, geometry) for cfg in configs])
     return [
         (int(n), fill_ratio(frame, neutral), saturation_fraction(frame, neutral))
         for n, frame in zip(window_sizes, frames)
@@ -543,19 +492,17 @@ def contribution_level_sweep(
     """Distinct quantized levels of one aligned frame per contribution.
 
     `events` is one batch or an iterable of batches; it is sliced once
-    and every slice goes to one accumulator per contribution.
+    and every slice goes to one accumulator per contribution.  It is
+    sliced by time and number whatever `config.slice_method` is, so
+    `config` must use step decay; a decaying one is rejected before any
+    batch is read.
     Returns rows of (contribution, distinct_levels) for the same
     publish index under each contribution value.
     """
-    slicer = StreamSlicer(
-        SliceMethod.BY_TIME_AND_NUMBER,
-        window_size=config.window_size,
-        interval=config.interval,
-        t0=t0,
-    )
+    config = replace(config, slice_method=SliceMethod.BY_TIME_AND_NUMBER)
     accumulators = [
         FrameAccumulator(replace(config, contribution=float(c)), geometry) for c in contributions
     ]
-    rows = ((slc,) * len(accumulators) for slc in slicer.slices(events))
+    rows = ((slc,) * len(accumulators) for slc in _slices(events, config, t0))
     frames = _last_frames(rows, accumulators)
     return [(float(c), distinct_levels(frame)) for c, frame in zip(contributions, frames)]

@@ -28,9 +28,12 @@ order in :class:`EventArray` batches of any size, down to one event.
 :meth:`StreamSlicer.slices` runs it over a whole stream.
 
 Slices also carry the number of events that arrived in their publish
-interval (t_{k-1}, t_k], which feeds the no-motion hold decision.  The
-first interval counts everything seen before the first tick, so the
-counts always telescope to the stream total.
+interval, which feeds the no-motion hold decision.  By time that is the
+slice's own events, those in [t_{k-1}, t_k).  By number it is N.  By
+time and number it is the events in (t_{k-1}, t_k], and the first
+interval counts everything seen before the first tick.  So by time and
+by time and number the counts telescope to the stream total; by number
+they leave out the withheld tail.
 """
 from __future__ import annotations
 
@@ -61,8 +64,10 @@ class Slice:
         events: the events of this slice in time order.
         publish_stamp: when the resulting frame is published.
         interval_event_count: events that arrived in the publish
-            interval (t_{k-1}, t_k]; for count-based slicing this is
-            simply the slice length.
+            interval: by time the slice's own events, in
+            [t_{k-1}, t_k); by number N; by time and number those in
+            (t_{k-1}, t_k], the first interval counting every event
+            before its tick.
         partial: True when a windowed method had fewer than N events
             available.
     """

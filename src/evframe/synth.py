@@ -138,8 +138,10 @@ class SensorModel:
             raise ValueError(
                 f"contrast threshold must be > 0, got {self.contrast_threshold}"
             )
-        if self.noise_rate < 0.0:
-            raise ValueError(f"noise rate must be >= 0, got {self.noise_rate}")
+        if not 0.0 <= self.noise_rate < math.inf:
+            raise ValueError(f"noise rate must be a finite number >= 0, got {self.noise_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def step_edge(

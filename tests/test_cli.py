@@ -557,6 +557,11 @@ class TestEval:
              "segment duration must be a finite number > 0, got inf"),
             (["eval", "speed-invariance", "--speeds", "64,64"],
              "need at least 2 distinct speeds to compare"),
+            (["synth", "--noise-rate", "nan"],
+             "noise rate must be a finite number >= 0, got nan"),
+            (["synth", "--noise-rate", "inf"],
+             "noise rate must be a finite number >= 0, got inf"),
+            (["synth", "--noise-rate", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
         ],
     )
     def test_rejected_run_settings_fail_with_one_line(self, tmp_path, capsys, argv, message):
@@ -564,6 +569,25 @@ class TestEval:
         assert code == 2
         assert capsys.readouterr().err == f"evframe: error: {message}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["speed-invariance", "--speeds", "1,x"], "argument --speeds: bad number list '1,x'"),
+            (["window-sweep", "--windows", "1,x"], "argument --windows: bad integer list '1,x'"),
+            (["window-sweep", "--windows", "1.5"],
+             "argument --windows: bad integer list '1.5'"),
+            (["contribution-sweep", "--contributions", ","],
+             "argument --contributions: empty list"),
+        ],
+    )
+    def test_bad_list_flag_is_a_usage_error(self, stream_file, tmp_path, capsys, argv, message):
+        if argv[0] != "speed-invariance":
+            argv = [*argv, "--input", str(stream_file), "--geometry", "80x60"]
+        with pytest.raises(SystemExit) as exc:
+            run("eval", *argv, "--out", str(tmp_path))
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f": error: {message}")
 
     def test_speed_too_slow_for_the_interval_fails_with_one_line(self, tmp_path, capsys):
         # Each run would publish travel / (interval * 1e-300) frames.

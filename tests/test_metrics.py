@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from evframe import (
     AccumulatorConfig,
+    Decay,
     DegenerateFrame,
     EventArray,
     EventFrame,
@@ -304,6 +305,29 @@ class TestSweeps:
         for sweep in (contribution_level_sweep, held_contribution_level_sweep):
             with pytest.raises(ValueError, match="no frame index is non-partial"):
                 sweep(*args)
+
+    @pytest.mark.parametrize(
+        "sweep, values",
+        [(window_coverage_sweep, (180, 720)), (contribution_level_sweep, (0.1, 0.5))],
+    )
+    def test_decaying_config_is_rejected_before_any_batch_is_read(
+        self, noise_events, sweep, values
+    ):
+        # The config is valid by time, but the sweeps slice by time and number.
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME, decay=Decay.exponential(0.05)
+        )
+        read = []
+
+        def batches():
+            read.append(True)
+            yield noise_events
+
+        with pytest.raises(
+            ValueError, match="^decay exp needs disjoint slices, but slice_method time-number "
+        ):
+            sweep(batches(), SCENE.geometry, config, values)
+        assert read == []
 
     @pytest.mark.parametrize("sweep", [window_coverage_sweep, contribution_level_sweep])
     def test_memory_does_not_grow_with_the_input(self, sweep):

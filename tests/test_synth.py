@@ -435,6 +435,24 @@ class TestSparseSynthesisMatchesDenseOracle:
         )
 
 
+class TestSensorModel:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (dict(contrast_threshold=0.0), "contrast threshold must be > 0, got 0.0"),
+            (dict(contrast_threshold=math.nan), "contrast threshold must be > 0, got nan"),
+            (dict(noise_rate=-1.0), "noise rate must be a finite number >= 0, got -1.0"),
+            (dict(noise_rate=math.nan), "noise rate must be a finite number >= 0, got nan"),
+            (dict(noise_rate=math.inf), "noise rate must be a finite number >= 0, got inf"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+        ],
+    )
+    def test_rejects_a_bad_setting_by_name(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            SensorModel(**{"contrast_threshold": 0.2, **fields})
+        assert str(exc.value) == message
+
+
 class TestAddNoise:
     def test_zero_rate_is_identity(self):
         scene = step_edge(GEOMETRY, 0.6)
