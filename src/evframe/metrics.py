@@ -12,7 +12,10 @@ accumulator to quantify the claims the toolkit is built around: frame
 appearance should not depend on scene speed when slicing by time and
 number, rectified frames should survive a motion reversal, and fill,
 saturation and gray-level depth should track window size and event
-contribution.  Each report hands its slices straight to
+contribution.  The speed report scores two frames of different speeds
+when they cover equal scene displacement and neither is partial; by
+time and by time and number differ only in the publish interval each
+run slices at.  Each report hands its slices straight to
 :meth:`FrameAccumulator.process` and scores the frames as they arrive,
 so it holds O(speeds) frames (the polarity flip at most one frame per
 interval before the reversal), however long the sweeps run.  The window
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import tee, zip_longest
+from itertools import tee
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -152,9 +155,9 @@ _STEP_PX = 0.25  # scene displacement per simulation step, in pixels
 
 
 class _AlignedScores:
-    """NCC of aligned frame pairs, gathered per speed pair as frames arrive."""
+    """NCC of aligned frame pairs, gathered per pair as frames arrive."""
 
-    def __init__(self, pairs: Sequence[Tuple[float, float]], extreme: int) -> None:
+    def __init__(self, pairs: Sequence[Tuple[float, float]], extreme: int = -1) -> None:
         self.pairs = pairs
         self.extreme = extreme
         self.scores: List[List[float]] = [[] for _ in pairs]
@@ -168,6 +171,35 @@ class _AlignedScores:
             self.scores[i].append(ncc(frame_a, frame_b))
         except DegenerateFrame:
             self.degenerate += 1
+
+    def align(
+        self, runs: Dict[float, Tuple[List[Slice], AccumulatorConfig]], geometry: SensorGeometry
+    ) -> Dict[float, Tuple[int, ...]]:
+        """Build every speed's frames in order of displacement and score aligned pairs.
+
+        Frame k at speed s covers (k + 1) * interval * s pixels.  When a
+        frame arrives, each pair that includes its speed is scored if
+        the other speed's latest frame covers the same displacement and
+        neither frame is partial.  Returns the full slice sizes per speed.
+        """
+        accumulators = {s: FrameAccumulator(cfg, geometry) for s, (_, cfg) in runs.items()}
+        order = sorted(
+            ((k + 1) * cfg.interval * s, s, k)
+            for s, (slices, cfg) in runs.items()
+            for k in range(len(slices))
+        )
+        latest: Dict[float, Tuple[float, EventFrame, bool]] = {}
+        for swept, s, k in order:
+            slc = runs[s][0][k]
+            latest[s] = (swept, accumulators[s].process(slc), slc.partial)
+            for i, (sa, sb) in enumerate(self.pairs):
+                if s in (sa, sb) and sa in latest and sb in latest:
+                    (da, fa, pa), (db, fb, pb) = latest[sa], latest[sb]
+                    if not (pa or pb) and math.isclose(da, db, rel_tol=1e-9):
+                        self.add(i, fa, fb)
+        return {
+            s: tuple(len(sl) for sl in slices if not sl.partial) for s, (slices, _) in runs.items()
+        }
 
     def report(self, method: str, counts: Dict[float, Tuple[int, ...]]) -> SimilarityReport:
         pairs = tuple(
@@ -203,21 +235,26 @@ def speed_invariance_report(
     """Compare frame appearance across scene speeds for both slicers.
 
     Every speed sweeps the same scene over the same total displacement,
-    so runs differ only in how fast the motion plays out.  Frames are
-    aligned so corresponding indices cover identical displacement:
+    so runs differ only in how fast the motion plays out.  Frame k of a
+    run at speed s, sliced at interval dt, covers (k + 1) * dt * s
+    pixels.  One rule aligns frames for both slicers: two frames of
+    different speeds are scored when they cover equal displacement and
+    neither is partial.  The slicers differ only in the interval:
 
     * by time and number: the publish interval is scaled inversely
-      with speed (frame k at speed s pairs with frame k at speed 2s
-      under half the interval), and the window always holds the last
-      `window_size` events, so aligned frames should match.
+      with speed, so frame k of every speed covers the same
+      displacement, and the window always holds the last `window_size`
+      events, so aligned frames should match.
     * by time: the publish interval stays fixed, the realistic setting
-      for a consumer running at a fixed frame rate.  Frame k at the
-      faster speed pairs with the equal-displacement frame of the
-      slower run.  Slice event counts scale with speed, which is what
-      smears fast frames and makes them look different.
+      for a consumer running at a fixed frame rate, so frames pair only
+      where the speeds' displacements coincide.  Slice event counts
+      scale with speed, which is what smears fast frames and makes them
+      look different.
 
-    Frames are scored as they are built, so the report holds O(speeds)
-    frames however long the sweeps are.
+    Each speed's stream is generated once and sliced by both methods.
+    Frames are built in order of displacement and scored as they
+    arrive, so the report holds O(speeds) frames however long the
+    sweeps are.
 
     A speed given twice is compared once.
 
@@ -242,74 +279,35 @@ def speed_invariance_report(
         sensor = SensorModel(contrast_threshold=0.2)
     if travel is None:
         travel = scene.geometry.width / 2.0
-    # Per speed, the slices of one sweep and the accumulator they go to:
-    # by time at a fixed interval, and by time and number at an interval
-    # scaled inversely with speed, both over equal displacement.
-    btn_runs: Dict[float, Tuple[List[Slice], FrameAccumulator]] = {}
-    time_runs: Dict[float, Tuple[List[Slice], FrameAccumulator]] = {}
-    for s in speeds:
-        motion = MotionProfile.constant((s, 0.0), travel / s)
-        stream = generate_events(scene, motion, sensor, _STEP_PX / s)
-        btn_cfg = AccumulatorConfig(
-            slice_method=SliceMethod.BY_TIME_AND_NUMBER,
-            window_size=window_size,
-            interval=interval * (slowest / s),
-            contribution=contribution,
+    streams = {
+        s: generate_events(
+            scene, MotionProfile.constant((s, 0.0), travel / s), sensor, _STEP_PX / s
         )
-        time_cfg = AccumulatorConfig(
-            slice_method=SliceMethod.BY_TIME, interval=interval, contribution=contribution
-        )
-        for runs, cfg in ((btn_runs, btn_cfg), (time_runs, time_cfg)):
-            runs[s] = (list(_slices(stream, cfg, 0.0)), FrameAccumulator(cfg, scene.geometry))
-    pairs = [(sa, sb) for i, sa in enumerate(speeds) for sb in speeds[i + 1 :]]
-    extreme = len(speeds) - 2  # (slowest, fastest), the pair the panels show
-    btn = _AlignedScores(pairs, extreme)
-    by_time = _AlignedScores(pairs, extreme)
-
-    # By time and number: frame k of every speed covers the same displacement.
-    for row in zip_longest(*(slices for slices, _ in btn_runs.values())):
-        full: Dict[float, EventFrame] = {}
-        for (s, (_, acc)), slc in zip(btn_runs.items(), row):
-            if slc is not None:
-                frame = acc.process(slc)
-                if not slc.partial:
-                    full[s] = frame
-        for i, (sa, sb) in enumerate(pairs):
-            if sa in full and sb in full:
-                btn.add(i, full[sa], full[sb])
-
-    # By time: frame k at speed s has swept (k + 1) * interval * s pixels.
-    # Building frames in that order, each pair is scored when its later
-    # frame arrives, while the earlier one is still its run's latest.
-    swept = sorted(
-        ((k + 1) * interval * s, s, k)
-        for s, (slices, _) in time_runs.items()
-        for k in range(len(slices))
-    )
-    latest: Dict[float, Tuple[int, EventFrame]] = {}
-    for _, s, k in swept:
-        slices, acc = time_runs[s]
-        latest[s] = (k, acc.process(slices[k]))
-        for i, (sa, sb) in enumerate(pairs):
-            if s not in (sa, sb) or sa not in latest or sb not in latest:
-                continue
-            (held, fa), (kb, fb) = latest[sa], latest[sb]
-            ratio = sb / sa  # frames of the faster run are this much sparser
-            ka_f = (kb + 1) * ratio - 1.0
-            ka = int(round(ka_f))
-            if abs(ka_f - ka) > 1e-9 or ka != held:
-                continue
-            by_time.add(i, fa, fb)
-
-    btn_counts = {
-        s: tuple(len(sl) for sl in slices if not sl.partial)
-        for s, (slices, _) in btn_runs.items()
+        for s in speeds
     }
-    time_counts = {s: tuple(len(sl) for sl in slices) for s, (slices, _) in time_runs.items()}
-    return (
-        by_time.report("by-time", time_counts),
-        btn.report("by-time-and-number", btn_counts),
-    )
+    pairs = [(sa, sb) for i, sa in enumerate(speeds) for sb in speeds[i + 1 :]]
+    reports = []
+    # By time the interval is fixed; by time and number it is scaled
+    # inversely with speed, so frame k covers the same displacement at
+    # every speed.
+    for method, slice_method, scaled in (
+        ("by-time", SliceMethod.BY_TIME, False),
+        ("by-time-and-number", SliceMethod.BY_TIME_AND_NUMBER, True),
+    ):
+        runs = {}
+        for s, stream in streams.items():
+            cfg = AccumulatorConfig(
+                slice_method=slice_method,
+                window_size=window_size,
+                interval=interval * (slowest / s) if scaled else interval,
+                contribution=contribution,
+            )
+            runs[s] = (list(_slices(stream, cfg, 0.0)), cfg)
+        # (slowest, fastest) is the pair the panels show.
+        aligned = _AlignedScores(pairs, extreme=len(speeds) - 2)
+        counts = aligned.align(runs, scene.geometry)
+        reports.append(aligned.report(method, counts))
+    return reports[0], reports[1]
 
 
 @dataclass(frozen=True)
@@ -398,8 +396,7 @@ def polarity_flip_report(
     rect_before: List[EventFrame] = []
     before_means: List[float] = []
     after_means: List[float] = []
-    rect_scores: List[float] = []
-    degenerate = 0
+    rect = _AlignedScores([(speed, speed)])  # each before frame against its after frame
     panels: Dict[PolarityMode, Tuple[EventFrame, EventFrame]] = {}
     signed_prev = None
     for k, slc in enumerate(slices):
@@ -421,12 +418,9 @@ def polarity_flip_report(
         if mb is not None and ma is not None:
             before_means.append(mb)
             after_means.append(ma)
-        try:
-            rect_scores.append(ncc(rect_before[bi], rect_k))
-        except DegenerateFrame:
-            degenerate += 1
+        rect.add(0, rect_before[bi], rect_k)
     return PolarityFlipReport(
-        tuple(before_means), tuple(after_means), tuple(rect_scores), degenerate, panels
+        tuple(before_means), tuple(after_means), tuple(rect.scores[0]), rect.degenerate, panels
     )
 
 

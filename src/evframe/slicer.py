@@ -178,14 +178,26 @@ class StreamSlicer:
         number only an event past it does, as more events at exactly the
         tick still count toward its interval.  A flush completes every
         tick up to the last event, then one tick past it for the tail.
+        An interval too small to move a stamp past the one before it, or
+        one that needs over 2**53 ticks (where a float stops counting
+        them exactly) to reach the last event, is rejected, not looped on.
         """
         held = self._method is SliceMethod.BY_TIME_AND_NUMBER and not flush
         stamps: List[float] = []
         stamp = self._stamp(self._k)
+        if self._t_last - stamp > self._dt * 2**53:
+            raise ValueError(
+                f"interval {self._dt} s needs over 2**53 ticks to reach the event at "
+                f"{self._t_last} s from {stamp} s"
+            )
         while stamp < self._t_last or (stamp == self._t_last and not held):
             stamps.append(stamp)
             self._k += 1
             stamp = self._stamp(self._k)
+            if stamp <= stamps[-1]:
+                raise ValueError(
+                    f"interval {self._dt} s does not move the tick stamp past {stamp} s"
+                )
         if flush:
             stamps.append(stamp)
             self._k += 1

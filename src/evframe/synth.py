@@ -395,7 +395,8 @@ def add_noise(
     Every pixel fires at `sensor.noise_rate` events per second over
     [t_start, t_start + duration], with uniformly random polarity.
     Deterministic for a given seed; a rate of 0 returns the input
-    unchanged.
+    unchanged.  An expected count over 2**31 events (36 GB of columns)
+    is rejected before anything is drawn.
     """
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration}")
@@ -403,8 +404,13 @@ def add_noise(
         raise ValueError(f"t_start must be >= 0, got {t_start}")
     if sensor.noise_rate == 0.0 or duration == 0.0:
         return stream
-    rng = np.random.default_rng(sensor.seed)
     expected = sensor.noise_rate * duration * geometry.pixel_count
+    if expected > 2**31:
+        raise ValueError(
+            f"noise rate {sensor.noise_rate:g}/s per pixel on {geometry.width}x{geometry.height} "
+            f"pixels for {duration:g} s expects {expected:.3g} events, over 2**31"
+        )
+    rng = np.random.default_rng(sensor.seed)
     count = int(rng.poisson(expected))
     t = np.sort(t_start + rng.random(count) * duration)
     x = rng.integers(0, geometry.width, count, dtype=np.int32)

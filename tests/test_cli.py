@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import io
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,10 @@ from oracles import read_frame_index, reversal_runs, speed_runs
 
 def run(*argv: str) -> int:
     return main(list(argv))
+
+
+# A tiny sensor and a short run, so only the noise rate makes the stream large.
+NOISE_RUN = ["--geometry", "8x4", "--duration", "0.001", "--speed", "1", "--time-step", "0.001"]
 
 
 @pytest.fixture(scope="module")
@@ -231,6 +236,27 @@ class TestAccumulate:
         assert child.returncode == 2
         assert child.stderr.startswith(b"evframe: error: non-ASCII text at line 2: ")
         assert child.stderr.count(b"\n") == 1
+
+    def test_an_interval_too_small_to_tick_fails_with_one_line(self, tmp_path):
+        # In a child process with capped memory, so a slicer that loops on
+        # the tick fails the test instead of hanging it.
+        path = tmp_path / "three.txt"
+        path.write_text("0.1 1 2 1\n0.2 3 4 0\n0.3 5 6 1\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(evframe.__file__).parents[1])}
+        child = subprocess.run(
+            [sys.executable, "-m", "evframe.cli", "accumulate", "--input", str(path),
+             "--geometry", "8x8", "--slice", "time", "--interval", "1e-300",
+             "--out", str(tmp_path / "frames")],
+            capture_output=True,
+            env=env,
+            timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30)),
+        )
+        assert child.returncode == 2
+        assert child.stderr == (
+            b"evframe: error: interval 1e-300 s needs over 2**53 ticks to reach the event "
+            b"at 0.3 s from 0.1 s\n"
+        )
 
     def test_preset_override_is_logged(self, stream_file, tmp_path, capsys):
         out_dir = tmp_path / "frames"
@@ -562,6 +588,12 @@ class TestEval:
             (["synth", "--noise-rate", "inf"],
              "noise rate must be a finite number >= 0, got inf"),
             (["synth", "--noise-rate", "1", "--seed", "-1"], "seed must be >= 0, got -1"),
+            (["synth", "--noise-rate", "1e12", *NOISE_RUN],
+             "noise rate 1e+12/s per pixel on 8x4 pixels for 0.001 s expects 3.2e+10 events, "
+             "over 2**31"),
+            (["synth", "--noise-rate", "1e30", *NOISE_RUN],
+             "noise rate 1e+30/s per pixel on 8x4 pixels for 0.001 s expects 3.2e+28 events, "
+             "over 2**31"),
         ],
     )
     def test_rejected_run_settings_fail_with_one_line(self, tmp_path, capsys, argv, message):

@@ -368,6 +368,8 @@ class TestStreamedReports:
             (64.0, 100.0, 256.0),
             (256.0, 64.0),
             (64.0, 64.0, 128.0),
+            (48.0, 80.0, 200.0),
+            (24.0, 40.0),
         ],
     )
     def test_speed_invariance_equals_oracle(self, speeds):

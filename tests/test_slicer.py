@@ -1,6 +1,7 @@
 """Slicer behavior against hand enumerations and brute-force oracles."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 from typing import List, Sequence, Tuple
 
@@ -393,6 +394,28 @@ class TestStreaming:
     def test_rejects_infinite_interval(self, method):
         with pytest.raises(ValueError, match="^interval must be finite, got inf$"):
             StreamSlicer(method, window_size=4, interval=float("inf"))
+
+    @pytest.mark.parametrize(
+        "interval, times, t0, message",
+        [
+            (1e-300, [0.1, 0.3], None,
+             "interval 1e-300 s needs over 2**53 ticks to reach the event at 0.3 s from 0.1 s"),
+            (1e-300, [0.0, 0.3], None,
+             "interval 1e-300 s needs over 2**53 ticks to reach the event at 0.3 s from 1e-300 s"),
+            # Ticks 1 and 2 sit a quarter and half an ulp past 0.1; both round to 0.1.
+            (math.ulp(0.1) / 4, [0.1, 0.1 + 2 * math.ulp(0.1)], 0.1,
+             f"interval {math.ulp(0.1) / 4} s does not move the tick stamp past 0.1 s"),
+        ],
+    )
+    @pytest.mark.parametrize("method", [SliceMethod.BY_TIME, SliceMethod.BY_TIME_AND_NUMBER])
+    def test_rejects_an_interval_too_small_to_reach_the_last_event(
+        self, method, interval, times, t0, message
+    ):
+        slicer = StreamSlicer(method, window_size=2, interval=interval, t0=t0)
+        with pytest.raises(ValueError) as exc:
+            slicer.push_batch(stream(times))
+            slicer.flush()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("t0", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("method", list(SliceMethod))

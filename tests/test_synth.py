@@ -454,6 +454,17 @@ class TestSensorModel:
 
 
 class TestAddNoise:
+    @pytest.mark.parametrize("rate", [1e12, 1e30])
+    def test_rejects_an_expected_count_over_2_31_before_drawing(self, rate):
+        sensor = SensorModel(0.2, noise_rate=rate)
+        with pytest.raises(ValueError) as exc:
+            add_noise(EventArray.empty(), sensor, SensorGeometry(8, 4), 0.001)
+        expected = f"{rate * 0.001 * 32:.3g}"
+        assert str(exc.value) == (
+            f"noise rate {rate:g}/s per pixel on 8x4 pixels for 0.001 s expects {expected} "
+            "events, over 2**31"
+        )
+
     def test_zero_rate_is_identity(self):
         scene = step_edge(GEOMETRY, 0.6)
         ev = generate_events(
