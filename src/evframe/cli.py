@@ -20,11 +20,12 @@ import argparse
 import io
 import os
 import sys
+from contextlib import ExitStack
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from time import perf_counter
-from typing import Callable, Iterator, List, Optional, Sequence
+from typing import IO, Callable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -242,17 +243,25 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
 
     names = (f"frame_{i:06d}.pgm" for i in count())
     batches = _read_input(args)
-    # Each row is written as its frame is, so a run that fails part-way
-    # still leaves an index of every frame it wrote.
-    with open(out_dir / "index.csv", "w", encoding="ascii", buffering=1) as index:
-        write_frame_index((), index)
+    # The index is created with the first frame, so a run rejected before
+    # any frame leaves none.  Each row is written as its frame is, so a
+    # run that fails part-way still indexes every frame it wrote.
+    with ExitStack() as opened:
+        index: Optional[IO[str]] = None
 
         def sink(frame: EventFrame) -> None:
+            nonlocal index
             name = next(names)
             write_pgm(quantize_frame(frame, args.bit_depth), out_dir / name)
+            if index is None:
+                index = opened.enter_context(
+                    open(out_dir / "index.csv", "w", encoding="ascii", buffering=1)
+                )
             write_frame_index([(frame.stamp, name, frame.held)], index)
 
         stats = run_accumulation(batches, config, geometry, t0=args.t0, on_frame=sink)
+    if not stats.frames:
+        write_frame_index((), out_dir / "index.csv")
     wall = perf_counter() - started
 
     print(f"frames emitted: {stats.frames}")

@@ -17,17 +17,19 @@ when they cover equal scene displacement and neither is partial; by
 time and by time and number differ only in the publish interval each
 run slices at.  Each report hands its slices straight to
 :meth:`FrameAccumulator.process` and scores the frames as they arrive,
-so it holds O(speeds) frames (the polarity flip at most one frame per
-interval before the reversal), however long the sweeps run.  The window
-and contribution sweeps read their input once, as an event batch or an
-iterable of batches, slice it as it streams and keep only each run's
-latest frame, so their memory does not grow with the recording.
+so it holds O(speeds) frames, however long the sweeps run.  The
+polarity flip holds at most eight: its runs are STEP with holds off, so
+it can build each before/after pair together and drop it once scored.
+The window and contribution sweeps read their input once, as an event
+batch or an iterable of batches, slice it as it streams and keep only
+each run's latest frame, so their memory does not grow with the
+recording.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from itertools import tee
+from itertools import chain, tee
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -368,8 +370,14 @@ def polarity_flip_report(
     correlate strongly because both show the same band of activity.
 
     Pair j sets frame m - j against frame m + j - 1, where m is the
-    number of intervals before the reversal.  Frames are scored as they
-    are built, so the report holds at most m rectified frames.
+    number of intervals before the reversal.  Both runs are STEP with
+    holds off, so each frame depends on its own slice alone and slices
+    can be built in any order.  The pairs are built in order j = 1..m,
+    both slices of a pair through both accumulators, scored and
+    dropped; the slices no pair uses are built last.  Each slice still
+    goes through each accumulator once, and the report holds at most
+    eight frames: the four panels and one pair's four, however many
+    intervals precede the reversal.
     """
     config = AccumulatorConfig(
         slice_method=SliceMethod.BY_TIME_AND_NUMBER,
@@ -392,33 +400,32 @@ def polarity_flip_report(
         for mode in (PolarityMode.SIGNED, PolarityMode.RECTIFIED)
     )
     slices = list(_slices(stream, config, 0.0))
-    signed_means: List[float | None] = []
-    rect_before: List[EventFrame] = []
     before_means: List[float] = []
     after_means: List[float] = []
     rect = _AlignedScores([(speed, speed)])  # each before frame against its after frame
-    panels: Dict[PolarityMode, Tuple[EventFrame, EventFrame]] = {}
-    signed_prev = None
-    for k, slc in enumerate(slices):
-        signed_k, rect_k = signed.process(slc), rectified.process(slc)
-        if k < m:
-            signed_means.append(_active_mean(signed_k, 0.5))
-            rect_before.append(rect_k)
-        elif k == m and m >= 1:
-            panels = {
-                PolarityMode.SIGNED: (signed_prev, signed_k),
-                PolarityMode.RECTIFIED: (rect_before[m - 1], rect_k),
-            }
-        signed_prev = signed_k
-        bi = 2 * m - 1 - k  # the before frame of pair j = k - m + 1
-        if not 0 <= bi < m or slices[bi].partial or slc.partial:
-            continue
-        mb = signed_means[bi]
-        ma = _active_mean(signed_k, 0.5)
-        if mb is not None and ma is not None:
-            before_means.append(mb)
-            after_means.append(ma)
-        rect.add(0, rect_before[bi], rect_k)
+
+    def score_pair(
+        before: Slice, after: Slice
+    ) -> Dict[PolarityMode, Tuple[EventFrame, EventFrame]]:
+        """Build one pair's frames in both modes, score them and return them."""
+        signed_pair = (signed.process(before), signed.process(after))
+        rect_pair = (rectified.process(before), rectified.process(after))
+        if not (before.partial or after.partial):
+            mb, ma = (_active_mean(frame, 0.5) for frame in signed_pair)
+            if mb is not None and ma is not None:
+                before_means.append(mb)
+                after_means.append(ma)
+            rect.add(0, *rect_pair)
+        return {PolarityMode.SIGNED: signed_pair, PolarityMode.RECTIFIED: rect_pair}
+
+    paired = max(0, min(m, len(slices) - m))  # pair j needs slice m + j - 1
+    # Pair 1 is the frames either side of the reversal, which the panels show.
+    panels = score_pair(slices[m - 1], slices[m]) if paired else {}
+    for j in range(2, paired + 1):
+        score_pair(slices[m - j], slices[m + j - 1])
+    for slc in chain(slices[: m - paired], slices[m + paired :]):
+        signed.process(slc)
+        rectified.process(slc)
     return PolarityFlipReport(
         tuple(before_means), tuple(after_means), tuple(rect.scores[0]), rect.degenerate, panels
     )

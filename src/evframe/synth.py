@@ -49,9 +49,10 @@ __all__ = [
 # threshold; keeps quantum counts exact when H is a multiple of C.
 _THRESHOLD_SLACK = 1e-9
 
-# Steps whose footprints `generate_events` holds at once.  The stream does
-# not depend on it; it bounds memory at about 24 * (width + height) bytes
-# per step of a block.
+# Steps whose times, offsets and footprints `generate_events` holds at
+# once.  The stream does not depend on it; it bounds the working arrays at
+# about 24 * (width + height) bytes per step of a block.  The output and
+# one entry per firing step still grow with the run.
 _STEPS_PER_BLOCK = 256
 
 
@@ -282,9 +283,12 @@ def generate_events(
     before; the same holds for rows, so the sample repeats.  A pixel
     whose sample repeats and whose residual is below one quantum emits
     nothing.  Rounding can leave a whole quantum in a residual after it
-    fires; such a pixel is resampled at the next step.  Footprints are
-    computed for a block of steps at a time, so memory does not grow
-    with the number of steps.
+    fires; such a pixel is resampled at the next step.  Step times,
+    offsets and footprints are computed for a block of steps at a time,
+    so the working arrays do not grow with the number of steps; what
+    grows is the output, plus one entry per step that fires.  A run of
+    over 2**31 steps is rejected before anything is allocated, as
+    :func:`add_noise` rejects over 2**31 events.
 
     The output is deterministic: it contains no randomness at all
     (noise is added separately by :func:`add_noise`).
@@ -297,10 +301,13 @@ def generate_events(
             f"{motion.max_speed * time_step:.3f} px, needs to stay below 0.5 px"
         )
     duration = motion.duration
-    n_steps = max(1, int(math.ceil(duration / time_step - 1e-12)))
-    times = np.minimum(np.arange(1, n_steps + 1) * time_step, duration)
-    # Row 0 is the scene at rest, which sets every pixel's reference.
-    offsets = np.vstack((np.zeros((1, 2)), motion.offsets_at(times)))
+    steps = duration / time_step
+    if steps > 2**31:
+        raise ValueError(
+            f"duration {duration:g} s at time step {time_step:g} s takes {steps:.3g} steps, "
+            "over 2**31"
+        )
+    n_steps = max(1, int(math.ceil(steps - 1e-12)))
     c = sensor.contrast_threshold
     field = scene.field
     h, w = field.shape
@@ -311,13 +318,22 @@ def generate_events(
     all_rows = slice(None)
     row_starts = np.arange(h) * w
     reference = _sample(field, 0.0, 0.0).reshape(-1)
-    fired_steps = []
+    fired_times = []
     fired = []
     stale = None  # rows of pixels left holding a quantum by the last step
+    # The scene at rest, which sets every pixel's reference, is the step
+    # before the first.
+    before = np.zeros((1, 2))
     for start in range(0, n_steps, _STEPS_PER_BLOCK):
-        # Footprints of a block of steps and of the step before it, so
-        # their memory stays bounded however many steps there are.
-        block = offsets[start : start + _STEPS_PER_BLOCK + 1]
+        # Times, offsets and footprints of a block of steps and of the
+        # step before it, so their memory stays bounded however many
+        # steps there are.
+        times = np.minimum(
+            np.arange(start + 1, min(start + _STEPS_PER_BLOCK, n_steps) + 1) * time_step,
+            duration,
+        )
+        block = np.vstack((before, motion.offsets_at(times)))
+        before = block[-1:]
         xs = _footprint(w, block[:, :1])
         ys = _footprint(h, block[:, 1:])
         live_cols = _live(xs, col_varies)
@@ -368,15 +384,15 @@ def generate_events(
             again = np.abs(now - settled) / c + _THRESHOLD_SLACK >= 1.0
             if again.any():
                 stale = flat[again] // w
-            fired_steps.append(start + j)
+            fired_times.append(times[j])
             fired.append((flat, reps, sign))
     if not fired:
         return EventArray.empty()
     flat, reps, sign = (np.concatenate(part) for part in zip(*fired))
-    step = np.repeat(fired_steps, [len(f) for f, _, _ in fired])
+    t = np.repeat(fired_times, [len(f) for f, _, _ in fired])
     y, x = np.divmod(flat, w)
     return EventArray.from_columns(
-        np.repeat(times[step], reps),
+        np.repeat(t, reps),
         np.repeat(x.astype(np.int32), reps),
         np.repeat(y.astype(np.int32), reps),
         np.repeat(sign, reps),

@@ -345,6 +345,34 @@ class TestAccumulate:
         assert len(written) >= 10
         assert [name for _, name, _ in read_frame_index(out_dir / "index.csv")] == written
 
+    @pytest.mark.parametrize(
+        "text, flags",
+        [
+            ("0.1 1 2\n", []),
+            ("0.1 1 2 1\n0.2 3 4 0\n0.3 5 6 1\n", ["--slice", "time", "--interval", "1e-300"]),
+        ],
+        ids=["malformed-first-line", "interval-too-small-to-tick"],
+    )
+    def test_a_run_rejected_before_any_frame_leaves_no_index(self, tmp_path, capsys, text, flags):
+        path = tmp_path / "events.txt"
+        path.write_text(text)
+        out_dir = tmp_path / "frames"
+        code = run("accumulate", "--input", str(path), "--geometry", "8x8", *flags,
+                   "--out", str(out_dir))
+        assert code == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert list(out_dir.iterdir()) == []
+
+    def test_empty_input_writes_a_header_only_index(self, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        out_dir = tmp_path / "frames"
+        assert run("accumulate", "--input", str(path), "--geometry", "8x8",
+                   "--out", str(out_dir)) == 0
+        assert "frames emitted: 0" in capsys.readouterr().out
+        assert (out_dir / "index.csv").read_text() == "stamp,filename,held\n"
+        assert read_frame_index(out_dir / "index.csv") == []
+
     def test_prints_core_and_wall_throughput(self, stream_file, tmp_path, capsys):
         assert run(*accumulate_args(stream_file, tmp_path / "frames")) == 0
         out = capsys.readouterr().out
@@ -594,6 +622,14 @@ class TestEval:
             (["synth", "--noise-rate", "1e30", *NOISE_RUN],
              "noise rate 1e+30/s per pixel on 8x4 pixels for 0.001 s expects 3.2e+28 events, "
              "over 2**31"),
+            (["synth", "--duration", "1e7"],
+             "duration 1e+07 s at time step 0.0025 s takes 4e+09 steps, over 2**31"),
+            (["synth", "--duration", "1e300"],
+             "duration 1e+300 s at time step 0.0025 s takes 4e+302 steps, over 2**31"),
+            (["eval", "speed-invariance", "--travel", "1e300"],
+             "duration 1.5625e+298 s at time step 0.00390625 s takes 4e+300 steps, over 2**31"),
+            (["eval", "polarity-flip", "--half-duration", "1e300"],
+             "duration 2e+300 s at time step 0.00390625 s takes 5.12e+302 steps, over 2**31"),
         ],
     )
     def test_rejected_run_settings_fail_with_one_line(self, tmp_path, capsys, argv, message):

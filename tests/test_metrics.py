@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from evframe import (
     DegenerateFrame,
     EventArray,
     EventFrame,
+    FrameAccumulator,
     PolarityMode,
     SensorGeometry,
     SensorModel,
@@ -392,9 +394,19 @@ class TestStreamedReports:
         for a, b in zip(new, old):
             assert_same_frames(a.panel, b.panel)
 
-    @pytest.mark.parametrize("window_size", [360, 1000, 2000])
-    def test_polarity_flip_equals_oracle(self, window_size):
-        args = (SCENE, 64.0, 1.0 / 32.0, window_size, 0.3125)
+    @pytest.mark.parametrize(
+        "window_size, half_duration",
+        [
+            pytest.param(360, 0.3125, id="360"),
+            pytest.param(1000, 0.3125, id="1000"),
+            pytest.param(2000, 0.3125, id="2000"),
+            # One interval before the reversal; a window of 360 leaves it partial.
+            pytest.param(180, 1.0 / 32.0, id="180-one-interval"),
+            pytest.param(360, 1.25, id="360-forty-intervals"),
+        ],
+    )
+    def test_polarity_flip_equals_oracle(self, window_size, half_duration):
+        args = (SCENE, 64.0, 1.0 / 32.0, window_size, half_duration)
         new = polarity_flip_report(*args)
         old = held_polarity_flip_report(*args)
         assert new == old
@@ -402,6 +414,26 @@ class TestStreamedReports:
         assert new.panels.keys() == old.panels.keys() == set(PolarityMode)
         for mode in PolarityMode:
             assert_same_frames(new.panels[mode], old.panels[mode])
+
+    def test_polarity_flip_frames_do_not_grow_with_the_run(self, monkeypatch):
+        process = FrameAccumulator.process
+
+        def peak_live_frames(half_duration: float) -> int:
+            frames, peak = [], 0
+
+            def tracked(accumulator, slc):
+                nonlocal peak
+                frame = process(accumulator, slc)
+                frames.append(weakref.ref(frame))
+                peak = max(peak, sum(ref() is not None for ref in frames))
+                return frame
+
+            monkeypatch.setattr(FrameAccumulator, "process", tracked)
+            polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 360, half_duration)
+            return peak
+
+        # 10 and 40 intervals before the reversal: the four panels and one pair's frames.
+        assert peak_live_frames(0.3125) == peak_live_frames(1.25) <= 8
 
     def test_partial_slices_drop_pairs(self):
         report = polarity_flip_report(SCENE, 64.0, 1.0 / 32.0, 2000, 0.3125)

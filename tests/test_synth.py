@@ -232,6 +232,25 @@ class TestGenerateEvents:
         with pytest.raises(ValueError):
             generate_events(scene, motion, SensorModel(0.2), 0.0)
 
+    @pytest.mark.parametrize(
+        "segments, time_step, message",
+        [
+            # One step past the bound, exact in binary.
+            (((2**21 + 2**-10, (8.0, 0.0)),), 2**-10,
+             "duration 2.09715e+06 s at time step 0.000976562 s takes 2.15e+09 steps, over 2**31"),
+            (((1e7, (100.0, 0.0)),), 0.0025,
+             "duration 1e+07 s at time step 0.0025 s takes 4e+09 steps, over 2**31"),
+            # Two finite segments whose sum overflows.
+            (((1e308, (1.0, 0.0)), (1e308, (-1.0, 0.0))), 0.25,
+             "duration inf s at time step 0.25 s takes inf steps, over 2**31"),
+        ],
+        ids=["one-step-over", "ten-million-seconds", "overflowing-sum"],
+    )
+    def test_rejects_over_2_31_steps_before_allocating(self, segments, time_step, message):
+        with pytest.raises(ValueError) as exc:
+            generate_events(step_edge(GEOMETRY, 0.6), MotionProfile(segments), SENSOR, time_step)
+        assert str(exc.value) == message
+
     def test_static_scene_is_silent(self):
         scene = step_edge(GEOMETRY, 0.6)
         motion = MotionProfile.constant((0.0, 0.0), 1.0)
