@@ -239,28 +239,30 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     geometry = args.geometry
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     names = (f"frame_{i:06d}.pgm" for i in count())
     batches = _read_input(args)
-    # The index is created with the first frame, so a run rejected before
-    # any frame leaves none.  Each row is written as its frame is, so a
-    # run that fails part-way still indexes every frame it wrote.
+    # The output directory and its index are created with the first frame,
+    # so a run rejected before any frame leaves neither.  Each row is
+    # written as its frame is, so a run that fails part-way still indexes
+    # every frame it wrote.
     with ExitStack() as opened:
         index: Optional[IO[str]] = None
 
         def sink(frame: EventFrame) -> None:
             nonlocal index
-            name = next(names)
-            write_pgm(quantize_frame(frame, args.bit_depth), out_dir / name)
             if index is None:
+                out_dir.mkdir(parents=True, exist_ok=True)
                 index = opened.enter_context(
                     open(out_dir / "index.csv", "w", encoding="ascii", buffering=1)
                 )
+            name = next(names)
+            write_pgm(quantize_frame(frame, args.bit_depth), out_dir / name)
             write_frame_index([(frame.stamp, name, frame.held)], index)
 
         stats = run_accumulation(batches, config, geometry, t0=args.t0, on_frame=sink)
     if not stats.frames:
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_frame_index((), out_dir / "index.csv")
     wall = perf_counter() - started
 

@@ -15,14 +15,9 @@ view simply stops producing events.  Background noise is an optional
 per-pixel homogeneous Poisson process with uniform random polarity,
 seeded and reproducible.
 
-Synthesis is sparse: at each step only the pixels whose sample can
-change are resampled.  A pixel reads a 2x2 footprint of the field at
-its clamped coordinate.  Its sample can change only if that footprint
-moved and, before or after the move, sits on a pair of columns or rows
-where the field varies; otherwise the field is constant across the
-footprint and its shift, and the sample repeats bit for bit.  On the
-step edge that leaves one or two columns of pixels per step.  The
-stream is bit-identical to resampling every pixel at every step.
+Synthesis is sparse: README's "Synthesis" section says which pixels a
+step resamples and why the stream is bit-identical to resampling every
+pixel at every step.
 """
 from __future__ import annotations
 
@@ -212,29 +207,24 @@ def _footprint(n: int, offset) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _interpolate(
     field: np.ndarray, xs: Sequence[np.ndarray], ys: Sequence[np.ndarray]
 ) -> np.ndarray:
-    """Bilinear samples of the field on a grid of pixel rows and columns.
+    """Bilinear samples of the field on every pixel row of some columns.
 
-    `xs` and `ys` are the :func:`_footprint` triples of the columns and
-    rows to sample, each non-empty and in ascending pixel order.  Every
-    sample takes the same operations in the same order whichever pixels
-    are asked for, so a sampled subset is bit-identical to the same
-    pixels of the full image.
+    `xs` is the :func:`_footprint` triple of the columns to sample,
+    non-empty and in ascending pixel order, and `ys` that of every pixel
+    row.  Every sample takes the same operations in the same order
+    whichever columns are asked for, so a sampled subset is
+    bit-identical to the same pixels of the full image.
     """
     x0, fx, x1 = xs
     y0, fy, y1 = ys
-    # Interpolate along x once for every field row the pixels read, then
-    # between row pairs.  Only the field rows and the span of columns
-    # that the footprints cover are copied.
-    used = np.zeros(len(field), dtype=bool)
-    used[y0] = True
-    used[y1] = True
+    # Interpolate along x once for every field row, then between row
+    # pairs.  Only the span of columns that the footprints cover is copied.
     lo = x0[0]
-    source = field[used, lo : x1[-1] + 1]
+    source = field[:, lo : x1[-1] + 1]
     left = source[:, x0 - lo]
     rows = left + (source[:, x1 - lo] - left) * fx
-    at = np.cumsum(used) - 1
-    top = rows[at[y0]]
-    return top + (rows[at[y1]] - top) * fy[:, None]
+    top = rows[y0]
+    return top + (rows[y1] - top) * fy[:, None]
 
 
 def _live(footprints: Sequence[np.ndarray], pair_varies: np.ndarray) -> np.ndarray:
@@ -273,22 +263,11 @@ def generate_events(
     step skips over scene structure.  Within a step, events are in
     row-major pixel order.
 
-    Only pixels whose sample can change are resampled, and the stream
-    is bit-identical to resampling every pixel.  A pixel's footprint is
-    taken from its clamped coordinate, one column pair and one row pair
-    of the field.  Footprints of consecutive steps share a column and a
-    row, because a step moves less than 0.5 px.  If the x footprint did
-    not move, or sits on column pairs where the field is equal in every
-    row at both steps, each row interpolates to the same value as
-    before; the same holds for rows, so the sample repeats.  A pixel
-    whose sample repeats and whose residual is below one quantum emits
-    nothing.  Rounding can leave a whole quantum in a residual after it
-    fires; such a pixel is resampled at the next step.  Step times,
-    offsets and footprints are computed for a block of steps at a time,
-    so the working arrays do not grow with the number of steps; what
-    grows is the output, plus one entry per step that fires.  A run of
-    over 2**31 steps is rejected before anything is allocated, as
-    :func:`add_noise` rejects over 2**31 events.
+    Each step resamples one grid of the pixels whose sample can change,
+    as README's "Synthesis" section describes, and the stream is
+    bit-identical to resampling every pixel.  A run of over 2**31 steps
+    is rejected before anything is allocated, as :func:`add_noise`
+    rejects over 2**31 events.
 
     The output is deterministic: it contains no randomness at all
     (noise is added separately by :func:`add_noise`).
@@ -315,12 +294,12 @@ def generate_events(
     # starts a pair that varies.
     col_varies = np.append((field[:, 1:] != field[:, :-1]).any(axis=0), False)
     row_varies = np.append((field[1:] != field[:-1]).any(axis=1), False)
-    all_rows = slice(None)
-    row_starts = np.arange(h) * w
+    all_cols = np.arange(w)
+    row_starts = np.arange(h)[:, None] * w
     reference = _sample(field, 0.0, 0.0).reshape(-1)
     fired_times = []
     fired = []
-    stale = None  # rows of pixels left holding a quantum by the last step
+    stale = False  # whether the last step left a whole quantum in a residual
     # The scene at rest, which sets every pixel's reference, is the step
     # before the first.
     before = np.zeros((1, 2))
@@ -337,53 +316,32 @@ def generate_events(
         xs = _footprint(w, block[:, :1])
         ys = _footprint(h, block[:, 1:])
         live_cols = _live(xs, col_varies)
-        live_rows = _live(ys, row_varies)
-        busy = live_cols.any(axis=1) | live_rows.any(axis=1)
+        whole = _live(ys, row_varies).any(axis=1)
+        busy = live_cols.any(axis=1) | whole
         for j in range(len(block) - 1):
-            if stale is not None:
-                live_rows[j, stale] = True
-                busy[j] = True
-                stale = None
-            if not busy[j]:
+            if not (busy[j] or stale):
                 continue
-            # The live pixels are every row of the live columns plus the
-            # other columns of the live rows: two grids, each row-major.
-            grids = [(all_rows, np.flatnonzero(live_cols[j]))]
-            rows_j = np.flatnonzero(live_rows[j])
-            if len(rows_j):
-                grids.append((rows_j, np.flatnonzero(~live_cols[j])))
-            hits = []
-            for rows, cols in grids:
-                if len(cols) == 0:
-                    continue
-                now = _interpolate(
-                    field,
-                    [a[j + 1, cols] for a in xs],
-                    [a[j + 1, rows] for a in ys],
-                ).reshape(-1)
-                flat = (row_starts[rows][:, None] + cols).reshape(-1)
-                residual = now - reference[flat]
-                quanta = np.floor(np.abs(residual) / c + _THRESHOLD_SLACK).astype(np.int64)
-                hit = np.flatnonzero(quanta)
-                if len(hit):
-                    hits.append((flat[hit], quanta[hit], residual[hit], now[hit]))
-            if not hits:
+            # Every row of the live columns, or the whole frame when a
+            # row pair is live or a residual still holds a quantum.
+            cols = all_cols if whole[j] or stale else np.flatnonzero(live_cols[j])
+            now = _interpolate(
+                field, [a[j + 1, cols] for a in xs], [a[j + 1] for a in ys]
+            ).reshape(-1)
+            flat = (row_starts + cols).reshape(-1)
+            residual = now - reference[flat]
+            quanta = np.floor(np.abs(residual) / c + _THRESHOLD_SLACK).astype(np.int64)
+            hit = np.flatnonzero(quanta)
+            stale = False
+            if not len(hit):
                 continue
-            flat, reps, residual, now = (np.concatenate(part) for part in zip(*hits))
-            if len(hits) > 1:
-                # Two sorted runs of distinct pixels: one merge puts them
-                # in row-major order.
-                order = np.argsort(flat, kind="stable")
-                flat, reps, residual, now = flat[order], reps[order], residual[order], now[order]
+            flat, reps, residual, now = flat[hit], quanta[hit], residual[hit], now[hit]
             sign = np.sign(residual).astype(np.int8)
             settled = reference[flat] + sign * reps * c
             reference[flat] = settled
             # Rounding can leave a whole quantum in the residual.  Such a
             # pixel fires again at the next step with its sample
             # unchanged, so it must be resampled there.
-            again = np.abs(now - settled) / c + _THRESHOLD_SLACK >= 1.0
-            if again.any():
-                stale = flat[again] // w
+            stale = bool((np.abs(now - settled) / c + _THRESHOLD_SLACK >= 1.0).any())
             fired_times.append(times[j])
             fired.append((flat, reps, sign))
     if not fired:

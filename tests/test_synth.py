@@ -391,6 +391,20 @@ class TestSparseSynthesisMatchesDenseOracle:
         assert max(steps) <= 3 * SPARSE.height
         assert sum(steps) < 0.05 * 80 * SPARSE.pixel_count
 
+    @pytest.mark.parametrize("scene", [step_edge, bars, checker])
+    @pytest.mark.parametrize("motion", [MotionProfile.constant, MotionProfile.reversing])
+    def test_cli_scenes_never_sample_a_whole_frame(self, sampled, scene, motion):
+        # The CLI and the eval reports move their scenes horizontally at
+        # 0.25 px a step, so no row pair is ever live: each step samples
+        # every row of a few columns, never the whole frame.
+        geometry = SensorGeometry(80, 60)
+        generate_events(
+            scene(geometry, height=0.6), motion((100.0, 0.0), 0.4), SENSOR, 0.25 / 100
+        )
+        reference, steps = sampled[0], sampled[1:]
+        assert reference == geometry.pixel_count
+        assert steps and max(steps) < geometry.pixel_count
+
     @pytest.mark.parametrize("block", [1, 2, 5])
     def test_blocks_of_steps_do_not_change_the_stream(self, monkeypatch, block):
         monkeypatch.setattr(synth, "_STEPS_PER_BLOCK", block)
@@ -411,16 +425,19 @@ class TestSparseSynthesisMatchesDenseOracle:
         # when the next step starts a new block of footprints.
         monkeypatch.setattr(synth, "_STEPS_PER_BLOCK", block)
         height, c = 4.899999999299999, 0.7
-        geometry = SensorGeometry(8, 1)
-        field = np.zeros((1, 8))
-        field[0, :4] = height
-        scene = SyntheticScene(field, geometry)
-        motion = MotionProfile.constant((1.0, 0.0), 3.0)
-        for dt in (0.35, 0.41):
-            got = generate_events(scene, motion, SensorModel(c), dt)
-            assert_same_stream(got, dense_generate_events(scene, motion, SensorModel(c), dt))
-            counts = per_pixel_counts(got, geometry)
-            assert counts[0, 4:7].tolist() == [expected_event_count(height, c)] * 3
+        row = np.zeros((1, 8))
+        row[0, :4] = height
+        # The edge swept along a row, then the same edge transposed and
+        # swept down a column, where the whole frame is resampled.
+        for field, velocity in ((row, (1.0, 0.0)), (row.T, (0.0, 1.0))):
+            geometry = SensorGeometry(field.shape[1], field.shape[0])
+            scene = SyntheticScene(field.copy(), geometry)
+            motion = MotionProfile.constant(velocity, 3.0)
+            for dt in (0.35, 0.41):
+                got = generate_events(scene, motion, SensorModel(c), dt)
+                assert_same_stream(got, dense_generate_events(scene, motion, SensorModel(c), dt))
+                counts = per_pixel_counts(got, geometry).reshape(-1)
+                assert counts[4:7].tolist() == [expected_event_count(height, c)] * 3
 
     @given(
         st.integers(1, 9),
