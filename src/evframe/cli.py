@@ -17,7 +17,6 @@ Identical inputs and flags produce byte-identical frame files.
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
 from contextlib import ExitStack
@@ -226,12 +225,9 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
 
 
 def _read_input(args: argparse.Namespace) -> Iterator[EventArray]:
-    """Event batches from `--input`: a text file, or stdin for -, decoded as the file would be."""
-    if args.input != "-":
-        return read_event_batches(args.input, args.geometry)
-    if isinstance(sys.stdin, io.TextIOWrapper):
-        sys.stdin.reconfigure(encoding="ascii", errors="surrogateescape")
-    return read_event_batches(sys.stdin, args.geometry)
+    """Event batches from `--input`: a text file, or stdin's bytes for -."""
+    source = getattr(sys.stdin, "buffer", sys.stdin) if args.input == "-" else args.input
+    return read_event_batches(source, args.geometry)
 
 
 def _cmd_accumulate(args: argparse.Namespace) -> int:

@@ -355,6 +355,10 @@ def quantize_frame(frame: EventFrame, bit_depth: int = 8) -> np.ndarray:
     Values map linearly onto [0, 2**bits - 1] with ties rounded half
     away from zero, so 0.5 at 8 bit becomes 128, 0.0 becomes 0 and 1.0
     becomes the full-scale value exactly.
+
+    That rounding is floor(x*m + 1/2) for m = 2**bits - 1, and the cast
+    computes it: pixels are in [0, 1], so y = x*m + 1/2 >= 0, where
+    truncation is floor, and y <= m + 1/2 < 2**bits, so no value wraps.
     """
     if bit_depth == 8:
         dtype = np.uint8
@@ -363,5 +367,6 @@ def quantize_frame(frame: EventFrame, bit_depth: int = 8) -> np.ndarray:
     else:
         raise ValueError(f"bit depth must be 8 or 16, got {bit_depth}")
     max_value = (1 << bit_depth) - 1
-    # Pixels are in [0, 1], so round-half-away-from-zero is floor(x + 0.5).
-    return np.floor(frame.pixels * max_value + 0.5).astype(dtype)
+    scaled = frame.pixels * max_value
+    scaled += 0.5
+    return scaled.astype(dtype)

@@ -1,49 +1,23 @@
 """Reading and writing event streams and frame rasters.
 
-Event text files carry one event per line as "t x y p" with polarity
-encoded 1 for brightness increase and 0 for decrease.  Reading is
-chunked so arbitrarily large files stream through constant memory, and
-every format or contract violation is reported with its 1-based line
-number.
+The paragraph on what `accumulate` reads, in README's "CLI" section, is
+the one description of the reader: the grammar, the chunks, the four
+parsing tiers and their speed, bytes in and lines ending at ``\n``.
+What follows are the contracts the code must hold.
 
-A chunk holds the lines ``readlines(batch_lines * 24)`` would return,
-about 8,192 by default, so reading holds one chunk's text and columns,
-a few MB, however long the file is.  Lines end at ``\n``, as they do
-when read from a path, stdin or a StringIO.  Columns are typed: float64
-stamps, int32 coordinates, int8 polarity.  Parsing tries four tiers in
-turn, and each later one accepts more:
-
-1. Fixed point: every line is ``D+.D+ D{1,9} D{1,9} D`` with single
-   spaces and at most 15 stamp digits, as in microsecond ``S.UUUUUU``
-   or nanosecond stamps.  The chunk's bytes less 48 are taken once:
-   the separators are the values above 9, found in one pass and laid
-   out as contiguous rows of positions, one subtract gives every
-   field's width, and each digit is gathered from that array.  On a
-   1.8M-line microsecond text the reader yields 8-10M events/s on
-   a 2-core VM.  A stamp is the integer of its digits divided by
-   ``10**k``, k its fraction digits; both are exact in float64, so the
-   division is correctly rounded and gives the float strtod gives.
-   The first line alone decides most other chunks, so they pay nothing.
-2. One call to numpy's C text reader into the typed columns.
-3. The same reader as floats, for ``3.0`` as a coordinate or a value
-   its column cannot hold.
-4. Fields split and converted by numpy's string-to-float cast, which
-   also accepts ``1_000``.
-
-All four yield the same events and the same errors.  That is the whole
-grammar: four whitespace-separated numbers per line, in ASCII.  When a
-chunk breaks it, the first line with a field count other than four, a
-field the cast rejects or a character outside ASCII is reported.  The
-ASCII rule is the same for every route in: a path is decoded as ASCII
-with ``surrogateescape``, so a stray byte becomes a non-ASCII character
-on its line, and a non-ASCII line of any source is rejected before
-numpy sees its chunk, which would read U+0663 (Arabic-Indic three) as 3
-and a no-break space as a separator.  Every other rule (polarity,
-timestamp range and order, integer and in-bounds coordinates) is
-checked on the parsed columns, so an error never names a line the
-grammar accepts.  The rows before a grammar break are checked and
-yielded first, and the rules report their earliest row, so the earliest
-bad line is reported at every chunk size.
+Text is read as bytes.  A path opens in binary mode, and a text handle's
+chunks are encoded as UTF-8 with ``surrogateescape``, so any character
+outside ASCII, from any source, is a byte of 0x80 or more.  Such a byte
+breaks its line, and the line is reported before numpy sees its chunk:
+numpy would read U+0663 (Arabic-Indic three) as 3 and a no-break space
+as a separator.  A chunk is the lines ``readlines(batch_lines * 24)``
+returns, so reading holds one chunk's text and columns however long
+the stream is.  All four tiers yield the same events and the same
+errors; a fixed-point stamp is the float strtod gives.  Every rule but
+the grammar is checked on the parsed columns, so an error never names a
+line the grammar accepts.  The rows before a grammar break are checked
+and yielded first, and each rule reports its earliest row, so the
+earliest bad line is reported at every chunk size.
 
 Frames are written as binary PGM (P5), 8 bit or big-endian 16 bit, and
 a run's frames are listed in a CSV index of publish stamp, filename and
@@ -83,7 +57,7 @@ _RECORD = np.dtype([("t", "<f8"), ("x", "<i4"), ("y", "<i4"), ("p", "i1")])
 _Columns = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 # A first line that cannot be fixed-point sends its chunk straight on.
 _FIXED_POINT_LINE = re.compile(
-    r"(?=[0-9.]{3,16} )[0-9]+\.[0-9]+ [0-9]{1,9} [0-9]{1,9} [0-9](?:\n|\Z)"
+    rb"(?=[0-9.]{3,16} )[0-9]+\.[0-9]+ [0-9]{1,9} [0-9]{1,9} [0-9](?:\n|\Z)"
 )
 _STAMP_DIGITS = 15  # 10**15 < 2**53
 _COORD_DIGITS = 9  # 10**9 < 2**31
@@ -100,50 +74,52 @@ class InvalidPolarity(StreamError):
     """Polarity token was not 0 or 1."""
 
 
-def _open(path: Union[str, Path, IO[str]], mode: str) -> ContextManager[IO[str]]:
-    """Open a path as ASCII text in `mode` ("r" or "w"), or pass an open file through unclosed.
-
-    Bytes that are not ASCII decode to lone surrogates, so a reader
-    sees them as non-ASCII characters on their line.
-    """
-    if hasattr(path, "read" if mode == "r" else "write"):
+def _open(path: Union[str, Path, IO[str]]) -> ContextManager[IO[str]]:
+    """Open a path to write ASCII text, or pass an open file through unclosed."""
+    if hasattr(path, "write"):
         return nullcontext(path)
-    return open(path, mode, encoding="ascii", errors="surrogateescape")
+    return open(path, "w", encoding="ascii", errors="surrogateescape")
 
 
 def read_event_batches(
-    path: Union[str, Path, IO[str]],
+    path: Union[str, Path, IO[bytes], IO[str]],
     geometry: SensorGeometry,
     batch_lines: int = _BATCH_LINES,
 ) -> Iterator[EventArray]:
     """Stream a "t x y p" text file as validated EventArray chunks.
 
-    Checks per line: four numeric fields, finite non-negative timestamp,
-    polarity in {0, 1}, integer coordinates.  Checks across the stream:
-    timestamps non-decreasing (the error reports both offending stamps)
-    and coordinates inside `geometry`.  Line numbers are 1-based.  Blank
-    lines are skipped.
+    `path` is a path, opened in binary mode, or an open handle, read
+    from where it stands and left open.  Lines end at ``\n``.  Checks per
+    line: four numeric fields, finite non-negative timestamp, polarity
+    in {0, 1}, integer coordinates, ASCII only.  Checks across the
+    stream: timestamps non-decreasing (the error reports both offending
+    stamps) and coordinates inside `geometry`.  Line numbers are
+    1-based.  Blank lines are skipped.
     """
     prev_t: float | None = None
     line_base = 0
-    with _open(path, "r") as fh:
+    with nullcontext(path) if hasattr(path, "read") else open(path, "rb") as fh:
         while True:
             # The lines fh.readlines(hint) returns: whole lines until
-            # more than `hint` characters are read (hint 0 reads all).
+            # more than `hint` bytes, or a text handle's characters, are
+            # read (hint 0 reads all).
             block = fh.read(batch_lines * 24 or -1) + fh.readline()
             if not block:
                 break
+            if isinstance(block, str):
+                block = block.encode("utf-8", "surrogateescape")
             columns = _fixed_point_rows(block)
             if columns is not None:
                 numbers: Sequence[int] = range(line_base + 1, line_base + 1 + len(columns[0]))
                 broken = None
                 line_base += len(numbers)
             else:
-                lines = block.split("\n")  # readline's lines, less their "\n"
+                # readline's lines, less their "\n"
+                lines = block.decode("utf-8", "surrogateescape").split("\n")
                 if not lines[-1]:
                     lines.pop()
                 ascii_only = block.isascii()
-                block = ""  # hold the lines only
+                block = b""  # hold the lines only
                 columns, numbers, broken = _parse_chunk(lines, line_base, ascii_only)
                 line_base += len(lines)
             if len(numbers):
@@ -167,7 +143,7 @@ def _event_array(t: np.ndarray, x: np.ndarray, y: np.ndarray, p: np.ndarray) -> 
     return EventArray(*columns)
 
 
-def _fixed_point_rows(block: str) -> Optional[_Columns]:
+def _fixed_point_rows(block: bytes) -> Optional[_Columns]:
     """Parse a chunk of fixed-point lines from its bytes, or None if a line is not one.
 
     A fixed-point line is ``D+.D+ D{1,9} D{1,9} D`` and a newline, with
@@ -175,12 +151,18 @@ def _fixed_point_rows(block: str) -> Optional[_Columns]:
     over ``10**k`` for k fraction digits: both are exact in float64,
     below 2**53, so the one division is correctly rounded and gives
     strtod's bits.  Nine digits fit int32, so no cast wraps.
+
+    No byte needs a check of its own.  Less 48 in uint8, every byte
+    but a digit exceeds 9, a byte of 0x80 or more included, so
+    `_separators` takes it for a separator.  Each line must then hold
+    exactly its dot, three spaces and newline in that order: a chunk
+    with any other such byte fails its count or its identity check.
     """
-    if not (block.isascii() and _FIXED_POINT_LINE.match(block)):
+    if not _FIXED_POINT_LINE.match(block):
         return None  # most fallback chunks stop here, at the first line
-    if not block.endswith("\n"):
-        block += "\n"
-    digits = np.frombuffer(block.encode("ascii"), dtype=np.uint8) - 48
+    if not block.endswith(b"\n"):
+        block += b"\n"
+    digits = np.frombuffer(block, dtype=np.uint8) - 48
     bounds = _separators(digits)
     if bounds is None:
         return None
@@ -209,7 +191,7 @@ def _fixed_point_rows(block: str) -> Optional[_Columns]:
 def _separators(digits: np.ndarray) -> Optional[np.ndarray]:
     """Each line's dot, three spaces and newline, after the newline before it, or None.
 
-    `digits` is the chunk's bytes less 48, so only the separators exceed
+    `digits` is the chunk's bytes less 48, so only the non-digits exceed
     9.  The six rows of positions are C-contiguous.  Row 0 is row 5 one
     line back, -1 before the first line, so a field's width is the gap
     between its row and the row above, less one.
@@ -393,7 +375,7 @@ def write_events(events: EventArray, path: Union[str, Path, IO[str]]) -> None:
     An empty stream writes nothing.  The text is built and written
     `_BATCH_LINES` events at a time, so it is never held whole.
     """
-    with _open(path, "w") as fh:
+    with _open(path) as fh:
         for start in range(0, len(events), _BATCH_LINES):
             part = events[start : start + _BATCH_LINES]
             rows = zip(part.t.tolist(), part.x.tolist(), part.y.tolist(), (part.p > 0).tolist())
@@ -419,7 +401,8 @@ def write_pgm(raster: np.ndarray, path: Union[str, Path]) -> None:
     h, w = raster.shape
     header = f"P5\n{w} {h}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
-        fh.write(header + payload)
+        fh.write(header)
+        fh.write(payload)
 
 
 def read_pgm(path: Union[str, Path]) -> np.ndarray:
@@ -462,7 +445,7 @@ def write_frame_index(
     still at its start, so later calls on the same open file append
     rows to it.
     """
-    with _open(path, "w") as fh:
+    with _open(path) as fh:
         if not fh.seekable() or fh.tell() == 0:
             fh.write("stamp,filename,held\n")
         for stamp, filename, held in entries:

@@ -6,8 +6,8 @@ every pixel at every step, and the report builders that hold every
 frame of every run are kept here, unchanged, so the fast and streamed
 paths can be compared with the plain definitions.  So are the small
 helpers that only the tests call: whole-stream slicing, whole-frame
-decay, reading a frame index back, and the closed forms for a window
-size and an edge's event count.
+decay, quantizing with ``floor``, reading a frame index back, and the
+closed forms for a window size and an edge's event count.
 """
 from __future__ import annotations
 
@@ -114,6 +114,12 @@ def expected_event_count(edge_height: float, contrast_threshold: float) -> int:
     if edge_height < 0.0:
         raise ValueError(f"edge height must be >= 0, got {edge_height}")
     return int(math.floor(edge_height / contrast_threshold + _THRESHOLD_SLACK))
+
+
+def quantize_pixels(pixels: np.ndarray, bit_depth: int) -> np.ndarray:
+    """Pixels in [0, 1] rounded half away from zero onto [0, 2**bit_depth - 1]."""
+    max_value = (1 << bit_depth) - 1
+    return np.floor(pixels * max_value + 0.5).astype(np.uint8 if bit_depth == 8 else np.uint16)
 
 
 def read_frame_index(path: Union[str, Path]) -> List[Tuple[float, str, bool]]:

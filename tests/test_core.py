@@ -24,7 +24,7 @@ from evframe import (
     quantize_frame,
 )
 
-from oracles import window_size_for
+from oracles import quantize_pixels, window_size_for
 
 
 class TestSensorGeometry:
@@ -198,6 +198,25 @@ class TestQuantize:
         frame = EventFrame(spec=spec, pixels=np.array([[value]]), stamp=0.0)
         raster = quantize_frame(frame)
         assert 0 <= int(raster[0, 0]) <= 255
+
+    @pytest.mark.parametrize("bit_depth", [8, 16])
+    def test_matches_the_floor_form(self, bit_depth):
+        m = (1 << bit_depth) - 1
+        k = np.arange(m + 1)
+        steps = np.concatenate([k / m, (k[:-1] + 0.5) / m])
+        values = np.concatenate(
+            [
+                [0.0, 0.5, 1.0, np.nextafter(0.5, 0.0)],
+                steps,
+                np.nextafter(steps, 0.0),
+                np.nextafter(steps, 1.0),
+                np.random.default_rng(0).random(10**6),
+            ]
+        ).clip(0.0, 1.0)
+        frame = EventFrame(SensorGeometry(len(values), 1), values[None, :], 0.0)
+        got, want = quantize_frame(frame, bit_depth), quantize_pixels(frame.pixels, bit_depth)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 class TestConfig:

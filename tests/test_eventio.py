@@ -570,9 +570,14 @@ class TestTypedChunks:
 
 def outcome(text: str, batch_lines: int, geometry: SensorGeometry = GEOMETRY) -> tuple:
     """Each batch's columns as (dtype, bytes, writeable), then the error's type and text."""
+    return source_outcome(io.StringIO(text), batch_lines, geometry)
+
+
+def source_outcome(source, batch_lines: int, geometry: SensorGeometry = GEOMETRY) -> tuple:
+    """outcome() of a path or an open handle."""
     batches = []
     try:
-        for batch in read_event_batches(io.StringIO(text), geometry, batch_lines=batch_lines):
+        for batch in read_event_batches(source, geometry, batch_lines=batch_lines):
             columns = (batch.t, batch.x, batch.y, batch.p)
             batches.append([(c.dtype.str, c.tobytes(), c.flags.writeable) for c in columns])
     except ValueError as err:
@@ -782,7 +787,7 @@ class TestFixedPointChunks:
         buf = io.StringIO()
         write_events(EventArray.from_columns([1 / 3, 0.5], [1, 2], [3, 4], [1, -1]), buf)
         monkeypatch.setattr(eventio, "_separators", None)
-        assert eventio._fixed_point_rows(buf.getvalue()) is None
+        assert eventio._fixed_point_rows(buf.getvalue().encode()) is None
 
 
 class TestNonAsciiLines:
@@ -818,6 +823,40 @@ class TestNonAsciiLines:
     def test_an_earlier_bad_line_is_reported_first(self, first, error, message):
         with pytest.raises(error, match=message):
             list(read_event_batches(io.StringIO(first + "\n0.2 \u0663 4 0\n"), GEOMETRY))
+
+
+class TestSources:
+    """A path, an IO[bytes] and an IO[str] of one text read alike."""
+
+    @staticmethod
+    def outcomes(text: str, batch_lines: int, tmp_path) -> list:
+        path = tmp_path / "events.txt"
+        path.write_bytes(text.encode("ascii"))
+        sources = [path, io.BytesIO(text.encode("ascii")), io.StringIO(text)]
+        return [source_outcome(source, batch_lines) for source in sources]
+
+    @pytest.mark.parametrize("bad", ["", "0.15 1 2"], ids=["clean", "malformed"])
+    @pytest.mark.parametrize("batch_lines", [1, 2, 8192])
+    def test_every_route_gives_the_same_batches(self, tmp_path, bad, batch_lines):
+        lines = fixed_point_text(range(0, 3 * 10**5, 997), 6).splitlines()
+        if bad:
+            lines[150] = bad
+        columns = []
+        for end in ["\n", "\r\n"]:
+            first, *others = self.outcomes(end.join(lines) + end, batch_lines, tmp_path)
+            assert all(other == first for other in others)
+            batches, error = first
+            columns.append([b"".join(batch[i][1] for batch in batches) for i in range(4)])
+            message = f"expected 4 fields 't x y p' at line 151, got 3: {bad!r}"
+            assert error == ((MalformedLine, message) if bad else None)
+        assert columns[0] == columns[1]
+        assert len(columns[0][0]) == 8 * (150 if bad else len(lines))
+
+    def test_a_cr_only_path_fails_at_its_first_line(self, tmp_path):
+        path = tmp_path / "cr.txt"
+        path.write_bytes(b"0.1 1 2 1\r0.2 3 4 0\r")
+        message = "expected 4 fields 't x y p' at line 1, got 8: '0.1 1 2 1\\r0.2 3 4 0'"
+        assert source_outcome(path, 8192) == ([], (MalformedLine, message))
 
 
 class TestNonFiniteCoordinates:
