@@ -500,7 +500,7 @@ class _Group:
         self.runs = _ComposedRuns(a, b, np.broadcast_to(0.0, n), one, starts)
 
     def publish(self, integrated: Optional[EventFrame]) -> np.ndarray:
-        """Pixels of the next slice; `integrated` is the decaying buffer, if any.
+        """Pixels of the next slice; `integrated` is the last integrated frame, if any.
 
         STEP integrates from a neutral frame, and an empty STEP slice
         gets the shared read-only neutral pixels, so an idle gap costs no
@@ -544,14 +544,16 @@ class _Group:
 class FrameAccumulator:
     """Integrates slices into frames, one slice at a time in publish order.
 
-    Every slice's events are checked first.  A slice with fewer than
-    `no_motion_threshold` events in its interval is a hold: it
-    republishes the previous frame's pixels, shared byte for byte, or
-    the shared neutral pixels before any frame, and its events are
-    dropped.  Any other slice is integrated: STEP from a neutral frame,
-    LINEAR / EXPONENTIAL from the last integrated frame, whose pixels
-    and stamp are the decaying buffer and its time.  A held frame is
-    never that buffer, so decay runs on from the last integrated stamp.
+    It keeps one frame: the last integrated one.  Every slice's events
+    are checked first.  A slice with fewer than `no_motion_threshold`
+    events in its interval is a hold: it republishes the last
+    integrated frame's pixels, shared byte for byte, or the shared
+    neutral pixels before any frame, and its events are dropped.  A hold
+    changes no pixel, so these are also the previous frame's pixels.
+    Any other slice is integrated: STEP from a neutral frame, LINEAR /
+    EXPONENTIAL from the last integrated frame, whose pixels and stamp
+    are the decaying buffer and its time, so decay runs on from the
+    last integrated stamp, never from a hold's.
     Slices announced by `_schedule` are integrated in groups (see the
     module docstring); `process` returns the same frames either way.
     """
@@ -559,8 +561,7 @@ class FrameAccumulator:
     def __init__(self, config: AccumulatorConfig, geometry: SensorGeometry) -> None:
         self._config = config
         self._geometry = geometry
-        self._previous: Optional[EventFrame] = None  # the last published frame
-        self._integrated: Optional[EventFrame] = None  # the decaying buffer; None under STEP
+        self._integrated: Optional[EventFrame] = None  # the last integrated frame
         self._ahead: Deque[Slice] = deque()  # scheduled slices not yet processed
         self._group: Optional[_Group] = None
 
@@ -617,19 +618,16 @@ class FrameAccumulator:
             if fault is not None:
                 raise fault
             if self._holds(slc):
-                if self._previous is None:
+                if self._integrated is None:
                     pixels = _neutral_pixels(geometry, config.polarity_mode)
                 else:
-                    pixels = self._previous.pixels
-                self._previous = EventFrame(geometry, pixels, slc.publish_stamp, held=True)
-                return self._previous
+                    pixels = self._integrated.pixels
+                return EventFrame(geometry, pixels, slc.publish_stamp, held=True)
             group = self._group = self._gather(slc)
         frame = EventFrame(geometry, group.publish(self._integrated), slc.publish_stamp)
         if group.published == len(group.slices):
             self._group = None  # neither its slices nor its arrays outlive its last frame
-        if config.decay.kind is not DecayKind.STEP:
-            # The frame makes its pixels read-only and the next slice only
-            # reads them, so the frame can be the buffer.
-            self._integrated = frame
-        self._previous = frame
+        # The frame makes its pixels read-only and the next slice only
+        # reads them, so the frame can be the buffer.
+        self._integrated = frame
         return frame

@@ -24,7 +24,7 @@ from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from time import perf_counter
-from typing import IO, Callable, Iterator, List, Optional, Sequence
+from typing import IO, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -226,6 +226,8 @@ def _config_from_args(args: argparse.Namespace) -> AccumulatorConfig:
 
 def _read_input(args: argparse.Namespace) -> Iterator[EventArray]:
     """Event batches from `--input`: a text file, or stdin's bytes for -."""
+    if args.input == "-" and sys.stdin is None:
+        raise ValueError("--input -: stdin is closed")
     source = getattr(sys.stdin, "buffer", sys.stdin) if args.input == "-" else args.input
     return read_event_batches(source, args.geometry)
 
@@ -275,6 +277,8 @@ def _cmd_accumulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
+    if args.out == "-" and sys.stdout is None:
+        raise ValueError("--out -: stdout is closed")
     geometry = args.geometry
     scene = _SCENES[args.scene](geometry, height=args.height)
     speed = float(args.speed)
@@ -305,23 +309,11 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _panel(frames: Sequence[EventFrame]) -> np.ndarray:
-    """Compose quantized frames side by side with a thin separator.
-
-    With two frames a third difference tile is appended, so the output
-    reads left-to-right as (a, b, |a - b|).
-    """
-    rasters = [quantize_frame(f) for f in frames]
-    if len(rasters) == 2:
-        diff = np.abs(rasters[0].astype(np.int32) - rasters[1].astype(np.int32))
-        rasters.append(diff.astype(rasters[0].dtype))
-    height = rasters[0].shape[0]
-    gap = np.zeros((height, 2), dtype=rasters[0].dtype)
-    columns: List[np.ndarray] = []
-    for i, raster in enumerate(rasters):
-        if i:
-            columns.append(gap)
-        columns.append(raster)
-    return np.hstack(columns)
+    """Two quantized frames and their difference, (a, b, |a - b|), with 2-pixel gaps."""
+    a, b = (quantize_frame(f) for f in frames)
+    diff = np.abs(a.astype(np.int32) - b.astype(np.int32)).astype(a.dtype)
+    gap = np.zeros((a.shape[0], 2), dtype=a.dtype)
+    return np.hstack([a, gap, b, gap, diff])
 
 
 def _write_csv(path: Path, header: str, rows: Sequence[str]) -> None:

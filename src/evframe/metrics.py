@@ -12,18 +12,17 @@ accumulator to quantify the claims the toolkit is built around: frame
 appearance should not depend on scene speed when slicing by time and
 number, rectified frames should survive a motion reversal, and fill,
 saturation and gray-level depth should track window size and event
-contribution.  The speed report scores two frames of different speeds
-when they cover equal scene displacement and neither is partial; by
-time and by time and number differ only in the publish interval each
-run slices at.  Each report hands its slices straight to
-:meth:`FrameAccumulator.process` and scores the frames as they arrive,
-so it holds O(speeds) frames, however long the sweeps run.  The
-polarity flip holds at most eight: its runs are STEP with holds off, so
-it can build each before/after pair together and drop it once scored.
-The window and contribution sweeps read their input once, as an event
-batch or an iterable of batches, slice it as it streams and keep only
-each run's latest frame, so their memory does not grow with the
-recording.
+contribution.  README's ``eval`` paragraph, in its "CLI" section, is the
+one description of the reports: how the speed report aligns frames and
+how many frames each report holds.  What follows are the contracts the
+code must hold.
+
+Every report feeds its slices to :meth:`FrameAccumulator.process` one
+at a time and scores each frame as it arrives, keeping only the frames
+a later score or a panel still reads.  The polarity flip builds frames
+out of stream order, which is valid only because its runs are STEP with
+holds off, so each frame depends on its own slice alone.  The sweeps
+read their source once, as it streams.
 """
 from __future__ import annotations
 

@@ -119,9 +119,7 @@ class StreamSlicer:
         self._t0 = float(t0) if t0 is not None else None
         self._k = 1  # next tick index; stamps are t0 + k * dt
         self._kept: List[EventArray] = []  # pushed batches a later slice may reach
-        self._base = 0  # stream position of the first kept event
-        self._end = 0  # stream position past the last pushed event
-        self._cut = 0  # stream position where the next slice may start
+        self._count = 0  # events in the kept batches
         self._t_last: Optional[float] = None
         self._finished = False
 
@@ -153,7 +151,7 @@ class StreamSlicer:
             raise ValueError(f"event at {first} precedes the window origin {self._t0}")
         self._t_last = float(events.t[-1])
         self._kept.append(events)
-        self._end += len(events)
+        self._count += len(events)
         return self._publish(flush=False)
 
     def slices(self, source: Source) -> Iterator[Slice]:
@@ -205,22 +203,22 @@ class StreamSlicer:
 
     def _publish(self, flush: bool) -> List[Slice]:
         if self._method is SliceMethod.BY_NUMBER:
-            if self._end - self._cut < self._n:
+            if self._count < self._n:
                 return []
         else:
             stamps = self._close_ticks(flush)
             if not stamps:
                 return []
+        # Positions below are relative to the join, which starts at the last cut.
         events = EventArray.concatenate(self._kept)
-        t = events.t
-        cut = self._cut - self._base  # positions below are relative to the join
+        t, n = events.t, self._n
         if self._method is SliceMethod.BY_NUMBER:
-            his = range(cut + self._n, len(t) + 1, self._n)
-            stamps = t[cut + self._n - 1 :: self._n].tolist()
+            his = range(n, len(t) + 1, n)
+            stamps = t[n - 1 :: n].tolist()
         else:
             his = t.searchsorted(stamps, "left").tolist()
         if self._method is SliceMethod.BY_TIME_AND_NUMBER:
-            los = [max(hi - self._n, cut) for hi in his]
+            los = [max(hi - n, 0) for hi in his]
             # Interval k counts the events in (t_{k-1}, t_k].  Both ends lie
             # in the join, which starts at the last window's start, before
             # t_{k-1}'s events; the first interval counts from the stream's
@@ -231,14 +229,14 @@ class StreamSlicer:
             counts = [b - a for a, b in zip(ends, ends[1:])]
             cut = los[-1]
         else:
-            los = [cut, *his[:-1]]
+            los = [0, *his[:-1]]
             counts = [hi - lo for lo, hi in zip(los, his)]
             cut = his[-1]
-        # Only a short time-and-number window is partial, as _n is 0 by time.
+        # Only a short time-and-number window is partial, as n is 0 by time.
         out = [
-            Slice(events[lo:hi] if hi > lo else EventArray.empty(), stamp, count, hi - lo < self._n)
+            Slice(events[lo:hi] if hi > lo else EventArray.empty(), stamp, count, hi - lo < n)
             for lo, hi, stamp, count in zip(los, his, stamps, counts)
         ]
         self._kept = [events[cut:]] if cut < len(t) else []
-        self._base = self._cut = self._base + cut
+        self._count -= cut  # the join held every kept event
         return out

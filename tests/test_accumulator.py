@@ -153,11 +153,11 @@ class TestStepAccumulation:
         assert np.all(frame.pixels == 0.0)
 
     def test_does_not_keep_a_buffer(self):
+        # STEP keeps only the frame it returned, which a hold republishes.
         ev = EventArray.from_columns([0.1], [0], [0], [1])
         acc = FrameAccumulator(AccumulatorConfig(), SPEC)
-        acc.process(make_slice(ev))
-        assert acc._integrated is None
-        assert acc._previous is not None
+        frame = acc.process(make_slice(ev))
+        assert acc._integrated is frame
 
     @given(
         event_arrays(min_size=0, max_size=120, max_time=2.0),
@@ -393,7 +393,10 @@ class TestHold:
         empty = EventArray.empty()
         first = acc.process(Slice(empty, 0.5, interval_event_count=0, partial=False))
         assert first.held is True
-        assert acc._previous is first
+        second = acc.process(Slice(empty, 1.0, interval_event_count=0, partial=False))
+        assert second.held is True
+        assert np.shares_memory(second.pixels, first.pixels)
+        assert np.array_equal(second.pixels, first.pixels)
 
     def test_threshold_zero_never_holds(self):
         acc = FrameAccumulator(AccumulatorConfig(), SPEC)
@@ -418,7 +421,7 @@ class TestHold:
             error = NonMonotonicTimestamps
         with pytest.raises(error):
             acc.process(make_slice(ev, 0.5))
-        assert acc._previous is None
+        assert acc._integrated is None
 
     @DECAYS
     @MODES
@@ -438,7 +441,7 @@ class TestHold:
         quiet = EventArray.from_columns([1.2], [1], [1], [1])
         held = acc.process(make_slice(quiet, 1.5))
         assert held.held and np.shares_memory(held.pixels, first.pixels)
-        assert acc._previous is held and acc._integrated is first
+        assert acc._integrated is first
         later = uniform_events(300, SPEC, t_end=0.4, seed=4)
         later = EventArray.from_columns(later.t + 1.6, later.x, later.y, later.p)
         frame = acc.process(make_slice(later, 2.0))

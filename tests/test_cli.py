@@ -473,6 +473,31 @@ class TestAccumulate:
         assert exc.value.code == 2
 
 
+class TestClosedStandardStreams:
+    """A closed stdin or stdout (None in `sys`) fails in one line naming the flag."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["accumulate"],
+            ["eval", "window-sweep", "--input", "-", "--windows", "2"],
+            ["eval", "contribution-sweep", "--input", "-", "--contributions", "0.2"],
+        ],
+        ids=["accumulate", "window-sweep", "contribution-sweep"],
+    )
+    def test_input_from_a_closed_stdin(self, argv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", None)
+        out_dir = tmp_path / "out"
+        assert run(*argv, "--geometry", "8x8", "--out", str(out_dir)) == 2
+        assert capsys.readouterr().err == "evframe: error: --input -: stdin is closed\n"
+        assert not out_dir.exists()
+
+    def test_synth_to_a_closed_stdout(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdout", None)
+        assert run("synth", "--geometry", "16x8", "--duration", "0.05") == 2
+        assert capsys.readouterr().err == "evframe: error: --out -: stdout is closed\n"
+
+
 class TestEval:
     def test_speed_invariance_writes_csv_and_panels(self, tmp_path, capsys):
         code = run(

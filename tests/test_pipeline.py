@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 import time
 import tracemalloc
 
@@ -22,8 +24,10 @@ from evframe import (
     PipelineStats,
     PolarityMode,
     SensorGeometry,
+    SensorModel,
     SliceMethod,
     accumulate_stream,
+    add_noise,
     neutral_value,
     run_accumulation,
 )
@@ -247,6 +251,99 @@ class TestRunAccumulation:
             frames, _ = accumulate_stream(ev, config, geometry)
             assert len(frames) == len(slices)
             assert {id(f.pixels) for f, s in zip(frames, slices) if len(s) == 0} == pixels
+
+
+# Per-slice ceilings on W1-like noise (240x180, 15 events per pixel per
+# second, 0.1 s, 64,900 events) sliced by time at 1 kHz, c = 0.2, fed in
+# 256-event packets and in 8,192-event batches.  Each entry holds the
+# ceilings (calls, bytes) and, in the comment, the values they sit just
+# above (CPython 3.11.7, numpy 2.4.6).  Calls are the Python-level calls
+# made from evframe's own code (`sys.setprofile`).  Bytes are the highest
+# tracemalloc peak between two published frames, above the traced memory
+# at the earlier one and beyond the new frame's pixels.  Counts of work
+# do not drift with the host, so a change that adds fixed work per slice
+# or a full-frame temporary fails here.
+SLICE_BUDGETS = {
+    ("rectified", "step", 256): (152, 730_000),  # 147.2 calls, 708,520 bytes
+    ("rectified", "step", 8192): (60, 865_000),  # 57.8, 837,674
+    ("rectified", "linear", 256): (243, 765_000),  # 235.2, 741,083
+    ("rectified", "linear", 8192): (95, 1_115_000),  # 91.9, 1,081,275
+    ("rectified", "exp", 256): (242, 435_000),  # 234.2, 420,547
+    ("rectified", "exp", 8192): (93, 785_000),  # 90.0, 760,859
+    ("signed", "step", 256): (188, 40_000),  # 182.2, 29,016
+    ("signed", "step", 8192): (74, 435_000),  # 71.3, 421,008
+    ("signed", "linear", 256): (246, 770_000),  # 238.2, 746,613
+    ("signed", "linear", 8192): (104, 1_180_000),  # 100.4, 1,146,685
+    ("signed", "exp", 256): (246, 435_000),  # 238.2, 420,427
+    ("signed", "exp", 8192): (94, 785_000),  # 90.4, 760,731
+}
+BUDGET_DECAYS = {"step": Decay.step(), "linear": Decay.linear(5.0), "exp": Decay.exponential(0.05)}
+
+
+@pytest.fixture(scope="module")
+def w1_noise():
+    geometry = SensorGeometry(240, 180)
+    sensor = SensorModel(0.2, noise_rate=15.0, seed=0)
+    return add_noise(EventArray.empty(), sensor, geometry, 0.1), geometry
+
+
+class TestPerSliceBudgets:
+    @staticmethod
+    def arguments(w1_noise, mode, decay, size):
+        """The run's arguments, built before anything is counted."""
+        events, geometry = w1_noise
+        config = AccumulatorConfig(
+            slice_method=SliceMethod.BY_TIME,
+            interval=1e-3,
+            contribution=0.2,
+            polarity_mode=PolarityMode(mode),
+            decay=BUDGET_DECAYS[decay],
+        )
+        return [events[i : i + size] for i in range(0, len(events), size)], config, geometry
+
+    @pytest.mark.parametrize("mode, decay, size", list(SLICE_BUDGETS))
+    def test_calls_per_slice(self, w1_noise, mode, decay, size):
+        args = self.arguments(w1_noise, mode, decay, size)
+        package = os.path.dirname(os.path.abspath(evframe.__file__)) + os.sep
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            # A Python callee's frame is its own; a C callee runs in its caller's.
+            caller = frame.f_back if event == "call" else frame
+            if event in ("call", "c_call") and caller is not None:
+                calls += caller.f_code.co_filename.startswith(package)
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            stats = run_accumulation(*args)
+        finally:
+            sys.setprofile(previous)
+        assert stats.frames == 100
+        ceiling = SLICE_BUDGETS[mode, decay, size][0]
+        assert calls / stats.frames <= ceiling, f"{calls / stats.frames:.1f} calls a slice"
+
+    @pytest.mark.parametrize("mode, decay, size", list(SLICE_BUDGETS))
+    def test_peak_bytes_per_slice(self, w1_noise, mode, decay, size):
+        args = self.arguments(w1_noise, mode, decay, size)
+        worst = base = 0
+
+        def sink(frame):
+            nonlocal worst, base
+            current, peak = tracemalloc.get_traced_memory()
+            worst = max(worst, peak - base - frame.pixels.nbytes)
+            tracemalloc.reset_peak()
+            base = current
+
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stats = run_accumulation(*args, on_frame=sink)
+        finally:
+            tracemalloc.stop()
+        assert stats.frames == 100
+        assert worst <= SLICE_BUDGETS[mode, decay, size][1], f"{worst:,} bytes"
 
 
 def test_frame_spec_alias_serves_the_benchmark_calls():
